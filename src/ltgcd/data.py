@@ -147,9 +147,11 @@ def make_views(
     base = data.points[batch_indices]
 
     def one_view() -> np.ndarray:
-        view = base + noise_sigma * rng.standard_normal(base.shape)
+        view = rng.standard_normal(base.shape)
+        view *= noise_sigma
+        view += base
         if drop_prob > 0.0:
-            view = np.where(rng.random(base.shape) < drop_prob, 0.0, view)
+            np.putmask(view, rng.random(base.shape) < drop_prob, 0.0)
         return view
 
     return ViewPair(view_a=one_view(), view_b=one_view(), source=batch_indices)

@@ -26,6 +26,7 @@ from .model import (
     Prototypes,
     backward,
     forward,
+    forward_cached,
     init_head,
     init_optimizer,
     init_prototypes,
@@ -137,8 +138,8 @@ def train_one(
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
     then prior refresh from the unlabeled hard histogram and the prototype
-    EMA update. A non-finite loss aborts with a diagnostic record instead of
-    raising.
+    EMA update. A non-finite loss, or an epoch that steps no batch, aborts
+    with a diagnostic record instead of raising.
     """
     if noise_sigma < 0:
         raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
@@ -183,7 +184,7 @@ def train_one(
                     continue
                 views = make_views(data, batch, noise_sigma, drop_prob, aug_rng)
                 X = _interleave(views.view_a, views.view_b)
-                Z = forward(head, X)
+                Z, acts = forward_cached(head, X)
                 bv = BatchViews(
                     Z=Z,
                     labeled_mask=data.is_labeled[batch],
@@ -194,21 +195,26 @@ def train_one(
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}"
                     )
-                grads = backward(head, X, breakdown.grad_Z)
+                grads = backward(head, X, breakdown.grad_Z, acts)
                 sgd_step(head, grads, opt, hp)
                 sums += (breakdown.l_ins, breakdown.l_sup, breakdown.h_prior,
                          breakdown.h_uniform, breakdown.l_overall)
                 n_batches += 1
+            if n_batches == 0:
+                raise ValidationError(
+                    f"epoch {epoch} stepped no batch: with batch_size={hp.batch_size} "
+                    "no batch holds the 2 unlabeled rows a step needs"
+                )
 
             feats = forward(head, data.points)
-            probs_unlab = predict_probs(feats[unlab], protos, hp.tau_p)
-            prior = ema_update(prior, hard_histogram(probs_unlab))
-            assignments = np.argmax(predict_probs(feats, protos, hp.tau_p), axis=1)
+            probs = predict_probs(feats, protos, hp.tau_p)
+            prior = ema_update(prior, hard_histogram(probs[unlab]))
+            assignments = np.argmax(probs, axis=1)
             protos = update_prototypes(
                 feats, assignments, data.labels, data.is_labeled, protos, PROTOTYPE_EMA
             )
 
-            means = sums / n_batches if n_batches else np.full(5, np.nan)
+            means = sums / n_batches
             logs.append(EpochLog(
                 epoch=epoch,
                 l_ins=float(means[0]),

@@ -66,12 +66,38 @@ def _view_rows(instance_idx: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax_off_diag(S: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax over all off-diagonal entries; diagonal is -inf."""
-    masked = S.copy()
-    np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    logsum = row_max + np.log(np.exp(masked - row_max).sum(axis=1, keepdims=True))
-    return masked - logsum
+    """Row-wise log-softmax over all off-diagonal entries; diagonal is -inf.
+
+    Works in place: ``S`` is overwritten with the result and returned, so
+    callers pass a fresh Gram matrix they do not need afterwards. The softmax
+    weights the gradients need are recomputed as ``exp(log_probs)`` rather
+    than taken as the shifted exponentials over their sum: the two differ in
+    the last bit, and over hundreds of SGD steps that bit moves the trained
+    head and its metrics.
+    """
+    np.fill_diagonal(S, -np.inf)
+    row_max = S.max(axis=1, keepdims=True)
+    shifted = S - row_max
+    np.exp(shifted, out=shifted)
+    logsum = np.log(shifted.sum(axis=1, keepdims=True))
+    logsum += row_max
+    S -= logsum
+    return S
+
+
+def _scaled_gram(Z: np.ndarray, tau: float) -> np.ndarray:
+    S = Z @ Z.T
+    S /= tau
+    return S
+
+
+def _contrast_grad(G: np.ndarray, Z: np.ndarray, tau: float) -> np.ndarray:
+    """dL/dZ = (G + G^T) Z / tau for the anchor-by-row weights ``G``
+    (overwritten with G + G^T)."""
+    G += G.T
+    grad = G @ Z
+    grad /= tau
+    return grad
 
 
 def info_nce(Z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -80,22 +106,25 @@ def info_nce(Z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     Each view is an anchor; its positive is the sibling view and the
     denominator runs over every other view in ``Z`` (positive included,
     anchor excluded). Returns the mean anchor loss and dL/dZ.
+
+    Bit for bit this is ``sup_con(Z, np.repeat(np.arange(m // 2), 2), tau)``;
+    it keeps its own path because indexing the one positive per row avoids
+    the m x m mask and its temporaries.
     """
     m = Z.shape[0]
     if m < 4 or m % 2 != 0:
         raise ValidationError("info_nce needs at least 2 two-view instances")
-    S = (Z @ Z.T) / tau
-    log_probs = _log_softmax_off_diag(S)
+    log_probs = _log_softmax_off_diag(_scaled_gram(Z, tau))
 
-    pos = np.arange(m) ^ 1   # sibling of row a under interleaving
-    value = float(-log_probs[np.arange(m), pos].mean())
+    rows = np.arange(m)
+    pos = rows ^ 1   # sibling of row a under interleaving
+    value = float(-log_probs[rows, pos].mean())
 
-    G = np.exp(log_probs)                    # softmax over k != a
-    np.fill_diagonal(G, 0.0)
-    G[np.arange(m), pos] -= 1.0
+    # softmax over k != a; the -inf diagonal exponentiates to exactly 0
+    G = np.exp(log_probs, out=log_probs)
+    G[rows, pos] -= 1.0
     G /= m
-    grad = (G + G.T) @ Z / tau
-    return value, grad
+    return value, _contrast_grad(G, Z, tau)
 
 
 def sup_con(Z: np.ndarray, view_labels: np.ndarray, tau: float) -> tuple[float, np.ndarray, bool]:
@@ -118,20 +147,20 @@ def sup_con(Z: np.ndarray, view_labels: np.ndarray, tau: float) -> tuple[float, 
     if n_anchors == 0:
         return 0.0, np.zeros_like(Z), True
 
-    S = (Z @ Z.T) / tau
-    log_probs = _log_softmax_off_diag(S)
-    # -inf off-positive entries must not touch the sum (0 * -inf is nan)
-    pos_log_probs = np.where(pos_mask, log_probs, 0.0)
-    per_anchor = -pos_log_probs.sum(axis=1) / np.maximum(pos_counts, 1)
+    log_probs = _log_softmax_off_diag(_scaled_gram(Z, tau))
+    denom = np.maximum(pos_counts, 1)
+    # copy only positives: -inf off-positive entries must not touch the sum
+    # (0 * -inf is nan)
+    G = np.zeros_like(log_probs)
+    np.copyto(G, log_probs, where=pos_mask)
+    per_anchor = -G.sum(axis=1) / denom
     value = float(per_anchor[contributing].mean())
 
-    G = np.exp(log_probs)
-    np.fill_diagonal(G, 0.0)
-    G -= pos_mask / np.maximum(pos_counts, 1)[:, None]
+    np.exp(log_probs, out=G)
+    np.subtract(G, (1.0 / denom)[:, None], out=G, where=pos_mask)
     G[~contributing] = 0.0
     G /= n_anchors
-    grad = (G + G.T) @ Z / tau
-    return value, grad, False
+    return value, _contrast_grad(G, Z, tau), False
 
 
 def _cross_entropy_unchecked(q_bar: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -171,9 +200,10 @@ def overall_loss(
 
     unlab_rows = _view_rows(unlabeled_idx)
     lab_rows = _view_rows(labeled_idx)
+    Z_unlab = batch.Z[unlab_rows]
     grad_Z = np.zeros_like(batch.Z)
 
-    l_ins, g_ins = info_nce(batch.Z[unlab_rows], hp.tau)
+    l_ins, g_ins = info_nce(Z_unlab, hp.tau)
     grad_Z[unlab_rows] += g_ins
 
     sup_warning = False
@@ -186,7 +216,7 @@ def overall_loss(
 
     # q_bar is a mean of softmax rows and the targets carry their own simplex
     # invariants, so the unchecked path is safe here
-    Q = predict_probs(batch.Z[unlab_rows], protos, hp.tau_p)
+    Q = predict_probs(Z_unlab, protos, hp.tau_p)
     q_bar = Q.mean(axis=0)
     uniform = np.full(protos.num_classes, 1.0 / protos.num_classes)
     h_prior, g_prior = _cross_entropy_unchecked(q_bar, prior_r)

@@ -83,33 +83,52 @@ def init_optimizer(head: ProjectionHead, total_epochs: int) -> OptimizerState:
     return OptimizerState(velocity=velocity, epoch=0, total_epochs=total_epochs)
 
 
-def forward(head: ProjectionHead, X: np.ndarray) -> np.ndarray:
-    """Map inputs to unit-norm features: normalize(W2 relu(W1 x + b1) + b2)."""
+def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``forward`` plus the activations ``backward`` reuses:
+    ``(relu mask, hidden H, row norms of Y, Z)``."""
     X = np.asarray(X, dtype=np.float64)
-    pre = np.maximum(X @ head.W1.T + head.b1, 0.0) @ head.W2.T + head.b2
-    norms = np.linalg.norm(pre, axis=1)
+    A = X @ head.W1.T
+    A += head.b1
+    mask = A > 0.0
+    H = np.maximum(A, 0.0, out=A)
+    Y = H @ head.W2.T
+    Y += head.b2
+    norms = np.linalg.norm(Y, axis=1, keepdims=True)
     if np.any(norms < _NORM_FLOOR):
         raise ValidationError("degenerate pre-normalization feature (norm < 1e-12)")
-    return pre / norms[:, None]
+    Z = np.divide(Y, norms, out=Y)
+    return Z, (mask, H, norms, Z)
 
 
-def backward(head: ProjectionHead, X: np.ndarray, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+def forward(head: ProjectionHead, X: np.ndarray) -> np.ndarray:
+    """Map inputs to unit-norm features: normalize(W2 relu(W1 x + b1) + b2)."""
+    return forward_cached(head, X)[0]
+
+
+def backward(
+    head: ProjectionHead,
+    X: np.ndarray,
+    grad_out: np.ndarray,
+    acts: tuple | None = None,
+) -> dict[str, np.ndarray]:
     """Exact parameter gradients for ``grad_out`` = dL/d(normalized features).
 
-    The row-normalization Jacobian is (I - z z^T) / ||y|| at pre-normalized y.
+    ``acts`` is the cache ``forward_cached(head, X)`` returned for these
+    parameters; without it the forward pass is run again. The
+    row-normalization Jacobian is (I - z z^T) / ||y|| at pre-normalized y.
     """
     X = np.asarray(X, dtype=np.float64)
-    A = X @ head.W1.T + head.b1
-    H = np.maximum(A, 0.0)
-    Y = H @ head.W2.T + head.b2
-    norms = np.linalg.norm(Y, axis=1, keepdims=True)
-    Z = Y / norms
+    if acts is None:
+        _, acts = forward_cached(head, X)
+    mask, H, norms, Z = acts
 
-    gY = (grad_out - np.sum(grad_out * Z, axis=1, keepdims=True) * Z) / norms
+    gY = np.sum(grad_out * Z, axis=1, keepdims=True) * Z
+    np.subtract(grad_out, gY, out=gY)
+    gY /= norms
     gW2 = gY.T @ H
     gb2 = gY.sum(axis=0)
-    gH = gY @ head.W2
-    gA = gH * (A > 0.0)
+    gA = gY @ head.W2
+    gA *= mask
     gW1 = gA.T @ X
     gb1 = gA.sum(axis=0)
     return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
@@ -120,10 +139,12 @@ def predict_probs(features: np.ndarray, protos: Prototypes, tau_p: float) -> np.
 
     Callers pass unit-norm feature rows (the forward contract guarantees it).
     """
-    logits = (features @ protos.M.T) / tau_p
+    logits = features @ protos.M.T
+    logits /= tau_p
     logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _normalized_or(fallback: np.ndarray, vec: np.ndarray) -> np.ndarray:

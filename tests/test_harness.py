@@ -86,6 +86,15 @@ class TestTrainOne:
         assert record.metrics is None
         assert record.error
 
+    def test_run_that_steps_no_batch_fails(self):
+        # one row per batch never holds the 2 unlabeled rows a step needs
+        record = train_one(small_data(), small_hp(batch_size=1, epochs=2))
+        assert record.status == "failed"
+        assert record.metrics is None
+        assert "epoch 0" in record.error
+        assert "batch_size=1" in record.error
+        assert record.epoch_logs == []
+
     def test_prior_is_logged_and_on_simplex(self):
         record = train_one(small_data(), small_hp(epochs=3))
         for log in record.epoch_logs:

@@ -98,6 +98,35 @@ class TestInfoNce:
             info_nce(Z, tau=0.5)
 
 
+class TestSharedContrastCore:
+    """info_nce is supervised contrast with one label per instance."""
+
+    def test_info_nce_is_sup_con_with_instance_labels_bit_for_bit(self):
+        for trial in range(10):
+            rng = derive_stream(900 + trial, "test")
+            B = int(rng.integers(2, 40))
+            Z = unit_rows(rng, 2 * B, 8)
+            tau = float(rng.uniform(0.05, 1.0))
+            v_ins, g_ins = info_nce(Z, tau)
+            v_sup, g_sup, warned = sup_con(Z, np.repeat(np.arange(B), 2), tau)
+            assert not warned
+            assert v_ins == v_sup
+            assert g_ins.tobytes() == g_sup.tobytes()
+
+    def test_losses_leave_caller_features_untouched(self):
+        rng = derive_stream(17, "test")
+        Z = unit_rows(rng, 12, 6)
+        before = Z.tobytes()
+        info_nce(Z, 0.3)
+        sup_con(Z, rng.integers(0, 3, size=12), 0.3)
+        assert Z.tobytes() == before
+
+        batch, protos, prior = _random_batch(rng)
+        before = batch.Z.tobytes()
+        overall_loss(batch, protos, prior, Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5))
+        assert batch.Z.tobytes() == before
+
+
 class TestSupCon:
     def test_two_instances_same_label_equal_views(self):
         # every anchor has 3 positives, each term -log(e / 3e) = log 3

@@ -12,6 +12,7 @@ from ltgcd.model import (
     Prototypes,
     backward,
     forward,
+    forward_cached,
     init_head,
     init_optimizer,
     init_prototypes,
@@ -93,6 +94,26 @@ class TestBackward:
         grads = backward(head, X, rng.standard_normal((7, 5)))
         assert np.all(grads["W1"][dead] == 0.0)
         assert grads["b1"][dead] == 0.0
+
+
+class TestForwardCache:
+    def test_cached_forward_matches_forward_byte_for_byte(self):
+        rng = derive_stream(4, "test")
+        head = random_head(rng, d=12, h=24, p=8)
+        X = rng.standard_normal((30, 12))
+        assert forward_cached(head, X)[0].tobytes() == forward(head, X).tobytes()
+
+    def test_backward_with_cache_matches_recomputed_byte_for_byte(self):
+        for trial in range(5):
+            rng = derive_stream(150 + trial, "test")
+            head = random_head(rng, d=12, h=24, p=8)
+            X = rng.standard_normal((30, 12))
+            G = rng.standard_normal((30, 8))
+            _, acts = forward_cached(head, X)
+            cached = backward(head, X, G, acts)
+            fresh = backward(head, X, G)
+            for name in ("W1", "b1", "W2", "b2"):
+                assert cached[name].tobytes() == fresh[name].tobytes()
 
 
 class TestPredictProbs:
