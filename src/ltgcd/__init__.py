@@ -1,70 +1,3 @@
 """Desk-scale lab for long-tailed generalized category discovery on embeddings."""
 
-from .config import Hyperparams, SplitSpec, round_half_up
-from .data import EmbeddingDataset, ViewPair, generate_mixture, load_embeddings, make_views, write_dataset
-from .errors import DataFormatError, TrainingDiverged, ValidationError
-from .evaluation import MetricsReport, evaluate, hungarian, matched_accuracy
-from .harness import ExperimentPlan, RunRecord, sweep, train_one
-from .losses import BatchViews, LossBreakdown, info_nce, overall_loss, sup_con, target_cross_entropy
-from .model import (
-    OptimizerState,
-    ProjectionHead,
-    Prototypes,
-    backward,
-    forward,
-    init_head,
-    init_prototypes,
-    learning_rate,
-    predict_probs,
-    sgd_step,
-    update_prototypes,
-)
-from .prior import ClassPrior, ema_update, hard_histogram, init_uniform
-from .rng import derive_stream
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchViews",
-    "ClassPrior",
-    "DataFormatError",
-    "EmbeddingDataset",
-    "ExperimentPlan",
-    "Hyperparams",
-    "LossBreakdown",
-    "MetricsReport",
-    "OptimizerState",
-    "ProjectionHead",
-    "Prototypes",
-    "RunRecord",
-    "SplitSpec",
-    "TrainingDiverged",
-    "ValidationError",
-    "ViewPair",
-    "backward",
-    "derive_stream",
-    "ema_update",
-    "evaluate",
-    "forward",
-    "generate_mixture",
-    "hard_histogram",
-    "hungarian",
-    "info_nce",
-    "init_head",
-    "init_prototypes",
-    "init_uniform",
-    "learning_rate",
-    "load_embeddings",
-    "make_views",
-    "matched_accuracy",
-    "overall_loss",
-    "predict_probs",
-    "round_half_up",
-    "sgd_step",
-    "sup_con",
-    "sweep",
-    "target_cross_entropy",
-    "train_one",
-    "update_prototypes",
-    "write_dataset",
-]

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -16,20 +15,21 @@ from pathlib import Path
 from .config import Hyperparams, SplitSpec, build_params, read_config_file
 from .data import generate_mixture, load_embeddings, write_dataset
 from .errors import ValidationError
-from .evaluation import evaluate, metrics_csv_row
+from .evaluation import evaluate
 from .harness import (
     DEFAULT_DROP_PROB,
     DEFAULT_NOISE_SIGMA,
     DEFAULT_SEP,
+    METRICS_HEADER,
     ExperimentPlan,
+    metrics_row,
     sweep,
     train_one,
+    write_csv,
     write_train_log,
 )
 from .model import load_checkpoint, save_checkpoint
 from .rng import derive_stream
-
-METRICS_HEADER = ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
 
 
 class _UsageError(Exception):
@@ -127,11 +127,12 @@ def _require_out(args) -> Path:
     return out
 
 
-def _write_metrics_csv(path: Path, row: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        writer.writerow(row)
+def _report_metrics(row: list[str], out: Path | None) -> None:
+    """Print the metrics row under its header; also write metrics.csv to ``out``."""
+    if out is not None:
+        write_csv(out / "metrics.csv", METRICS_HEADER, [row])
+    print(",".join(METRICS_HEADER))
+    print(",".join(row))
 
 
 def _cmd_gen(args) -> int:
@@ -158,10 +159,7 @@ def _cmd_train(args) -> int:
         print(f"training failed: {record.error}", file=sys.stderr)
         return 2
     save_checkpoint(out / "checkpoint.json", record.head, record.protos)
-    row = metrics_csv_row(record.metrics, split.rho, hp.alpha, hp.beta)
-    _write_metrics_csv(out / "metrics.csv", row)
-    print(",".join(METRICS_HEADER))
-    print(",".join(row))
+    _report_metrics(metrics_row(record.metrics, split.rho, hp.alpha, hp.beta), out)
     return 0
 
 
@@ -169,12 +167,16 @@ def _cmd_eval(args) -> int:
     hp, split = _load_params(args)
     head, _protos = load_checkpoint(args.checkpoint)
     data = load_embeddings(args.dataset)
+    if head.in_dim != data.dim:
+        raise ValidationError(
+            f"checkpoint {args.checkpoint} takes d={head.in_dim} inputs, "
+            f"but dataset {args.dataset} has d={data.dim}"
+        )
     report = evaluate(head, data, hp.seed)
-    row = metrics_csv_row(report, split.rho, hp.alpha, hp.beta)
-    if args.out:
-        _write_metrics_csv(_require_out(args) / "metrics.csv", row)
-    print(",".join(METRICS_HEADER))
-    print(",".join(row))
+    _report_metrics(
+        metrics_row(report, split.rho, hp.alpha, hp.beta),
+        _require_out(args) if args.out else None,
+    )
     return 0
 
 
@@ -182,6 +184,8 @@ def _cmd_sweep(args) -> int:
     hp, split = _load_params(args)
     out = _require_out(args)
     seeds = _parse_float_list(args.seeds, [0, 1, 2], "--seeds")
+    if not all(float(s).is_integer() for s in seeds):
+        raise ValidationError(f"--seeds must be integers, got {args.seeds!r}")
     plan = ExperimentPlan(
         hp=hp,
         split=split,
@@ -198,6 +202,9 @@ def _cmd_sweep(args) -> int:
     artifacts = sweep(plan)
     for name, path in artifacts.items():
         print(f"{name}: {path}")
+    if "failures" in artifacts:
+        print(f"ltgcd: error: runs failed, see {artifacts['failures']}", file=sys.stderr)
+        return 2
     return 0
 
 

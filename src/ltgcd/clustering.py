@@ -56,13 +56,12 @@ def seeded_kmeans(
     rng: np.random.Generator,
     seed_centroids: np.ndarray | None = None,
     anchors: dict[int, int] | None = None,
-    max_iter: int = _MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations over unit-norm points with cosine similarity.
 
     Clusters ``0..len(seed_centroids)-1`` start from the given centroids;
     the rest are k-means++ initialized. ``anchors`` maps point index to a
-    fixed cluster id. Stops when assignments repeat or after ``max_iter``.
+    fixed cluster id. Stops when assignments repeat or after ``_MAX_ITER`` rounds.
     An emptied cluster is re-seeded from the point farthest from its own
     centroid.
 
@@ -95,7 +94,7 @@ def seeded_kmeans(
         free_mask = np.ones(n, dtype=bool)
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         sims = points @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         new_assign[anchor_idx] = anchor_cluster

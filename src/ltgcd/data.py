@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +79,6 @@ class EmbeddingDataset:
         return np.flatnonzero(self.is_labeled)
 
 
-@dataclass(frozen=True)
-class ViewPair:
-    """Two independently augmented views of the same source rows."""
-
-    view_a: np.ndarray   # (b, d)
-    view_b: np.ndarray   # (b, d)
-    source: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-
 def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> EmbeddingDataset:
     """Draw a synthetic long-tailed split.
 
@@ -135,26 +126,25 @@ def make_views(
     noise_sigma: float,
     drop_prob: float,
     rng: np.random.Generator,
-) -> ViewPair:
+) -> np.ndarray:
     """Augment the selected rows twice: additive Gaussian noise, then each
     coordinate independently zeroed with probability ``drop_prob``. The two
-    views use independent draws."""
+    views use independent draws and come back interleaved as in
+    ``BatchViews``: rows 2i and 2i+1 are the two views of instance i."""
     if noise_sigma < 0:
         raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if not 0.0 <= drop_prob < 1.0:
         raise ValidationError(f"drop_prob must be in [0, 1), got {drop_prob}")
-    batch_indices = np.asarray(batch_indices, dtype=np.int64)
-    base = data.points[batch_indices]
-
-    def one_view() -> np.ndarray:
+    base = data.points[np.asarray(batch_indices, dtype=np.int64)]
+    views = np.empty((2 * base.shape[0], base.shape[1]))
+    for first_row in (0, 1):
         view = rng.standard_normal(base.shape)
         view *= noise_sigma
         view += base
         if drop_prob > 0.0:
             np.putmask(view, rng.random(base.shape) < drop_prob, 0.0)
-        return view
-
-    return ViewPair(view_a=one_view(), view_b=one_view(), source=batch_indices)
+        views[first_row::2] = view
+    return views
 
 
 def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data") -> Path:
@@ -236,9 +226,13 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
             flags.append(bool(flag))
     if not points:
         raise DataFormatError(f"{data_path}: no data rows")
+    points = np.asarray(points, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad_rows):
+        raise DataFormatError(f"{data_path}:{bad_rows[0] + 2}: non-finite feature value")
 
     return EmbeddingDataset(
-        points=np.asarray(points, dtype=np.float64),
+        points=points,
         labels=np.asarray(labels, dtype=np.int64),
         is_labeled=np.asarray(flags, dtype=bool),
         known_classes=known,

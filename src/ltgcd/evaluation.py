@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from .clustering import seeded_kmeans
 from .data import EmbeddingDataset
 from .errors import ValidationError
-from .model import ProjectionHead, forward
+from .model import ProjectionHead, forward, labeled_class_means
 from .rng import derive_stream
 
 
@@ -101,12 +101,6 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
     n_known_clusters = len(known_list)
     cluster_of_class = {cls: j for j, cls in enumerate(known_list)}
 
-    seed_centroids = []
-    for cls in known_list:
-        members = feats[data.is_labeled & (data.labels == cls)]
-        mean = members.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        seed_centroids.append(members[0] if norm < 1e-12 else mean / norm)
     anchors = {
         int(i): cluster_of_class[int(data.labels[i])] for i in data.labeled_indices
     }
@@ -115,7 +109,7 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
         feats,
         data.num_classes,
         rng,
-        seed_centroids=np.asarray(seed_centroids),
+        seed_centroids=labeled_class_means(feats, data.labels, data.is_labeled, known_list),
         anchors=anchors,
     )
 
@@ -165,22 +159,3 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
         n_novel=n_novel_rows,
         seed=seed,
     )
-
-
-def metrics_csv_row(
-    report: MetricsReport, rho: float, alpha: float, beta: float
-) -> list[str]:
-    """One row in the ``seed,rho,alpha,beta,all,known,un1,un2`` layout."""
-    def fmt(v: float | None) -> str:
-        return "" if v is None else repr(float(v))
-
-    return [
-        str(report.seed),
-        repr(float(rho)),
-        repr(float(alpha)),
-        repr(float(beta)),
-        fmt(report.all_acc),
-        fmt(report.known_acc),
-        fmt(report.un1_acc),
-        fmt(report.un2_acc),
-    ]

@@ -47,6 +47,8 @@ PROTOTYPE_EMA = 0.9
 
 RESULTS_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "lambda",
                   "all", "known", "un1", "un2"]
+FAILURES_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "status", "error"]
+METRICS_HEADER = ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
 SUMMARY_HEADER = ["rho", "alpha", "beta", "lambda", "metric", "mean", "std", "n"]
 METRIC_NAMES = ("all", "known", "un1", "un2")
 
@@ -119,13 +121,6 @@ def _batch_iter(perm: np.ndarray, batch_size: int):
         yield perm[start:start + batch_size]
 
 
-def _interleave(view_a: np.ndarray, view_b: np.ndarray) -> np.ndarray:
-    stacked = np.empty((2 * view_a.shape[0], view_a.shape[1]))
-    stacked[0::2] = view_a
-    stacked[1::2] = view_b
-    return stacked
-
-
 def train_one(
     data: EmbeddingDataset,
     hp: Hyperparams,
@@ -164,10 +159,7 @@ def train_one(
 
     head = init_head(data.dim, hidden, out_dim, init_rng)
     feats = forward(head, data.points)
-    protos = init_prototypes(
-        feats, data.labels, data.is_labeled,
-        len(data.known_classes), data.num_classes, proto_rng,
-    )
+    protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
     prior = init_uniform(data.num_classes, hp.mu)
     opt = init_optimizer(head, hp.epochs)
     unlab = data.unlabeled_indices
@@ -182,8 +174,7 @@ def train_one(
             for batch in _batch_iter(batch_rng.permutation(data.n), hp.batch_size):
                 if int((~data.is_labeled[batch]).sum()) < 2:
                     continue
-                views = make_views(data, batch, noise_sigma, drop_prob, aug_rng)
-                X = _interleave(views.view_a, views.view_b)
+                X = make_views(data, batch, noise_sigma, drop_prob, aug_rng)
                 Z, acts = forward_cached(head, X)
                 bv = BatchViews(
                     Z=Z,
@@ -285,11 +276,31 @@ def _run_job(args: dict) -> dict:
 
 
 def _fmt(value) -> str:
+    """The cell format of every CSV the package writes: floats round-trip
+    through ``repr``, a missing value is an empty cell."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write ``header`` and then ``rows``, every cell through ``_fmt``."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    return path
+
+
+def metrics_row(report: MetricsReport, rho: float, alpha: float, beta: float) -> list[str]:
+    """One formatted row in the ``METRICS_HEADER`` layout."""
+    return [_fmt(v) for v in (
+        report.seed, float(rho), float(alpha), float(beta),
+        report.all_acc, report.known_acc, report.un1_acc, report.un2_acc,
+    )]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -307,7 +318,7 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     job_args = [
         {
             **job,
-            "hp": {k: v for k, v in asdict(plan.hp).items()},
+            "hp": asdict(plan.hp),
             "split": asdict(plan.split),
             "sep": plan.sep,
             "noise_sigma": plan.noise_sigma,
@@ -326,52 +337,30 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     ok_rows = [r for r in rows if r["status"] == "ok"]
     failed = [r for r in rows if r["status"] != "ok"]
 
-    results_path = out_dir / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in ok_rows:
-            writer.writerow([
-                r["run_id"], r["seed"], _fmt(r["rho"]), _fmt(r["alpha"]),
-                _fmt(r["beta"]), _fmt(r["lambda"]),
-                _fmt(r["all"]), _fmt(r["known"]), _fmt(r["un1"]), _fmt(r["un2"]),
-            ])
-    artifacts["results"] = results_path
-
+    artifacts["results"] = write_csv(
+        out_dir / "results.csv", RESULTS_HEADER,
+        [[r[k] for k in RESULTS_HEADER] for r in ok_rows],
+    )
     if failed:
-        failures_path = out_dir / "failures.csv"
-        with open(failures_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run_id", "seed", "rho", "alpha", "beta", "status", "error"])
-            for r in failed:
-                writer.writerow([
-                    r["run_id"], r["seed"], _fmt(r["rho"]), _fmt(r["alpha"]),
-                    _fmt(r["beta"]), r["status"], r["error"],
-                ])
-        artifacts["failures"] = failures_path
+        artifacts["failures"] = write_csv(
+            out_dir / "failures.csv", FAILURES_HEADER,
+            [[r[k] for k in FAILURES_HEADER] for r in failed],
+        )
 
-    summary_path = out_dir / "summary.csv"
     seen_configs: list[tuple] = []
     for r in ok_rows:
         key = (r["rho"], r["alpha"], r["beta"], r["lambda"])
         if key not in seen_configs:
             seen_configs.append(key)
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for key in seen_configs:
-            group = [r for r in ok_rows
-                     if (r["rho"], r["alpha"], r["beta"], r["lambda"]) == key]
-            for metric in METRIC_NAMES:
-                values = [r[metric] for r in group if r[metric] is not None]
-                if not values:
-                    continue
-                mean, std = _mean_std(values)
-                writer.writerow([
-                    _fmt(key[0]), _fmt(key[1]), _fmt(key[2]), _fmt(key[3]),
-                    metric, _fmt(mean), _fmt(std), len(values),
-                ])
-    artifacts["summary"] = summary_path
+    summary_rows = []
+    for key in seen_configs:
+        group = [r for r in ok_rows
+                 if (r["rho"], r["alpha"], r["beta"], r["lambda"]) == key]
+        for metric in METRIC_NAMES:
+            values = [r[metric] for r in group if r[metric] is not None]
+            if values:
+                summary_rows.append([*key, metric, *_mean_std(values), len(values)])
+    artifacts["summary"] = write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
 
     from .svg import line_plot
     axis_values = {"rho": plan.rhos, "alpha": plan.alphas, "beta": plan.betas}
@@ -386,28 +375,21 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
             for m in METRIC_NAMES:
                 vals = [r[m] for r in group if r.get(m) is not None]
                 series[label[m]].append(_mean_std(vals)[0] if vals else None)
-        svg_path = out_dir / f"sweep_{axis}.svg"
-        line_plot(
-            svg_path, xs, series,
+        artifacts[f"svg_{axis}"] = line_plot(
+            out_dir / f"sweep_{axis}.svg", xs, series,
             title=f"Accuracy vs {axis}", x_label=axis,
         )
-        artifacts[f"svg_{axis}"] = svg_path
 
     return artifacts
 
 
 def write_train_log(path: str | Path, record: RunRecord) -> Path:
     """Per-epoch CSV: loss components, learning rate, prior estimate."""
-    path = Path(path)
     num_classes = len(record.epoch_logs[0].prior_r) if record.epoch_logs else 0
     header = ["epoch", "l_ins", "l_sup", "h_prior", "h_uniform", "l_overall", "lr"]
     header += [f"r_{c}" for c in range(num_classes)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for log in record.epoch_logs:
-            row = [log.epoch, _fmt(log.l_ins), _fmt(log.l_sup), _fmt(log.h_prior),
-                   _fmt(log.h_uniform), _fmt(log.l_overall), _fmt(log.lr)]
-            row += [_fmt(float(v)) for v in log.prior_r]
-            writer.writerow(row)
-    return path
+    return write_csv(path, header, (
+        [log.epoch, log.l_ins, log.l_sup, log.h_prior, log.h_uniform, log.l_overall,
+         log.lr, *log.prior_r.tolist()]
+        for log in record.epoch_logs
+    ))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,9 +18,10 @@ import numpy as np
 
 from .clustering import kmeans_pp_extend
 from .config import Hyperparams
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
+CHECKPOINT_FORMAT = "ltgcd-checkpoint-v1"
 _NORM_FLOOR = 1e-12
 
 
@@ -37,14 +39,10 @@ class ProjectionHead:
     def in_dim(self) -> int:
         return self.W1.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.W2.shape[0]
-
 
 @dataclass(frozen=True)
 class Prototypes:
-    """One unit-norm reference vector per class, known class ids first."""
+    """One unit-norm reference vector per class; row c belongs to class c."""
 
     M: np.ndarray   # (C, p)
 
@@ -154,26 +152,41 @@ def _normalized_or(fallback: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
+def labeled_class_means(
+    features: np.ndarray, labels: np.ndarray, is_labeled: np.ndarray, class_ids
+) -> np.ndarray:
+    """Normalized mean of the labeled features of each class in ``class_ids``,
+    one row per id in the given order. A mean that cancels to zero falls back
+    to the class's first labeled row."""
+    rows = []
+    for c in class_ids:
+        members = features[is_labeled & (labels == c)]
+        if not len(members):
+            raise ValidationError(f"known class {c} has no labeled rows")
+        rows.append(_normalized_or(members[0], members.mean(axis=0)))
+    return np.asarray(rows)
+
+
 def init_prototypes(
     features: np.ndarray,
     labels: np.ndarray,
     is_labeled: np.ndarray,
-    num_known: int,
     num_classes: int,
     rng: np.random.Generator,
 ) -> Prototypes:
     """Known prototypes are normalized labeled class means; unknown ones are
-    k-means++ seeded from unlabeled features, steered away from the knowns."""
-    known_rows = []
-    for c in range(num_known):
-        members = features[is_labeled & (labels == c)]
-        if not len(members):
-            raise ValidationError(f"known class {c} has no labeled rows")
-        known_rows.append(_normalized_or(members[0], members.mean(axis=0)))
-    known_M = np.asarray(known_rows)
-    unlabeled = features[~is_labeled]
-    unknown_M = kmeans_pp_extend(unlabeled, known_M, num_classes - num_known, rng)
-    return Prototypes(M=np.vstack([known_M, unknown_M]))
+    k-means++ seeded from unlabeled features, steered away from the knowns.
+
+    The known classes are the classes of the labeled rows, whatever their
+    ids; the k-means++ picks fill the remaining rows in ascending id order.
+    """
+    known = np.unique(labels[is_labeled])
+    known_M = labeled_class_means(features, labels, is_labeled, known)
+    unknown_M = kmeans_pp_extend(features[~is_labeled], known_M, num_classes - len(known), rng)
+    M = np.empty((num_classes, features.shape[1]))
+    M[known] = known_M
+    M[np.setdiff1d(np.arange(num_classes), known)] = unknown_M
+    return Prototypes(M=M)
 
 
 def update_prototypes(
@@ -247,7 +260,7 @@ def save_checkpoint(path: str | Path, head: ProjectionHead, protos: Prototypes) 
         return {"shape": list(arr.shape), "data": base64.b64encode(buf).decode("ascii")}
 
     payload = {
-        "format": "ltgcd-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "params": {name: pack(arr) for name, arr in head.params().items()},
         "prototypes": pack(protos.M),
     }
@@ -259,11 +272,20 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
     if not path.exists():
         raise FileNotFoundError(f"checkpoint file not found: {path}")
     payload = json.loads(path.read_text())
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise DataFormatError(
+            f"{path}: format is {payload.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
+        )
 
-    def unpack(entry: dict) -> np.ndarray:
+    def unpack(name: str, entry: dict) -> np.ndarray:
         raw = base64.b64decode(entry["data"])
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
+        shape = [int(n) for n in entry["shape"]]
+        if 8 * math.prod(shape) != len(raw):
+            raise DataFormatError(
+                f"{path}: {name} has shape {shape} but {len(raw)} bytes of float64 data"
+            )
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
-    params = {name: unpack(payload["params"][name]) for name in PARAM_NAMES}
+    params = {name: unpack(name, payload["params"][name]) for name in PARAM_NAMES}
     head = ProjectionHead(**params)
-    return head, Prototypes(M=unpack(payload["prototypes"]))
+    return head, Prototypes(M=unpack("prototypes", payload["prototypes"]))

@@ -20,7 +20,6 @@ _SIMPLEX_TOL = 1e-6
 class ClassPrior:
     r: np.ndarray          # (C,) on the probability simplex
     mu: float
-    epoch_count: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
@@ -66,4 +65,4 @@ def ema_update(prior: ClassPrior, z: np.ndarray) -> ClassPrior:
     if z.shape != prior.r.shape:
         raise ValidationError(f"z has {z.shape[0]} classes, prior has {prior.r.shape[0]}")
     r_new = prior.mu * prior.r + (1.0 - prior.mu) * z
-    return ClassPrior(r=r_new, mu=prior.mu, epoch_count=prior.epoch_count + 1)
+    return ClassPrior(r=r_new, mu=prior.mu)

@@ -13,7 +13,6 @@ _SERIES_COLORS = {
     "Un1": "#ff7f0e",
     "Un2": "#d62728",
 }
-_FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
 def _x_pos(i: int, n: int) -> float:
@@ -34,9 +33,9 @@ def line_plot(
     series: dict[str, list[float | None]],
     title: str,
     x_label: str,
-    y_label: str = "accuracy",
 ) -> Path:
-    """Write a fixed-viewBox line plot; y axis spans [0, 1]."""
+    """Write a fixed-viewBox line plot of accuracy series; the y axis spans
+    [0, 1] and each series name is a key of ``_SERIES_COLORS``."""
     n = len(x_values)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
@@ -74,12 +73,11 @@ def line_plot(
     )
     parts.append(
         f'<text x="20" y="{_HEIGHT / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_HEIGHT / 2})">{y_label}</text>'
+        f'transform="rotate(-90 20 {_HEIGHT / 2})">accuracy</text>'
     )
 
-    fallback = iter(_FALLBACK_COLORS)
     for row, (name, values) in enumerate(series.items()):
-        color = _SERIES_COLORS.get(name) or next(fallback)
+        color = _SERIES_COLORS[name]
         pts = [
             (_x_pos(i, n), _y_pos(v))
             for i, v in enumerate(values)

@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ltgcd.cli import cli
+from ltgcd.model import Prototypes, init_head, save_checkpoint
+from ltgcd.rng import derive_stream
 
 
 CONFIG = """
@@ -71,6 +74,21 @@ class TestEvalCommand:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_checkpoint_dimension_mismatch_is_validation_error(
+        self, tmp_path, config_file, capsys
+    ):
+        data_dir = tmp_path / "data"
+        cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
+        rng = derive_stream(0, "test")
+        raw = rng.standard_normal((6, 4))
+        save_checkpoint(tmp_path / "ckpt.json", init_head(8, 5, 4, rng),
+                        Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                    "--dataset", str(data_dir / "data.manifest.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "d=8" in err and "d=16" in err
+
     def test_scores_a_trained_checkpoint(self, tmp_path, config_file, capsys):
         data_dir = tmp_path / "data"
         run_dir = tmp_path / "run"
@@ -103,6 +121,21 @@ class TestSweepCommand:
         code = cli(["sweep", "--config", str(config_file), "--seeds", ",",
                     "--out", str(tmp_path / "s")])
         assert code == 1
+
+    def test_fractional_seed_is_validation_error(self, tmp_path, config_file, capsys):
+        code = cli(["sweep", "--config", str(config_file), "--seeds", "1.5",
+                    "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_failed_runs_exit_2_and_name_failures_csv(self, tmp_path, config_file, capsys):
+        # batch 1 never holds the 2 unlabeled rows a step needs, so every run fails
+        out = tmp_path / "s"
+        code = cli(["sweep", "--config", str(config_file), "--batch", "1",
+                    "--seeds", "0", "--out", str(out)])
+        assert code == 2
+        assert "failures.csv" in capsys.readouterr().err
+        assert len(read_csv(out / "failures.csv")) == 1 + 1
 
 
 class TestUsageErrors:

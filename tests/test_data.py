@@ -89,16 +89,15 @@ class TestMakeViews:
     def test_identity_augmentation(self):
         data, _ = small_dataset()
         idx = np.arange(10)
-        pair = make_views(data, idx, noise_sigma=0.0, drop_prob=0.0,
-                          rng=derive_stream(0, "aug"))
-        assert np.array_equal(pair.view_a, data.points[idx])
-        assert np.array_equal(pair.view_b, data.points[idx])
-        assert np.array_equal(pair.source, idx)
+        X = make_views(data, idx, noise_sigma=0.0, drop_prob=0.0,
+                       rng=derive_stream(0, "aug"))
+        assert np.array_equal(X[0::2], data.points[idx])
+        assert np.array_equal(X[1::2], data.points[idx])
 
     def test_views_use_independent_draws(self):
         data, _ = small_dataset()
-        pair = make_views(data, np.arange(10), 0.1, 0.0, derive_stream(0, "aug"))
-        assert not np.array_equal(pair.view_a, pair.view_b)
+        X = make_views(data, np.arange(10), 0.1, 0.0, derive_stream(0, "aug"))
+        assert not np.array_equal(X[0::2], X[1::2])
 
     def test_noise_magnitude_monte_carlo(self):
         # E||view - point||^2 = d sigma^2; 10^4 coordinate draws land within 5%
@@ -106,9 +105,9 @@ class TestMakeViews:
                          rho=1.0, dim=100)
         data = generate_mixture(spec, 5.0, derive_stream(4, "split"))
         idx = np.arange(100)
-        pair = make_views(data, idx, noise_sigma=0.1, drop_prob=0.0,
-                          rng=derive_stream(11, "aug"))
-        sq = np.sum((pair.view_a - data.points[idx]) ** 2, axis=1)
+        X = make_views(data, idx, noise_sigma=0.1, drop_prob=0.0,
+                       rng=derive_stream(11, "aug"))
+        sq = np.sum((X[0::2] - data.points[idx]) ** 2, axis=1)
         expected = 100 * 0.01
         assert abs(sq.mean() - expected) / expected < 0.05
 
@@ -117,9 +116,9 @@ class TestMakeViews:
                          rho=1.0, dim=1000)
         data = generate_mixture(spec, 5.0, derive_stream(6, "split"))
         idx = np.arange(100)
-        pair = make_views(data, idx, noise_sigma=0.0, drop_prob=0.2,
-                          rng=derive_stream(12, "aug"))
-        zero_frac = (pair.view_a == 0.0).mean()
+        X = make_views(data, idx, noise_sigma=0.0, drop_prob=0.2,
+                       rng=derive_stream(12, "aug"))
+        zero_frac = (X[0::2] == 0.0).mean()
         assert 0.18 <= zero_frac <= 0.22
 
     @pytest.mark.parametrize("kwargs", [dict(noise_sigma=-0.1), dict(drop_prob=1.0),
@@ -183,6 +182,17 @@ class TestFileRoundTrip:
             '{"data": "d.csv", "C": 2, "d": 1, "known_classes": [0]}'
         )
         with pytest.raises(DataFormatError, match="malformed"):
+            load_embeddings(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        (tmp_path / "d.csv").write_text(
+            f"id,label,is_labeled,f0,f1\n0,0,1,0.5,1.0\n1,1,0,0.25,{value}\n"
+        )
+        (tmp_path / "m.json").write_text(
+            '{"data": "d.csv", "C": 2, "d": 2, "known_classes": [0]}'
+        )
+        with pytest.raises(DataFormatError, match=r"d\.csv:3: non-finite"):
             load_embeddings(tmp_path / "m.json")
 
     def test_missing_files_raise(self, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from ltgcd.config import SplitSpec
 from ltgcd.data import generate_mixture
 from ltgcd.errors import ValidationError
-from ltgcd.evaluation import evaluate, hungarian, matched_accuracy, metrics_csv_row
+from ltgcd.evaluation import evaluate, hungarian, matched_accuracy
+from ltgcd.harness import metrics_row
 from ltgcd.model import ProjectionHead
 from ltgcd.rng import derive_stream
 
@@ -152,7 +153,7 @@ class TestEvaluate:
     def test_csv_row_layout(self):
         head, data = separable_snapshot(seed=7)
         report = evaluate(head, data, seed=3)
-        row = metrics_csv_row(report, rho=4.0, alpha=1.0, beta=2.0)
+        row = metrics_row(report, rho=4.0, alpha=1.0, beta=2.0)
         assert row[0] == "3"
         assert row[1] == "4.0"
         assert len(row) == 8

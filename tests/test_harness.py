@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltgcd.config import Hyperparams, SplitSpec
-from ltgcd.data import generate_mixture
+from ltgcd.data import EmbeddingDataset, generate_mixture
 from ltgcd.errors import ValidationError
 from ltgcd.evaluation import evaluate
 from ltgcd.harness import (
@@ -47,8 +47,7 @@ class TestTrainOne:
         head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM,
                          derive_stream(hp.seed, "init"))
         feats = forward(head, data.points)
-        init_prototypes(feats, data.labels, data.is_labeled,
-                        len(data.known_classes), data.num_classes,
+        init_prototypes(feats, data.labels, data.is_labeled, data.num_classes,
                         derive_stream(hp.seed, "proto-seed"))
         assert record.metrics == evaluate(head, data, hp.seed)
 
@@ -94,6 +93,22 @@ class TestTrainOne:
         assert "epoch 0" in record.error
         assert "batch_size=1" in record.error
         assert record.epoch_logs == []
+
+    def test_trains_with_known_classes_not_starting_at_zero(self):
+        # relabel c -> (c + 3) % 6: known classes become {3, 4, 5}
+        data = small_data()
+        relabeled = EmbeddingDataset(
+            points=data.points.copy(),
+            labels=(data.labels + 3) % 6,
+            is_labeled=data.is_labeled.copy(),
+            known_classes=frozenset({3, 4, 5}),
+            unknown_classes=frozenset({0, 1, 2}),
+            num_classes=6,
+            dim=data.dim,
+        )
+        record = train_one(relabeled, small_hp(epochs=2))
+        assert record.status == "ok", record.error
+        assert record.metrics.n_all == len(relabeled.unlabeled_indices)
 
     def test_prior_is_logged_and_on_simplex(self):
         record = train_one(small_data(), small_hp(epochs=3))

@@ -1,12 +1,15 @@
 """Projection head forward/backward, prototypes, optimizer schedule."""
 
+import json
+
 import numpy as np
 import pytest
 
 from support import finite_diff, rel_error, unit_rows
 
+from ltgcd.clustering import kmeans_pp_extend
 from ltgcd.config import Hyperparams
-from ltgcd.errors import ValidationError
+from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.model import (
     ProjectionHead,
     Prototypes,
@@ -201,12 +204,27 @@ class TestPrototypes:
         feats = unit_rows(rng, 12, 6)
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3, 2, 3, 2, 3])
         is_labeled = np.array([True] * 4 + [False] * 8)
-        protos = init_prototypes(feats, labels, is_labeled, num_known=2,
+        protos = init_prototypes(feats, labels, is_labeled,
                                  num_classes=4, rng=derive_stream(13, "test"))
         for c in (0, 1):
             mean = feats[is_labeled & (labels == c)].mean(axis=0)
             assert np.allclose(protos.M[c], mean / np.linalg.norm(mean))
         assert protos.M.shape == (4, 6)
+
+    def test_init_prototypes_rows_follow_known_class_ids(self):
+        rng = derive_stream(14, "test")
+        feats = unit_rows(rng, 12, 6)
+        labels = np.array([1, 1, 3, 3, 0, 2, 0, 2, 0, 2, 1, 3])
+        is_labeled = np.array([True] * 4 + [False] * 8)
+        protos = init_prototypes(feats, labels, is_labeled,
+                                 num_classes=4, rng=derive_stream(15, "test"))
+        known_M = np.vstack([protos.M[1], protos.M[3]])
+        for row, c in zip(known_M, (1, 3)):
+            mean = feats[is_labeled & (labels == c)].mean(axis=0)
+            assert np.array_equal(row, mean / np.linalg.norm(mean))
+        # the k-means++ picks fill rows 0 and 2 in draw order
+        picks = kmeans_pp_extend(feats[~is_labeled], known_M, 2, derive_stream(15, "test"))
+        assert np.array_equal(protos.M[[0, 2]], picks)
 
 
 class TestSgdStep:
@@ -292,3 +310,26 @@ class TestCheckpoint:
         from ltgcd.model import load_checkpoint
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.json")
+
+    def _saved(self, tmp_path):
+        from ltgcd.model import save_checkpoint
+        rng = derive_stream(20, "test")
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, random_head(rng, d=6, h=5, p=4), Prototypes(M=unit_rows(rng, 3, 4)))
+        return path, json.loads(path.read_text())
+
+    def test_unknown_format_tag_rejected(self, tmp_path):
+        from ltgcd.model import load_checkpoint
+        path, payload = self._saved(tmp_path)
+        payload["format"] = "something-else"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="format"):
+            load_checkpoint(path)
+
+    def test_shape_must_match_buffer_length(self, tmp_path):
+        from ltgcd.model import load_checkpoint
+        path, payload = self._saved(tmp_path)
+        payload["params"]["W2"]["shape"] = [4, 6]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="W2 has shape"):
+            load_checkpoint(path)

@@ -45,7 +45,6 @@ class TestEmaUpdate:
         prior = ClassPrior(r=np.array([0.5, 0.5]), mu=0.99)
         updated = ema_update(prior, np.array([1.0, 0.0]))
         assert np.allclose(updated.r, [0.505, 0.495], atol=1e-15)
-        assert updated.epoch_count == 1
 
     def test_mu_one_freezes_prior(self):
         prior = ClassPrior(r=np.array([0.3, 0.7]), mu=1.0)
