@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset (CSV + manifest)")
@@ -77,7 +76,12 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--alpha", type=float)
     p_eval.add_argument("--beta", type=float)
 
-    p_sweep = sub.add_parser("sweep", help="run a rho/alpha/beta/seed grid")
+    for p in (p_gen, p_train, p_eval):
+        p.add_argument("--seed", type=int)
+
+    # no abbreviations: "--seed" would otherwise be read as "--seeds"
+    p_sweep = sub.add_parser("sweep", help="run a rho/alpha/beta/seed grid",
+                             allow_abbrev=False)
     add_common(p_sweep)
     p_sweep.add_argument("--rho", help="comma-separated rho values")
     p_sweep.add_argument("--alpha", help="comma-separated alpha values")
@@ -122,14 +126,13 @@ def _parse_float_list(text: str | None, fallback: list[float], what: str) -> lis
 def _require_out(args) -> Path:
     if not args.out:
         raise ValidationError(f"{args.command} requires --out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _report_metrics(row: list[str], out: Path | None) -> None:
     """Print the metrics row under its header; also write metrics.csv to ``out``."""
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "metrics.csv", METRICS_HEADER, [row])
     print(",".join(METRICS_HEADER))
     print(",".join(row))
@@ -153,6 +156,7 @@ def _cmd_train(args) -> int:
         data = generate_mixture(split, args.sep, derive_stream(hp.seed, "split"))
 
     record = train_one(data, hp, noise_sigma=args.noise_sigma, drop_prob=args.drop_prob)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
     write_train_log(out / "train_log.csv", record)
     if record.status != "ok":
@@ -175,14 +179,14 @@ def _cmd_eval(args) -> int:
     report = evaluate(head, data, hp.seed)
     _report_metrics(
         metrics_row(report, split.rho, hp.alpha, hp.beta),
-        _require_out(args) if args.out else None,
+        Path(args.out) if args.out else None,
     )
     return 0
 
 
 def _cmd_sweep(args) -> int:
     hp, split = _load_params(args)
-    out = _require_out(args)
+    out = _require_out(args)   # sweep creates it, once the plan is valid
     seeds = _parse_float_list(args.seeds, [0, 1, 2], "--seeds")
     if not all(float(s).is_integer() for s in seeds):
         raise ValidationError(f"--seeds must be integers, got {args.seeds!r}")

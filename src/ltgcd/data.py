@@ -79,14 +79,25 @@ class EmbeddingDataset:
         return np.flatnonzero(self.is_labeled)
 
 
+def check_sep(sep: float) -> None:
+    if not sep >= 0:
+        raise ValidationError(f"sep must be >= 0, got {sep}")
+
+
+def check_augmentation(noise_sigma: float, drop_prob: float) -> None:
+    if not noise_sigma >= 0:
+        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= drop_prob < 1.0:
+        raise ValidationError(f"drop_prob must be in [0, 1), got {drop_prob}")
+
+
 def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> EmbeddingDataset:
     """Draw a synthetic long-tailed split.
 
     ``sep`` is the radius of the sphere the class means live on; per-class
     covariance is the identity. Known classes are ids 0..num_known-1.
     """
-    if sep < 0:
-        raise ValidationError(f"sep must be >= 0, got {sep}")
+    check_sep(sep)
     C, d = spec.num_classes, spec.dim
     n_k = spec.samples_per_known
     n_u = spec.samples_per_unknown
@@ -131,10 +142,7 @@ def make_views(
     coordinate independently zeroed with probability ``drop_prob``. The two
     views use independent draws and come back interleaved as in
     ``BatchViews``: rows 2i and 2i+1 are the two views of instance i."""
-    if noise_sigma < 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if not 0.0 <= drop_prob < 1.0:
-        raise ValidationError(f"drop_prob must be in [0, 1), got {drop_prob}")
+    check_augmentation(noise_sigma, drop_prob)
     base = data.points[np.asarray(batch_indices, dtype=np.int64)]
     views = np.empty((2 * base.shape[0], base.shape[1]))
     for first_row in (0, 1):

@@ -53,30 +53,17 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 
 def confusion_counts(
-    y_true: np.ndarray, clusters: np.ndarray, class_ids: list, n_clusters: int
+    y_true: np.ndarray, clusters: np.ndarray, class_ids: list | np.ndarray, n_clusters: int
 ) -> np.ndarray:
     """counts[j, c] = rows in cluster j whose true label is class_ids[c],
     zero-padded to a square matrix."""
-    class_pos = {cls: i for i, cls in enumerate(class_ids)}
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    class_pos = np.zeros(int(class_ids.max()) + 1, dtype=np.int64)
+    class_pos[class_ids] = np.arange(len(class_ids))
     size = max(n_clusters, len(class_ids))
-    counts = np.zeros((size, size), dtype=np.float64)
-    for cluster, cls in zip(clusters, y_true):
-        counts[int(cluster), class_pos[int(cls)]] += 1.0
-    return counts
-
-
-def match_clusters(
-    y_true: np.ndarray, clusters: np.ndarray, class_ids: list, n_clusters: int
-) -> dict[int, int]:
-    """Optimal cluster-to-class mapping maximizing the matched count."""
-    counts = confusion_counts(y_true, clusters, class_ids, n_clusters)
-    pi = hungarian(-counts)
-    mapping = {}
-    for j in range(n_clusters):
-        col = int(pi[j])
-        if col < len(class_ids):
-            mapping[j] = class_ids[col]
-    return mapping
+    cols = class_pos[np.asarray(y_true, dtype=np.int64)]
+    cells = np.asarray(clusters, dtype=np.int64) * size + cols
+    return np.bincount(cells, minlength=size * size).reshape(size, size).astype(np.float64)
 
 
 def matched_accuracy(y_true: np.ndarray, clusters: np.ndarray) -> float:
@@ -85,11 +72,10 @@ def matched_accuracy(y_true: np.ndarray, clusters: np.ndarray) -> float:
     clusters = np.asarray(clusters, dtype=np.int64)
     if y_true.shape != clusters.shape or y_true.size == 0:
         raise ValidationError("y_true and clusters must be equal-length and nonempty")
-    class_ids = sorted(set(y_true.tolist()))
-    n_clusters = int(clusters.max()) + 1
-    mapping = match_clusters(y_true, clusters, class_ids, n_clusters)
-    correct = sum(1 for c, t in zip(clusters, y_true) if mapping.get(int(c)) == int(t))
-    return correct / y_true.size
+    counts = confusion_counts(y_true, clusters, np.unique(y_true), int(clusters.max()) + 1)
+    pi = hungarian(-counts)
+    # the zero padding adds nothing to the matched count
+    return int(counts[np.arange(len(pi)), pi].sum()) / y_true.size
 
 
 def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> MetricsReport:
@@ -119,21 +105,18 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
     known_mask = np.isin(y_true, known_list)
     novel_mask = ~known_mask
 
-    # Hungarian over novel clusters x novel classes, counted on true-novel rows.
-    pred = np.full(len(unlab), -1, dtype=np.int64)
-    for j, cls in enumerate(known_list):
-        pred[clusters == j] = cls
-    novel_cluster_rows = clusters >= n_known_clusters
-    if novel_list:
-        rows = novel_cluster_rows & novel_mask
-        mapping = match_clusters(
-            y_true[rows],
-            clusters[rows] - n_known_clusters,
-            novel_list,
-            len(novel_list),
-        ) if rows.any() else {}
-        for j, cls in mapping.items():
-            pred[clusters == n_known_clusters + j] = cls
+    # Hungarian over novel clusters x novel classes, counted on true-novel rows;
+    # the matrix is square, so every novel cluster gets a class, unless no
+    # true-novel row lands in one and they all predict -1.
+    class_of_cluster = np.full(data.num_classes, -1, dtype=np.int64)
+    class_of_cluster[:n_known_clusters] = known_list
+    rows = (clusters >= n_known_clusters) & novel_mask
+    if rows.any():
+        counts = confusion_counts(
+            y_true[rows], clusters[rows] - n_known_clusters, novel_list, len(novel_list)
+        )
+        class_of_cluster[n_known_clusters:] = np.asarray(novel_list)[hungarian(-counts)]
+    pred = class_of_cluster[clusters]
 
     hits = pred == y_true
     all_acc = float(hits.mean())

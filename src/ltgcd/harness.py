@@ -9,15 +9,18 @@ a fixed plan.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Hyperparams, SplitSpec
-from .data import EmbeddingDataset, generate_mixture, make_views
+from .data import EmbeddingDataset, check_augmentation, check_sep, generate_mixture, make_views
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import MetricsReport, evaluate
 from .losses import BatchViews, overall_loss
@@ -76,6 +79,12 @@ class RunRecord:
     protos: Prototypes | None = None
 
 
+class SweepCell(NamedTuple):
+    run_id: str
+    hp: Hyperparams
+    split: SplitSpec
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     hp: Hyperparams
@@ -96,24 +105,21 @@ class ExperimentPlan:
                 raise ValidationError(f"plan field {name} must be a non-empty list")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        check_sep(self.sep)
+        check_augmentation(self.noise_sigma, self.drop_prob)
+        self.jobs()   # builds, and so validates, every cell before any run
 
-    def jobs(self) -> list[dict]:
+    def jobs(self) -> list[SweepCell]:
         """Cross product in plan order: rho, then alpha, then beta, then seed."""
-        out = []
-        idx = 0
-        for rho in self.rhos:
-            for alpha in self.alphas:
-                for beta in self.betas:
-                    for seed in self.seeds:
-                        out.append({
-                            "run_id": f"r{idx:04d}",
-                            "rho": float(rho),
-                            "alpha": float(alpha),
-                            "beta": float(beta),
-                            "seed": int(seed),
-                        })
-                        idx += 1
-        return out
+        grid = itertools.product(self.rhos, self.alphas, self.betas, self.seeds)
+        return [
+            SweepCell(
+                run_id=f"r{idx:04d}",
+                hp=replace(self.hp, alpha=float(alpha), beta=float(beta), seed=int(seed)),
+                split=replace(self.split, rho=float(rho)),
+            )
+            for idx, (rho, alpha, beta, seed) in enumerate(grid)
+        ]
 
 
 def _batch_iter(perm: np.ndarray, batch_size: int):
@@ -126,8 +132,6 @@ def train_one(
     hp: Hyperparams,
     noise_sigma: float = DEFAULT_NOISE_SIGMA,
     drop_prob: float = DEFAULT_DROP_PROB,
-    hidden: int = DEFAULT_HIDDEN,
-    out_dim: int = DEFAULT_OUT_DIM,
 ) -> RunRecord:
     """Train on one dataset and evaluate the final snapshot.
 
@@ -136,10 +140,7 @@ def train_one(
     EMA update. A non-finite loss, or an epoch that steps no batch, aborts
     with a diagnostic record instead of raising.
     """
-    if noise_sigma < 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if not 0.0 <= drop_prob < 1.0:
-        raise ValidationError(f"drop_prob must be in [0, 1), got {drop_prob}")
+    check_augmentation(noise_sigma, drop_prob)
     config_echo = {
         **{("lambda" if k == "lambda_" else k): v for k, v in asdict(hp).items()},
         "n": data.n,
@@ -148,8 +149,8 @@ def train_one(
         "dim": data.dim,
         "noise_sigma": noise_sigma,
         "drop_prob": drop_prob,
-        "hidden": hidden,
-        "out_dim": out_dim,
+        "hidden": DEFAULT_HIDDEN,
+        "out_dim": DEFAULT_OUT_DIM,
     }
 
     init_rng = derive_stream(hp.seed, "init")
@@ -157,7 +158,7 @@ def train_one(
     aug_rng = derive_stream(hp.seed, "aug")
     proto_rng = derive_stream(hp.seed, "proto-seed")
 
-    head = init_head(data.dim, hidden, out_dim, init_rng)
+    head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM, init_rng)
     feats = forward(head, data.points)
     protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
     prior = init_uniform(data.num_classes, hp.mu)
@@ -232,33 +233,25 @@ def train_one(
     )
 
 
-def _run_job(args: dict) -> dict:
+def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     """One sweep cell: regenerate the split for (rho, seed), train, evaluate.
 
     Never raises; any failure becomes a non-ok status so the sweep continues.
     """
+    hp = cell.hp
     out = {
-        "run_id": args["run_id"],
-        "seed": args["seed"],
-        "rho": args["rho"],
-        "alpha": args["alpha"],
-        "beta": args["beta"],
-        "lambda": args["hp"]["lambda_"],
+        "run_id": cell.run_id,
+        "seed": hp.seed,
+        "rho": cell.split.rho,
+        "alpha": hp.alpha,
+        "beta": hp.beta,
+        "lambda": hp.lambda_,
         "status": "ok",
         "error": None,
     }
     try:
-        split = replace(SplitSpec(**args["split"]), rho=args["rho"])
-        hp = replace(
-            Hyperparams(**args["hp"]),
-            alpha=args["alpha"], beta=args["beta"], seed=args["seed"],
-        )
-        data = generate_mixture(split, args["sep"], derive_stream(args["seed"], "split"))
-        record = train_one(
-            data, hp,
-            noise_sigma=args["noise_sigma"],
-            drop_prob=args["drop_prob"],
-        )
+        data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
+        record = train_one(data, hp, noise_sigma=plan.noise_sigma, drop_prob=plan.drop_prob)
     except Exception as exc:
         out["status"] = "failed"
         out["error"] = str(exc)
@@ -314,24 +307,13 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     continues."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = plan.jobs()
-    job_args = [
-        {
-            **job,
-            "hp": asdict(plan.hp),
-            "split": asdict(plan.split),
-            "sep": plan.sep,
-            "noise_sigma": plan.noise_sigma,
-            "drop_prob": plan.drop_prob,
-        }
-        for job in jobs
-    ]
-
-    if plan.workers > 1 and len(jobs) > 1:
+    cells = plan.jobs()
+    run = partial(_run_job, plan)
+    if plan.workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(_run_job, job_args))
+            rows = list(pool.map(run, cells))
     else:
-        rows = [_run_job(args) for args in job_args]
+        rows = list(map(run, cells))
 
     artifacts: dict[str, Path] = {}
     ok_rows = [r for r in rows if r["status"] == "ok"]
@@ -347,15 +329,11 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
             [[r[k] for k in FAILURES_HEADER] for r in failed],
         )
 
-    seen_configs: list[tuple] = []
+    groups: dict[tuple, list[dict]] = {}   # first-seen order is plan order
     for r in ok_rows:
-        key = (r["rho"], r["alpha"], r["beta"], r["lambda"])
-        if key not in seen_configs:
-            seen_configs.append(key)
+        groups.setdefault((r["rho"], r["alpha"], r["beta"], r["lambda"]), []).append(r)
     summary_rows = []
-    for key in seen_configs:
-        group = [r for r in ok_rows
-                 if (r["rho"], r["alpha"], r["beta"], r["lambda"]) == key]
+    for key, group in groups.items():
         for metric in METRIC_NAMES:
             values = [r[metric] for r in group if r[metric] is not None]
             if values:

@@ -286,6 +286,20 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
             )
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
-    params = {name: unpack(name, payload["params"][name]) for name in PARAM_NAMES}
-    head = ProjectionHead(**params)
-    return head, Prototypes(M=unpack("prototypes", payload["prototypes"]))
+    arrays = {name: unpack(name, payload["params"][name]) for name in PARAM_NAMES}
+    arrays["prototypes"] = unpack("prototypes", payload["prototypes"])
+    # (h, d) input layer, (p, h) output layer, C prototypes of width p; each
+    # dimension is fixed by the first array that has it
+    sizes: dict[str, int] = {}
+    for name, dims in {"W1": "hd", "b1": "h", "W2": "ph", "b2": "p", "prototypes": "Cp"}.items():
+        shape = arrays[name].shape
+        for dim, n in zip(dims, shape):
+            sizes.setdefault(dim, n)
+        expected = [sizes.get(dim, "?") for dim in dims]
+        if list(shape) != expected:
+            raise DataFormatError(
+                f"{path}: {name} has shape {list(shape)}, expected "
+                f"({', '.join(dims)}) = {expected}"
+            )
+    head = ProjectionHead(**{name: arrays[name] for name in PARAM_NAMES})
+    return head, Prototypes(M=arrays["prototypes"])

@@ -128,6 +128,31 @@ class TestSweepCommand:
         assert code == 1
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, shown", [
+        ("--seeds=-1", "seed must be a 64-bit unsigned integer, got -1"),
+        ("--rho=0", "rho must be > 0, got 0.0"),
+        ("--alpha=-1", "alpha must be >= 0, got -1.0"),
+        ("--sep=-1", "sep must be >= 0, got -1.0"),
+        ("--noise-sigma=-1", "noise_sigma must be >= 0, got -1.0"),
+        ("--drop-prob=1", "drop_prob must be in [0, 1), got 1.0"),
+    ])
+    def test_invalid_plan_value_exits_1_before_any_run(
+        self, tmp_path, config_file, capsys, flag, shown
+    ):
+        out = tmp_path / "s"
+        code = cli(["sweep", "--config", str(config_file), flag, "--out", str(out)])
+        assert code == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, config_file, capsys):
+        # --seeds sets every cell's seed; --seed is no abbreviation of it
+        code = cli(["sweep", "--config", str(config_file), "--seed", "3",
+                    "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "usage" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "s").exists()
+
     def test_failed_runs_exit_2_and_name_failures_csv(self, tmp_path, config_file, capsys):
         # batch 1 never holds the 2 unlabeled rows a step needs, so every run fails
         out = tmp_path / "s"

@@ -8,7 +8,7 @@ import pytest
 from ltgcd.config import SplitSpec
 from ltgcd.data import generate_mixture
 from ltgcd.errors import ValidationError
-from ltgcd.evaluation import evaluate, hungarian, matched_accuracy
+from ltgcd.evaluation import confusion_counts, evaluate, hungarian, matched_accuracy
 from ltgcd.harness import metrics_row
 from ltgcd.model import ProjectionHead
 from ltgcd.rng import derive_stream
@@ -56,6 +56,23 @@ class TestHungarian:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             hungarian(np.array([[0.0, np.inf], [1.0, 0.0]]))
+
+
+class TestConfusionCounts:
+    @pytest.mark.parametrize("n_clusters", [3, 5, 8])
+    def test_matches_row_by_row_count(self, n_clusters):
+        # class ids unsorted and not contiguous; padding on either side
+        rng = derive_stream(3, "test")
+        class_ids = [7, 2, 5, 11, 0]
+        y = rng.choice(class_ids, size=200)
+        clusters = rng.integers(0, n_clusters, size=200)
+        size = max(n_clusters, len(class_ids))
+        expected = np.zeros((size, size))
+        for cluster, cls in zip(clusters, y):
+            expected[cluster, class_ids.index(cls)] += 1.0
+        counts = confusion_counts(y, clusters, class_ids, n_clusters)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, expected)
 
 
 class TestMatchedAccuracy:

@@ -190,6 +190,10 @@ class TestSweep:
         with pytest.raises(ValidationError):
             small_plan(tmp_path, seeds=())
 
+    def test_invalid_seed_rejected_when_plan_is_built(self, tmp_path):
+        with pytest.raises(ValidationError, match="got -1"):
+            small_plan(tmp_path, seeds=(-1,))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_runs_recorded_and_sweep_continues(self, tmp_path):
         plan = small_plan(tmp_path, hp=Hyperparams(epochs=2, batch_size=64,
@@ -209,7 +213,7 @@ class TestSweep:
     def test_plan_order_is_rho_alpha_beta_seed(self, tmp_path):
         plan = small_plan(tmp_path, rhos=(1.0, 3.0), betas=(0.0,), seeds=(0, 1))
         jobs = plan.jobs()
-        assert [(j["rho"], j["seed"]) for j in jobs] == [
+        assert [(j.split.rho, j.hp.seed) for j in jobs] == [
             (1.0, 0), (1.0, 1), (3.0, 0), (3.0, 1)
         ]
 

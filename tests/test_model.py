@@ -1,5 +1,6 @@
 """Projection head forward/backward, prototypes, optimizer schedule."""
 
+import base64
 import json
 
 import numpy as np
@@ -332,4 +333,20 @@ class TestCheckpoint:
         payload["params"]["W2"]["shape"] = [4, 6]
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="W2 has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, shape, data", [
+        ("b2", [3], np.zeros(3)),            # 3 biases for 4 output rows
+        ("W1", [30], None),                  # a matrix flattened to a vector
+        ("prototypes", [4, 3], None),        # width 3 against p = 4
+    ])
+    def test_parameter_shapes_must_agree(self, tmp_path, name, shape, data):
+        from ltgcd.model import load_checkpoint
+        path, payload = self._saved(tmp_path)
+        entry = payload["prototypes"] if name == "prototypes" else payload["params"][name]
+        entry["shape"] = shape
+        if data is not None:
+            entry["data"] = base64.b64encode(data.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=rf"ckpt\.json: {name} has shape"):
             load_checkpoint(path)
