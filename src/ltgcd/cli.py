@@ -13,19 +13,16 @@ import sys
 from pathlib import Path
 
 from .config import Hyperparams, SplitSpec, build_params, read_config_file
-from .data import generate_mixture, load_embeddings, write_dataset
+from .data import generate_mixture, load_embeddings, write_csv, write_dataset
 from .errors import ValidationError
 from .evaluation import evaluate
 from .harness import (
-    DEFAULT_DROP_PROB,
-    DEFAULT_NOISE_SIGMA,
     DEFAULT_SEP,
     METRICS_HEADER,
     ExperimentPlan,
     metrics_row,
     sweep,
     train_one,
-    write_csv,
     write_train_log,
 )
 from .model import load_checkpoint, save_checkpoint
@@ -33,17 +30,22 @@ from .rng import derive_stream
 
 
 class _UsageError(Exception):
-    pass
+    """Bad usage, with the parser whose usage line goes with it."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad usage as exit code 1 instead of 2."""
 
     def error(self, message: str):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="ltgcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -65,8 +67,8 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch", type=int)
     p_train.add_argument("--sep", type=float, default=DEFAULT_SEP)
-    p_train.add_argument("--noise-sigma", type=float, default=DEFAULT_NOISE_SIGMA)
-    p_train.add_argument("--drop-prob", type=float, default=DEFAULT_DROP_PROB)
+    p_train.add_argument("--noise-sigma", type=float)
+    p_train.add_argument("--drop-prob", type=float)
 
     p_eval = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
     add_common(p_eval)
@@ -90,11 +92,11 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--epochs", type=int)
     p_sweep.add_argument("--batch", type=int)
     p_sweep.add_argument("--sep", type=float, default=DEFAULT_SEP)
-    p_sweep.add_argument("--noise-sigma", type=float, default=DEFAULT_NOISE_SIGMA)
-    p_sweep.add_argument("--drop-prob", type=float, default=DEFAULT_DROP_PROB)
+    p_sweep.add_argument("--noise-sigma", type=float)
+    p_sweep.add_argument("--drop-prob", type=float)
     p_sweep.add_argument("--workers", type=int, default=1)
 
-    return parser
+    return parser, sub.choices
 
 
 def _load_params(args) -> tuple[Hyperparams, SplitSpec]:
@@ -106,6 +108,8 @@ def _load_params(args) -> tuple[Hyperparams, SplitSpec]:
         "beta": getattr(args, "beta", None) if args.command != "sweep" else None,
         "epochs": getattr(args, "epochs", None),
         "batch_size": getattr(args, "batch", None),
+        "noise_sigma": getattr(args, "noise_sigma", None),
+        "drop_prob": getattr(args, "drop_prob", None),
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     return build_params(values)
@@ -155,7 +159,7 @@ def _cmd_train(args) -> int:
     else:
         data = generate_mixture(split, args.sep, derive_stream(hp.seed, "split"))
 
-    record = train_one(data, hp, noise_sigma=args.noise_sigma, drop_prob=args.drop_prob)
+    record = train_one(data, hp)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
     write_train_log(out / "train_log.csv", record)
@@ -199,8 +203,6 @@ def _cmd_sweep(args) -> int:
         seeds=tuple(int(s) for s in seeds),
         out_dir=out,
         sep=args.sep,
-        noise_sigma=args.noise_sigma,
-        drop_prob=args.drop_prob,
         workers=args.workers,
     )
     artifacts = sweep(plan)
@@ -216,11 +218,13 @@ _COMMANDS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval, "sweep": _
 
 
 def cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         print(f"ltgcd: error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -36,6 +36,8 @@ class Hyperparams:
     epochs: int = 60
     batch_size: int = 256
     seed: int = 0
+    noise_sigma: float = 0.1  # view augmentation: additive Gaussian noise
+    drop_prob: float = 0.1    # view augmentation: per-coordinate dropout
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
@@ -59,6 +61,10 @@ class Hyperparams:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not self.noise_sigma >= 0:
+            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ValidationError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
 
 
 @dataclass(frozen=True)

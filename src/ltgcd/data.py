@@ -84,13 +84,6 @@ def check_sep(sep: float) -> None:
         raise ValidationError(f"sep must be >= 0, got {sep}")
 
 
-def check_augmentation(noise_sigma: float, drop_prob: float) -> None:
-    if not noise_sigma >= 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if not 0.0 <= drop_prob < 1.0:
-        raise ValidationError(f"drop_prob must be in [0, 1), got {drop_prob}")
-
-
 def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> EmbeddingDataset:
     """Draw a synthetic long-tailed split.
 
@@ -141,8 +134,8 @@ def make_views(
     """Augment the selected rows twice: additive Gaussian noise, then each
     coordinate independently zeroed with probability ``drop_prob``. The two
     views use independent draws and come back interleaved as in
-    ``BatchViews``: rows 2i and 2i+1 are the two views of instance i."""
-    check_augmentation(noise_sigma, drop_prob)
+    ``BatchViews``: rows 2i and 2i+1 are the two views of instance i.
+    ``Hyperparams`` validates both settings."""
     base = data.points[np.asarray(batch_indices, dtype=np.int64)]
     views = np.empty((2 * base.shape[0], base.shape[1]))
     for first_row in (0, 1):
@@ -155,6 +148,26 @@ def make_views(
     return views
 
 
+def format_cell(value) -> str:
+    """The cell format of every CSV the package writes: floats round-trip
+    through ``repr``, a missing value is an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write ``header`` and then ``rows``, every cell through ``format_cell``."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
+    return path
+
+
 def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data") -> Path:
     """Write ``<name>.csv`` plus ``<name>.manifest.json``; returns the manifest path."""
     out_dir = Path(out_dir)
@@ -163,13 +176,10 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data
     manifest_path = out_dir / f"{name}.manifest.json"
 
     header = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [i, int(data.labels[i]), int(data.is_labeled[i])]
-            row.extend(repr(float(v)) for v in data.points[i])
-            writer.writerow(row)
+    rows = zip(data.labels.tolist(), data.is_labeled.tolist(), data.points.tolist())
+    write_csv(csv_path, header, (
+        [i, label, int(flag), *feats] for i, (label, flag, feats) in enumerate(rows)
+    ))
 
     manifest = {
         "data": csv_path.name,

@@ -8,7 +8,6 @@ a fixed plan.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Hyperparams, SplitSpec
-from .data import EmbeddingDataset, check_augmentation, check_sep, generate_mixture, make_views
+from .data import EmbeddingDataset, check_sep, format_cell, generate_mixture, make_views, write_csv
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import MetricsReport, evaluate
 from .losses import BatchViews, overall_loss
@@ -31,7 +30,6 @@ from .model import (
     forward,
     forward_cached,
     init_head,
-    init_optimizer,
     init_prototypes,
     learning_rate,
     predict_probs,
@@ -42,8 +40,6 @@ from .prior import ema_update, hard_histogram, init_uniform
 from .rng import derive_stream
 
 DEFAULT_SEP = 5.0
-DEFAULT_NOISE_SIGMA = 0.1
-DEFAULT_DROP_PROB = 0.1
 DEFAULT_HIDDEN = 64
 DEFAULT_OUT_DIM = 32
 PROTOTYPE_EMA = 0.9
@@ -95,8 +91,6 @@ class ExperimentPlan:
     seeds: tuple
     out_dir: Path
     sep: float = DEFAULT_SEP
-    noise_sigma: float = DEFAULT_NOISE_SIGMA
-    drop_prob: float = DEFAULT_DROP_PROB
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -106,7 +100,6 @@ class ExperimentPlan:
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         check_sep(self.sep)
-        check_augmentation(self.noise_sigma, self.drop_prob)
         self.jobs()   # builds, and so validates, every cell before any run
 
     def jobs(self) -> list[SweepCell]:
@@ -127,12 +120,7 @@ def _batch_iter(perm: np.ndarray, batch_size: int):
         yield perm[start:start + batch_size]
 
 
-def train_one(
-    data: EmbeddingDataset,
-    hp: Hyperparams,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-    drop_prob: float = DEFAULT_DROP_PROB,
-) -> RunRecord:
+def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     """Train on one dataset and evaluate the final snapshot.
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
@@ -140,15 +128,12 @@ def train_one(
     EMA update. A non-finite loss, or an epoch that steps no batch, aborts
     with a diagnostic record instead of raising.
     """
-    check_augmentation(noise_sigma, drop_prob)
     config_echo = {
         **{("lambda" if k == "lambda_" else k): v for k, v in asdict(hp).items()},
         "n": data.n,
         "num_classes": data.num_classes,
         "num_known": len(data.known_classes),
         "dim": data.dim,
-        "noise_sigma": noise_sigma,
-        "drop_prob": drop_prob,
         "hidden": DEFAULT_HIDDEN,
         "out_dim": DEFAULT_OUT_DIM,
     }
@@ -162,20 +147,19 @@ def train_one(
     feats = forward(head, data.points)
     protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
     prior = init_uniform(data.num_classes, hp.mu)
-    opt = init_optimizer(head, hp.epochs)
+    velocity = {name: np.zeros_like(arr) for name, arr in head.params().items()}
     unlab = data.unlabeled_indices
 
     logs: list[EpochLog] = []
     try:
         for epoch in range(hp.epochs):
-            opt.epoch = epoch
             lr = learning_rate(hp.lr0, epoch, hp.epochs)
             sums = np.zeros(5)
             n_batches = 0
             for batch in _batch_iter(batch_rng.permutation(data.n), hp.batch_size):
                 if int((~data.is_labeled[batch]).sum()) < 2:
                     continue
-                X = make_views(data, batch, noise_sigma, drop_prob, aug_rng)
+                X = make_views(data, batch, hp.noise_sigma, hp.drop_prob, aug_rng)
                 Z, acts = forward_cached(head, X)
                 bv = BatchViews(
                     Z=Z,
@@ -188,7 +172,7 @@ def train_one(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}"
                     )
                 grads = backward(head, X, breakdown.grad_Z, acts)
-                sgd_step(head, grads, opt, hp)
+                sgd_step(head, grads, velocity, lr, hp)
                 sums += (breakdown.l_ins, breakdown.l_sup, breakdown.h_prior,
                          breakdown.h_uniform, breakdown.l_overall)
                 n_batches += 1
@@ -251,7 +235,7 @@ def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     }
     try:
         data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
-        record = train_one(data, hp, noise_sigma=plan.noise_sigma, drop_prob=plan.drop_prob)
+        record = train_one(data, hp)
     except Exception as exc:
         out["status"] = "failed"
         out["error"] = str(exc)
@@ -268,29 +252,9 @@ def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     return out
 
 
-def _fmt(value) -> str:
-    """The cell format of every CSV the package writes: floats round-trip
-    through ``repr``, a missing value is an empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """Write ``header`` and then ``rows``, every cell through ``_fmt``."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-    return path
-
-
 def metrics_row(report: MetricsReport, rho: float, alpha: float, beta: float) -> list[str]:
     """One formatted row in the ``METRICS_HEADER`` layout."""
-    return [_fmt(v) for v in (
+    return [format_cell(v) for v in (
         report.seed, float(rho), float(alpha), float(beta),
         report.all_acc, report.known_acc, report.un1_acc, report.un2_acc,
     )]

@@ -14,9 +14,9 @@ import numpy as np
 from .config import Hyperparams
 from .errors import ValidationError
 from .model import Prototypes, predict_probs
+from .prior import check_simplex
 
 _LOG_FLOOR = 1e-12
-_SIMPLEX_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,8 @@ def target_cross_entropy(q_bar: np.ndarray, target: np.ndarray) -> tuple[float, 
     """
     q_bar = np.asarray(q_bar, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    for name, v in (("q_bar", q_bar), ("target", target)):
-        if np.any(v < 0) or abs(float(v.sum()) - 1.0) > _SIMPLEX_TOL:
-            raise ValidationError(f"{name} is off the probability simplex")
+    check_simplex(q_bar, "q_bar")
+    check_simplex(target, "target")
     return _cross_entropy_unchecked(q_bar, target)
 
 

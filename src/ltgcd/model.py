@@ -57,13 +57,6 @@ class Prototypes:
         return self.M.shape[0]
 
 
-@dataclass
-class OptimizerState:
-    velocity: dict[str, np.ndarray]
-    epoch: int
-    total_epochs: int
-
-
 def init_head(d: int, hidden: int, out_dim: int, rng: np.random.Generator) -> ProjectionHead:
     """He-uniform weights, zero biases."""
     lim1 = np.sqrt(6.0 / d)
@@ -74,11 +67,6 @@ def init_head(d: int, hidden: int, out_dim: int, rng: np.random.Generator) -> Pr
         W2=rng.uniform(-lim2, lim2, size=(out_dim, hidden)),
         b2=np.zeros(out_dim),
     )
-
-
-def init_optimizer(head: ProjectionHead, total_epochs: int) -> OptimizerState:
-    velocity = {name: np.zeros_like(arr) for name, arr in head.params().items()}
-    return OptimizerState(velocity=velocity, epoch=0, total_epochs=total_epochs)
 
 
 def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -232,25 +220,21 @@ def learning_rate(lr0: float, epoch: int, total_epochs: int) -> float:
 def sgd_step(
     head: ProjectionHead,
     grads: dict[str, np.ndarray],
-    opt: OptimizerState,
+    velocity: dict[str, np.ndarray],
+    lr: float,
     hp: Hyperparams,
-) -> tuple[ProjectionHead, OptimizerState]:
-    """Momentum SGD with L2 weight decay added to the gradient:
+) -> None:
+    """Momentum SGD with L2 weight decay added to the gradient, in place on
+    ``head`` and ``velocity``:
     v <- momentum v + g + weight_decay p;  p <- p - lr v."""
-    if opt.epoch >= opt.total_epochs:
-        raise ValidationError(
-            f"epoch {opt.epoch} is past the schedule of {opt.total_epochs} epochs"
-        )
-    lr = learning_rate(hp.lr0, opt.epoch, opt.total_epochs)
     for name, param in head.params().items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"non-finite gradient for {name}")
-        v = opt.velocity[name]
+        v = velocity[name]
         v *= hp.momentum
         v += g + hp.weight_decay * param
         param -= lr * v
-    return head, opt
 
 
 def save_checkpoint(path: str | Path, head: ProjectionHead, protos: Prototypes) -> None:

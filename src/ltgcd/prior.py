@@ -24,11 +24,11 @@ class ClassPrior:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise ValidationError(f"mu must be in [0, 1], got {self.mu}")
-        _check_simplex(self.r, "r")
+        check_simplex(self.r, "r")
         self.r.setflags(write=False)
 
 
-def _check_simplex(v: np.ndarray, name: str) -> None:
+def check_simplex(v: np.ndarray, name: str) -> None:
     if v.ndim != 1:
         raise ValidationError(f"{name} must be a vector")
     if np.any(v < 0):
@@ -61,7 +61,7 @@ def hard_histogram(probs: np.ndarray) -> np.ndarray:
 def ema_update(prior: ClassPrior, z: np.ndarray) -> ClassPrior:
     """One moving-average step toward the histogram ``z``."""
     z = np.asarray(z, dtype=np.float64)
-    _check_simplex(z, "z")
+    check_simplex(z, "z")
     if z.shape != prior.r.shape:
         raise ValidationError(f"z has {z.shape[0]} classes, prior has {prior.r.shape[0]}")
     r_new = prior.mu * prior.r + (1.0 - prior.mu) * z

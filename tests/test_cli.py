@@ -50,6 +50,18 @@ class TestTrainCommand:
         echo = json.loads((out / "run_config.json").read_text())
         assert echo["seed"] == 42 and echo["epochs"] == 2
 
+    def test_augmentation_is_a_config_key_and_a_flag_overrides_it(self, tmp_path):
+        config = tmp_path / "aug.ini"
+        config.write_text(CONFIG + "noise_sigma = 0.0\n")
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert cli(["train", "--config", str(config), "--out", str(from_file)]) == 0
+        assert cli(["train", "--config", str(config), "--noise-sigma", "0.2",
+                    "--out", str(from_flag)]) == 0
+        echo = json.loads((from_file / "run_config.json").read_text())
+        assert echo["noise_sigma"] == 0.0 and echo["drop_prob"] == 0.1
+        echo = json.loads((from_flag / "run_config.json").read_text())
+        assert echo["noise_sigma"] == 0.2
+
     def test_invalid_rho_is_validation_error(self, tmp_path, config_file):
         code = cli(["train", "--config", str(config_file), "--rho", "-1",
                     "--out", str(tmp_path / "x")])
@@ -171,6 +183,16 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert cli(["train", "--nonsense", "1"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["sweep", "--seed", "99"], "usage: ltgcd sweep"),
+        (["train", "--epochs", "x"], "usage: ltgcd train"),
+    ])
+    def test_bad_flag_shows_its_subcommand_usage(self, capsys, argv, usage):
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage)
+        assert "ltgcd: error: " in err
 
     def test_unknown_config_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

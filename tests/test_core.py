@@ -1,11 +1,21 @@
 """Named random streams, hyperparameter validation, config parsing."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltgcd.config import Hyperparams, SplitSpec, build_params, parse_config_text, round_half_up
+from ltgcd.config import (
+    Hyperparams,
+    SplitSpec,
+    build_params,
+    parse_config_text,
+    read_config_file,
+    round_half_up,
+)
 from ltgcd.errors import ValidationError
 from ltgcd.rng import derive_stream
 
@@ -64,6 +74,9 @@ class TestHyperparams:
         (dict(batch_size=0), "batch_size"),
         (dict(seed=-1), "seed"),
         (dict(seed=2**64), "seed"),
+        (dict(noise_sigma=-0.1), "noise_sigma"),
+        (dict(drop_prob=1.0), "drop_prob"),
+        (dict(drop_prob=-0.2), "drop_prob"),
     ])
     def test_rejects_out_of_range(self, kwargs, fragment):
         with pytest.raises(ValidationError, match=fragment):
@@ -124,6 +137,8 @@ class TestConfigParsing:
         epochs = 10
         batch_size = 32
         seed = 7
+        noise_sigma = 0.05
+        drop_prob = 0.2
         num_classes = 8
         num_known = 4
         samples_per_known = 50
@@ -133,6 +148,7 @@ class TestConfigParsing:
         """
         hp, split = build_params(parse_config_text(text))
         assert hp.tau == 0.2 and hp.lambda_ == 0.5 and hp.epochs == 10
+        assert hp.noise_sigma == 0.05 and hp.drop_prob == 0.2
         assert split.num_classes == 8 and split.rho == 2.0
 
     def test_unknown_key_rejected(self):
@@ -156,3 +172,9 @@ class TestConfigParsing:
         assert hp.beta == 5.0
         assert hp.lr0 == Hyperparams().lr0
         assert split == SplitSpec()
+
+    def test_desk_config_lists_every_field(self):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+        listed = set(read_config_file(desk))
+        expected = {f.name for cls in (Hyperparams, SplitSpec) for f in fields(cls)}
+        assert listed == expected

@@ -18,7 +18,6 @@ from ltgcd.model import (
     forward,
     forward_cached,
     init_head,
-    init_optimizer,
     init_prototypes,
     learning_rate,
     predict_probs,
@@ -228,6 +227,10 @@ class TestPrototypes:
         assert np.array_equal(protos.M[[0, 2]], picks)
 
 
+def zero_velocity(head):
+    return {n: np.zeros_like(v) for n, v in head.params().items()}
+
+
 class TestSgdStep:
     def test_milestone_learning_rates(self):
         assert learning_rate(0.02, 0, 200) == pytest.approx(0.02)
@@ -242,8 +245,7 @@ class TestSgdStep:
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         g["W1"] = np.ones_like(head.W1)
         hp = Hyperparams(momentum=0.0, weight_decay=0.0, lr0=0.5, epochs=10)
-        opt = init_optimizer(head, 10)
-        sgd_step(head, g, opt, hp)
+        sgd_step(head, g, zero_velocity(head), hp.lr0, hp)
         assert np.allclose(head.W1, w_before - 0.5, atol=1e-15)
 
     def test_pure_weight_decay(self):
@@ -252,8 +254,7 @@ class TestSgdStep:
         w_before = np.array(head.W2)
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         hp = Hyperparams(momentum=0.0, weight_decay=1e-4, lr0=0.1, epochs=10)
-        opt = init_optimizer(head, 10)
-        sgd_step(head, g, opt, hp)
+        sgd_step(head, g, zero_velocity(head), hp.lr0, hp)
         assert np.allclose(head.W2, w_before * (1 - 0.1 * 1e-4), atol=1e-15)
 
     def test_zero_grad_zero_decay_is_identity(self):
@@ -262,7 +263,7 @@ class TestSgdStep:
         before = {n: np.array(v) for n, v in head.params().items()}
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         hp = Hyperparams(momentum=0.9, weight_decay=0.0, epochs=10)
-        sgd_step(head, g, init_optimizer(head, 10), hp)
+        sgd_step(head, g, zero_velocity(head), hp.lr0, hp)
         for name, value in head.params().items():
             assert np.array_equal(value, before[name])
 
@@ -272,9 +273,9 @@ class TestSgdStep:
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         g["b2"] = np.array([1.0])
         hp = Hyperparams(momentum=0.5, weight_decay=0.0, lr0=1.0, epochs=10)
-        opt = init_optimizer(head, 10)
-        sgd_step(head, g, opt, hp)   # v=1, p=-1
-        sgd_step(head, g, opt, hp)   # v=1.5, p=-2.5
+        velocity = zero_velocity(head)
+        sgd_step(head, g, velocity, hp.lr0, hp)   # v=1, p=-1
+        sgd_step(head, g, velocity, hp.lr0, hp)   # v=1.5, p=-2.5
         assert head.b2[0] == pytest.approx(-2.5)
 
     def test_non_finite_gradient_rejected(self):
@@ -283,16 +284,7 @@ class TestSgdStep:
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         g["W1"][0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            sgd_step(head, g, init_optimizer(head, 10), Hyperparams(epochs=10))
-
-    def test_epoch_past_schedule_rejected(self):
-        rng = derive_stream(18, "test")
-        head = random_head(rng, d=4, h=4, p=4)
-        opt = init_optimizer(head, 5)
-        opt.epoch = 5
-        g = {n: np.zeros_like(v) for n, v in head.params().items()}
-        with pytest.raises(ValidationError):
-            sgd_step(head, g, opt, Hyperparams(epochs=5))
+            sgd_step(head, g, zero_velocity(head), 0.02, Hyperparams(epochs=10))
 
 
 class TestCheckpoint:
