@@ -5,7 +5,7 @@ import collections
 import numpy as np
 import pytest
 
-from ltgcd.config import SplitSpec, round_half_up
+from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
@@ -120,6 +120,17 @@ class TestMakeViews:
                        rng=derive_stream(12, "aug"))
         zero_frac = (X[0::2] == 0.0).mean()
         assert 0.18 <= zero_frac <= 0.22
+
+    @pytest.mark.parametrize("kwargs", [dict(noise_sigma=-0.1), dict(drop_prob=1.0),
+                                        dict(drop_prob=-0.2)])
+    def test_rejects_bad_augmentation_params(self, kwargs):
+        # make_views takes its settings from Hyperparams, which rejects a bad
+        # value before any view is drawn.
+        data, _ = small_dataset()
+        with pytest.raises(ValidationError):
+            hp = Hyperparams(**kwargs)
+            make_views(data, np.arange(4), hp.noise_sigma, hp.drop_prob,
+                       derive_stream(0, "aug"))
 
 
 class TestFileRoundTrip:

@@ -116,6 +116,10 @@ class TestTrainOne:
             assert log.prior_r.shape == (6,)
             assert abs(log.prior_r.sum() - 1.0) <= 1e-9
 
+    def test_bad_augmentation_params_rejected_upfront(self):
+        with pytest.raises(ValidationError):
+            train_one(small_data(), small_hp(noise_sigma=-0.5))
+
     def test_config_echo_uses_external_spelling(self):
         record = train_one(small_data(), small_hp(epochs=1))
         assert "lambda" in record.config
