@@ -74,9 +74,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--rho", type=float)
-    p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--beta", type=float)
 
     for p in (p_gen, p_train, p_eval):
         p.add_argument("--seed", type=int)
@@ -172,7 +169,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    hp, split = _load_params(args)
+    hp, _split = _load_params(args)
     head, _protos = load_checkpoint(args.checkpoint)
     data = load_embeddings(args.dataset)
     if head.in_dim != data.dim:
@@ -180,11 +177,9 @@ def _cmd_eval(args) -> int:
             f"checkpoint {args.checkpoint} takes d={head.in_dim} inputs, "
             f"but dataset {args.dataset} has d={data.dim}"
         )
+    # the checkpoint does not record its training settings: no rho/alpha/beta
     report = evaluate(head, data, hp.seed)
-    _report_metrics(
-        metrics_row(report, split.rho, hp.alpha, hp.beta),
-        Path(args.out) if args.out else None,
-    )
+    _report_metrics(metrics_row(report, None, None, None), Path(args.out) if args.out else None)
     return 0
 
 

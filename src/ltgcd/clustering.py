@@ -2,7 +2,9 @@
 
 Points and centroids are unit-norm; similarity is the dot product. Seeded
 clusters let labeled classes keep fixed identities, anchored points are
-pinned to their cluster but still pull its centroid.
+pinned to their cluster but still pull its centroid. A centroid, like a
+class prototype, is the normalized mean of its group of rows
+(``normalized_group_means``).
 """
 
 from __future__ import annotations
@@ -12,6 +14,30 @@ import numpy as np
 from .errors import ValidationError
 
 _MAX_ITER = 300
+NORM_FLOOR = 1e-12
+
+
+def normalized_group_means(
+    points: np.ndarray, groups: np.ndarray, k: int, fallback: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalized mean of the rows of each group ``0..k-1``, and each
+    group's row count. Rows with a group id outside ``0..k-1`` are ignored. A
+    group with no row, or whose mean has norm below ``NORM_FLOOR``, keeps its
+    ``fallback`` row.
+
+    A stable sort keeps each group's rows in their original order, so every
+    mean has the bits of ``points[groups == g].mean(axis=0)``.
+    """
+    order = np.argsort(groups, kind="stable")
+    bounds = np.searchsorted(groups[order], np.arange(k + 1))
+    counts = np.diff(bounds)
+    means = np.array(fallback, dtype=np.float64)
+    for g in np.flatnonzero(counts):
+        mean = points[order[bounds[g]:bounds[g + 1]]].mean(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm >= NORM_FLOOR:
+            means[g] = mean / norm
+    return means, counts
 
 
 def kmeans_pp_extend(
@@ -55,13 +81,14 @@ def seeded_kmeans(
     k: int,
     rng: np.random.Generator,
     seed_centroids: np.ndarray | None = None,
-    anchors: dict[int, int] | None = None,
+    anchors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations over unit-norm points with cosine similarity.
 
     Clusters ``0..len(seed_centroids)-1`` start from the given centroids;
-    the rest are k-means++ initialized. ``anchors`` maps point index to a
-    fixed cluster id. Stops when assignments repeat or after ``_MAX_ITER`` rounds.
+    the rest are k-means++ initialized. ``anchors`` holds one id per point:
+    the cluster the point is pinned to, or -1 for a free point. Stops when
+    assignments repeat or after ``_MAX_ITER`` rounds.
     An emptied cluster is re-seeded from the point farthest from its own
     centroid.
 
@@ -81,23 +108,15 @@ def seeded_kmeans(
     else:
         centroids = kmeans_pp_extend(points, None, k, rng)
 
-    if anchors:
-        anchor_idx = np.asarray(sorted(anchors), dtype=np.int64)
-        anchor_cluster = np.asarray([anchors[i] for i in anchor_idx.tolist()], dtype=np.int64)
-        if anchor_cluster.min() < 0 or anchor_cluster.max() >= k:
-            raise ValidationError("anchor cluster id out of range")
-        free_mask = np.ones(n, dtype=bool)
-        free_mask[anchor_idx] = False
-    else:
-        anchor_idx = np.empty(0, dtype=np.int64)
-        anchor_cluster = np.empty(0, dtype=np.int64)
-        free_mask = np.ones(n, dtype=bool)
+    anchors = np.full(n, -1) if anchors is None else np.asarray(anchors, dtype=np.int64)
+    if anchors.shape != (n,) or anchors.min() < -1 or anchors.max() >= k:
+        raise ValidationError("anchor cluster id out of range")
+    free_mask = anchors == -1
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(_MAX_ITER):
         sims = points @ centroids.T
-        new_assign = np.argmax(sims, axis=1)
-        new_assign[anchor_idx] = anchor_cluster
+        new_assign = np.where(free_mask, np.argmax(sims, axis=1), anchors)
 
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -114,14 +133,6 @@ def seeded_kmeans(
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-
-        for c in range(k):
-            members = points[assign == c]
-            if not len(members):
-                continue
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm > 1e-12:
-                centroids[c] = mean / norm
+        centroids = normalized_group_means(points, assign, k, centroids)[0]
 
     return assign, centroids

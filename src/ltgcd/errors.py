@@ -10,4 +10,5 @@ class DataFormatError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """A training step produced a non-finite loss or gradient."""
+    """Training cannot go on: a non-finite loss or gradient, a degenerate
+    (near-zero) pre-normalization feature, or an epoch that stepped no batch."""

@@ -85,18 +85,13 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
     known_list = sorted(data.known_classes)
     novel_list = sorted(data.unknown_classes)
     n_known_clusters = len(known_list)
-    cluster_of_class = {cls: j for j, cls in enumerate(known_list)}
-
-    anchors = {
-        int(i): cluster_of_class[int(data.labels[i])] for i in data.labeled_indices
-    }
 
     assign, _ = seeded_kmeans(
         feats,
         data.num_classes,
         rng,
-        seed_centroids=labeled_class_means(feats, data.labels, data.is_labeled, known_list),
-        anchors=anchors,
+        seed_centroids=labeled_class_means(feats, data.labels, data.is_labeled),
+        anchors=np.where(data.is_labeled, np.searchsorted(known_list, data.labels), -1),
     )
 
     unlab = data.unlabeled_indices

@@ -125,8 +125,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
     then prior refresh from the unlabeled hard histogram and the prototype
-    EMA update. A non-finite loss, or an epoch that steps no batch, aborts
-    with a diagnostic record instead of raising.
+    EMA update. A ``TrainingDiverged`` or ``FloatingPointError`` ends the run
+    with a ``failed`` record; any other exception propagates.
     """
     config_echo = {
         **{("lambda" if k == "lambda_" else k): v for k, v in asdict(hp).items()},
@@ -177,7 +177,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                          breakdown.h_uniform, breakdown.l_overall)
                 n_batches += 1
             if n_batches == 0:
-                raise ValidationError(
+                raise TrainingDiverged(
                     f"epoch {epoch} stepped no batch: with batch_size={hp.batch_size} "
                     "no batch holds the 2 unlabeled rows a step needs"
                 )
@@ -201,13 +201,12 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 lr=lr,
                 prior_r=np.array(prior.r),
             ))
-    except (TrainingDiverged, ValidationError, FloatingPointError) as exc:
+    except (TrainingDiverged, FloatingPointError) as exc:
         # numeric trouble mid-run (exploding or collapsing features) becomes
         # a diagnostic record rather than an exception
-        status = "diverged" if isinstance(exc, TrainingDiverged) else "failed"
         return RunRecord(
             config=config_echo, epoch_logs=logs, metrics=None,
-            status=status, error=str(exc), head=head, protos=protos,
+            status="failed", error=str(exc), head=head, protos=protos,
         )
 
     metrics = evaluate(head, data, hp.seed)
@@ -220,7 +219,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
 def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     """One sweep cell: regenerate the split for (rho, seed), train, evaluate.
 
-    Never raises; any failure becomes a non-ok status so the sweep continues.
+    A failed run becomes a non-ok status so the sweep continues. The plan
+    validated every cell, so anything raised here is a bug and propagates.
     """
     hp = cell.hp
     out = {
@@ -233,13 +233,8 @@ def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
         "status": "ok",
         "error": None,
     }
-    try:
-        data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
-        record = train_one(data, hp)
-    except Exception as exc:
-        out["status"] = "failed"
-        out["error"] = str(exc)
-        return out
+    data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
+    record = train_one(data, hp)
     out["status"] = record.status
     out["error"] = record.error
     if record.metrics is not None:
@@ -252,10 +247,13 @@ def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     return out
 
 
-def metrics_row(report: MetricsReport, rho: float, alpha: float, beta: float) -> list[str]:
-    """One formatted row in the ``METRICS_HEADER`` layout."""
+def metrics_row(
+    report: MetricsReport, rho: float | None, alpha: float | None, beta: float | None
+) -> list[str]:
+    """One formatted row in the ``METRICS_HEADER`` layout; an echo value of
+    None is an empty cell."""
     return [format_cell(v) for v in (
-        report.seed, float(rho), float(alpha), float(beta),
+        report.seed, rho, alpha, beta,
         report.all_acc, report.known_acc, report.un1_acc, report.un2_acc,
     )]
 

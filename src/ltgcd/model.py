@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import kmeans_pp_extend
+from .clustering import NORM_FLOOR, kmeans_pp_extend, normalized_group_means
 from .config import Hyperparams
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, TrainingDiverged, ValidationError
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
 CHECKPOINT_FORMAT = "ltgcd-checkpoint-v1"
-_NORM_FLOOR = 1e-12
 
 
 @dataclass
@@ -80,8 +79,8 @@ def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tup
     Y = H @ head.W2.T
     Y += head.b2
     norms = np.linalg.norm(Y, axis=1, keepdims=True)
-    if np.any(norms < _NORM_FLOOR):
-        raise ValidationError("degenerate pre-normalization feature (norm < 1e-12)")
+    if np.any(norms < NORM_FLOOR):
+        raise TrainingDiverged("degenerate pre-normalization feature (norm < 1e-12)")
     Z = np.divide(Y, norms, out=Y)
     return Z, (mask, H, norms, Z)
 
@@ -133,26 +132,15 @@ def predict_probs(features: np.ndarray, protos: Prototypes, tau_p: float) -> np.
     return e
 
 
-def _normalized_or(fallback: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm < _NORM_FLOOR:
-        return fallback
-    return vec / norm
-
-
 def labeled_class_means(
-    features: np.ndarray, labels: np.ndarray, is_labeled: np.ndarray, class_ids
+    features: np.ndarray, labels: np.ndarray, is_labeled: np.ndarray
 ) -> np.ndarray:
-    """Normalized mean of the labeled features of each class in ``class_ids``,
-    one row per id in the given order. A mean that cancels to zero falls back
+    """Normalized mean of the labeled features of each labeled class, one row
+    per class in ascending id order. A mean that cancels to zero falls back
     to the class's first labeled row."""
-    rows = []
-    for c in class_ids:
-        members = features[is_labeled & (labels == c)]
-        if not len(members):
-            raise ValidationError(f"known class {c} has no labeled rows")
-        rows.append(_normalized_or(members[0], members.mean(axis=0)))
-    return np.asarray(rows)
+    labeled = features[is_labeled]
+    _, first, groups = np.unique(labels[is_labeled], return_index=True, return_inverse=True)
+    return normalized_group_means(labeled, groups, len(first), labeled[first])[0]
 
 
 def init_prototypes(
@@ -169,7 +157,7 @@ def init_prototypes(
     ids; the k-means++ picks fill the remaining rows in ascending id order.
     """
     known = np.unique(labels[is_labeled])
-    known_M = labeled_class_means(features, labels, is_labeled, known)
+    known_M = labeled_class_means(features, labels, is_labeled)
     unknown_M = kmeans_pp_extend(features[~is_labeled], known_M, num_classes - len(known), rng)
     M = np.empty((num_classes, features.shape[1]))
     M[known] = known_M
@@ -193,20 +181,16 @@ def update_prototypes(
     """
     if not 0.0 <= ema <= 1.0:
         raise ValidationError(f"ema must be in [0, 1], got {ema}")
-    C = protos.num_classes
+    # an unlabeled row counts only toward a class with no labeled rows
+    unlabeled_group = np.where(np.isin(assignments, labels[is_labeled]), -1, assignments)
+    groups = np.where(is_labeled, labels, unlabeled_group)
+    targets, counts = normalized_group_means(features, groups, protos.num_classes, protos.M)
     new_M = np.array(protos.M, copy=True)
-    unlabeled = ~is_labeled
-    for c in range(C):
-        labeled_members = features[is_labeled & (labels == c)]
-        if len(labeled_members):
-            target = labeled_members.mean(axis=0)
-        else:
-            assigned = features[unlabeled & (assignments == c)]
-            if not len(assigned):
-                continue
-            target = assigned.mean(axis=0)
-        target = _normalized_or(protos.M[c], target)
-        new_M[c] = _normalized_or(protos.M[c], ema * protos.M[c] + (1.0 - ema) * target)
+    for c in np.flatnonzero(counts):
+        blend = ema * protos.M[c] + (1.0 - ema) * targets[c]
+        norm = np.linalg.norm(blend)
+        if norm >= NORM_FLOOR:
+            new_M[c] = blend / norm
     return Prototypes(M=new_M)
 
 
@@ -230,7 +214,7 @@ def sgd_step(
     for name, param in head.params().items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise ValidationError(f"non-finite gradient for {name}")
+            raise TrainingDiverged(f"non-finite gradient for {name}")
         v = velocity[name]
         v *= hp.momentum
         v += g + hp.weight_decay * param

@@ -118,6 +118,26 @@ class TestEvalCommand:
         assert len(lines[1].split(",")) == 8
 
 
+    def test_echo_flags_are_usage_errors(self, tmp_path):
+        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                    "--dataset", str(tmp_path / "data.manifest.json"), "--rho", "5"])
+        assert code == 1
+
+    def test_metrics_csv_leaves_echo_cells_empty(self, tmp_path, config_file):
+        data_dir, run_dir, eval_dir = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        manifest = str(data_dir / "data.manifest.json")
+        cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
+        cli(["train", "--config", str(config_file), "--dataset", manifest,
+             "--out", str(run_dir)])
+        code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--dataset", manifest, "--seed", "7", "--out", str(eval_dir)])
+        assert code == 0
+        header, row = read_csv(eval_dir / "metrics.csv")
+        assert header == ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
+        assert row[:4] == ["7", "", "", ""]
+        assert all(cell != "" for cell in row[4:])
+
+
 class TestSweepCommand:
     def test_sweep_writes_artifacts(self, tmp_path, config_file):
         out = tmp_path / "sweep"

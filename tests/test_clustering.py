@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from support import unit_rows
 
-from ltgcd.clustering import kmeans_pp_extend, seeded_kmeans
+from ltgcd.clustering import kmeans_pp_extend, normalized_group_means, seeded_kmeans
 from ltgcd.errors import ValidationError
 from ltgcd.rng import derive_stream
 
@@ -66,9 +69,18 @@ class TestSeededKmeans:
         rng = derive_stream(5, "test")
         pts = two_blobs(rng)
         # anchor two first-blob points to cluster 1, against their geometry
-        anchors = {0: 1, 1: 1}
+        anchors = np.full(len(pts), -1)
+        anchors[[0, 1]] = 1
         assign, _ = seeded_kmeans(pts, 2, rng, anchors=anchors)
         assert assign[0] == 1 and assign[1] == 1
+
+    def test_anchor_id_out_of_range_rejected(self):
+        rng = derive_stream(7, "test")
+        pts = two_blobs(rng)
+        anchors = np.full(len(pts), -1)
+        anchors[0] = 2
+        with pytest.raises(ValidationError, match="anchor cluster id out of range"):
+            seeded_kmeans(pts, 2, rng, anchors=anchors)
 
     def test_seed_centroids_fix_cluster_identities(self):
         rng = derive_stream(6, "test")
@@ -104,3 +116,38 @@ class TestSeededKmeans:
             seeded_kmeans(pts, 0, rng)
         with pytest.raises(ValidationError):
             seeded_kmeans(pts, 6, rng)
+
+
+FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestNormalizedGroupMeans:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_masked_mean_loop(self, data):
+        k = data.draw(st.integers(1, 5))
+        p = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 20))
+        points = data.draw(arrays(np.float64, (n, p), elements=FINITE))
+        # ids -1 and k lie outside 0..k-1 and must be ignored
+        groups = data.draw(arrays(np.int64, n, elements=st.integers(-1, k)))
+        fallback = data.draw(arrays(np.float64, (k, p), elements=FINITE))
+        # one group holds only x and -x, so its mean is exactly zero
+        cancel = data.draw(st.integers(0, k - 1))
+        x = data.draw(arrays(np.float64, p, elements=FINITE))
+        points = np.vstack([points, x, -x])
+        groups = np.append(np.where(groups == cancel, -1, groups), [cancel, cancel])
+
+        means, counts = normalized_group_means(points, groups, k, fallback)
+
+        assert np.array_equal(means[cancel], fallback[cancel])
+        for g in range(k):
+            members = points[groups == g]
+            assert counts[g] == len(members)
+            expected = fallback[g]
+            if len(members):
+                mean = members.mean(axis=0)
+                norm = np.linalg.norm(mean)
+                if norm >= 1e-12:
+                    expected = mean / norm
+            assert np.array_equal(means[g], expected)

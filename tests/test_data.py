@@ -1,9 +1,13 @@
 """Mixture generation, augmentation, and dataset file round-trips."""
 
 import collections
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
@@ -143,6 +147,26 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.labels, data.labels)
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
         assert np.max(np.abs(loaded.points - data.points)) <= 1e-6
+
+    @given(points=arrays(
+        np.float64, st.tuples(st.just(4), st.integers(1, 4)),
+        elements=st.one_of(
+            st.sampled_from([5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_features_round_trip_bit_for_bit(self, points):
+        # subnormals, +-1e308 and -0.0 survive the CSV text form unchanged
+        data = EmbeddingDataset(
+            points=points, labels=np.array([0, 0, 1, 1]),
+            is_labeled=np.array([True, False, False, False]),
+            known_classes=frozenset({0}), unknown_classes=frozenset({1}),
+            num_classes=2, dim=points.shape[1],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_embeddings(write_dataset(data, tmp))
+        assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
 
     def test_small_valid_file(self, tmp_path):
         (tmp_path / "d.csv").write_text(

@@ -85,6 +85,15 @@ class TestTrainOne:
         assert record.metrics is None
         assert record.error
 
+    def test_invalid_value_inside_the_loop_propagates(self, monkeypatch):
+        # only TrainingDiverged and FloatingPointError become a failed record;
+        # a ValidationError mid-run is a bug and must reach the caller
+        def broken_loss(*args, **kwargs):
+            raise ValidationError("broken invariant")
+        monkeypatch.setattr("ltgcd.harness.overall_loss", broken_loss)
+        with pytest.raises(ValidationError, match="broken invariant"):
+            train_one(small_data(), small_hp(epochs=1))
+
     def test_run_that_steps_no_batch_fails(self):
         # one row per batch never holds the 2 unlabeled rows a step needs
         record = train_one(small_data(), small_hp(batch_size=1, epochs=2))

@@ -291,6 +291,20 @@ class TestOverallLoss:
             fd = finite_diff(scalar, np.array(batch.Z), h=1e-5)
             assert rel_error(lb.grad_Z, fd) <= 1e-4
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rotation_keeps_value_and_rotates_gradient(self, seed):
+        # every term depends on Z and the prototypes only through dot products
+        rng = np.random.default_rng(seed)
+        batch, protos, prior = _random_batch(rng)
+        hp = Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5)
+        Q = random_orthogonal(rng, batch.Z.shape[1])
+        rotated = BatchViews(Z=batch.Z @ Q, labeled_mask=batch.labeled_mask, labels=batch.labels)
+        lb = overall_loss(batch, protos, prior, hp)
+        lr = overall_loss(rotated, Prototypes(M=protos.M @ Q), prior, hp)
+        assert lr.l_overall == pytest.approx(lb.l_overall, rel=1e-12)
+        assert rel_error(lr.grad_Z, lb.grad_Z @ Q) <= 1e-10
+
     def test_needs_two_unlabeled_instances(self):
         rng = derive_stream(15, "test")
         Z = unit_rows(rng, 8, 6)

@@ -10,7 +10,7 @@ from support import finite_diff, rel_error, unit_rows
 
 from ltgcd.clustering import kmeans_pp_extend
 from ltgcd.config import Hyperparams
-from ltgcd.errors import DataFormatError, ValidationError
+from ltgcd.errors import DataFormatError, TrainingDiverged, ValidationError
 from ltgcd.model import (
     ProjectionHead,
     Prototypes,
@@ -56,7 +56,7 @@ class TestForward:
     def test_degenerate_pre_normalization_rejected(self):
         head = ProjectionHead(W1=np.zeros((3, 5)), b1=np.zeros(3),
                               W2=np.zeros((4, 3)), b2=np.zeros(4))
-        with pytest.raises(ValidationError, match="degenerate"):
+        with pytest.raises(TrainingDiverged, match="degenerate"):
             forward(head, np.ones((2, 5)))
 
 
@@ -199,6 +199,16 @@ class TestPrototypes:
         updated = update_prototypes(feats, labels, labels, is_labeled, protos, ema=0.3)
         assert np.array_equal(updated.M[2], protos.M[2])
 
+    def test_unlabeled_row_assigned_to_known_class_does_not_move_it(self):
+        protos = Prototypes(M=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
+        labels = np.array([0, 1])
+        is_labeled = np.array([True, False])
+        # the unlabeled row is assigned to class 0, which has a labeled row
+        assignments = np.array([0, 0])
+        updated = update_prototypes(feats, assignments, labels, is_labeled, protos, ema=0.0)
+        assert np.array_equal(updated.M, [[1.0, 0.0], [1.0, 0.0]])
+
     def test_init_prototypes_known_rows_are_labeled_means(self):
         rng = derive_stream(12, "test")
         feats = unit_rows(rng, 12, 6)
@@ -283,7 +293,7 @@ class TestSgdStep:
         head = random_head(rng, d=4, h=4, p=4)
         g = {n: np.zeros_like(v) for n, v in head.params().items()}
         g["W1"][0, 0] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(TrainingDiverged, match="non-finite"):
             sgd_step(head, g, zero_velocity(head), 0.02, Hyperparams(epochs=10))
 
 
