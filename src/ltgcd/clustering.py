@@ -111,20 +111,23 @@ def seeded_kmeans(
     anchors = np.full(n, -1) if anchors is None else np.asarray(anchors, dtype=np.int64)
     if anchors.shape != (n,) or anchors.min() < -1 or anchors.max() >= k:
         raise ValidationError("anchor cluster id out of range")
-    free_mask = anchors == -1
+    # Only free rows are scored: an anchored row's assignment is fixed.
+    free = np.flatnonzero(anchors == -1)
+    free_points = points[free]
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(_MAX_ITER):
-        sims = points @ centroids.T
-        new_assign = np.where(free_mask, np.argmax(sims, axis=1), anchors)
+        sims = free_points @ centroids.T
+        new_assign = anchors.copy()
+        new_assign[free] = np.argmax(sims, axis=1)
 
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
-            candidates = np.flatnonzero(free_mask & (counts[new_assign] > 1))
+            candidates = np.flatnonzero(counts[new_assign[free]] > 1)
             if not len(candidates):
                 continue
-            own_sim = sims[candidates, new_assign[candidates]]
-            thief = candidates[int(np.argmin(own_sim))]
+            own_sim = sims[candidates, new_assign[free[candidates]]]
+            thief = free[candidates[int(np.argmin(own_sim))]]
             counts[new_assign[thief]] -= 1
             new_assign[thief] = empty
             counts[empty] = 1

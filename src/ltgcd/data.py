@@ -6,13 +6,15 @@ classes contribute ``samples_per_known`` points each, unknown classes
 ``round_half_up(samples_per_known / rho)``. A balanced fraction of each known
 class is marked labeled; everything else forms the unlabeled pool.
 
-On-disk format: a CSV with header ``id,label,is_labeled,f0,...,f{d-1}`` plus
-a JSON manifest ``{"data": path, "C": int, "d": int, "known_classes": [ints]}``.
+On-disk format: a CSV with header ``id,label,is_labeled,f0,...,f{d-1}``,
+unquoted numeric cells and LF or CRLF line ends, plus a JSON manifest
+``{"data": path, "C": int, "d": int, "known_classes": [ints]}``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,12 +151,13 @@ def make_views(
 
 
 def format_cell(value) -> str:
-    """The cell format of every CSV the package writes: floats round-trip
-    through ``repr``, a missing value is an empty cell."""
+    """The cell format of every CSV the package writes: a float is its
+    shortest round-trip ``repr`` (``float.__repr__`` also prints a numpy
+    float64 as a plain number), a missing value is an empty cell."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(float(value))
+        return float.__repr__(value)
     return str(value)
 
 
@@ -169,17 +172,23 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data") -> Path:
-    """Write ``<name>.csv`` plus ``<name>.manifest.json``; returns the manifest path."""
+    """Write ``<name>.csv`` plus ``<name>.manifest.json``; returns the manifest path.
+
+    The CSV has the bytes ``write_csv`` would give it (CRLF line ends, floats
+    by ``format_cell``'s rule); it is written one joined line per row, since
+    its cells are numbers and need no quoting.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     manifest_path = out_dir / f"{name}.manifest.json"
 
     header = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)]
-    rows = zip(data.labels.tolist(), data.is_labeled.tolist(), data.points.tolist())
-    write_csv(csv_path, header, (
-        [i, label, int(flag), *feats] for i, (label, flag, feats) in enumerate(rows)
-    ))
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, (label, flag) in enumerate(zip(data.labels.tolist(), data.is_labeled.tolist())):
+            feats = ",".join(map(float.__repr__, data.points[i].tolist()))
+            fh.write(f"{i},{label},{int(flag)},{feats}\r\n")
 
     manifest = {
         "data": csv_path.name,
@@ -206,6 +215,8 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
 
     C = int(manifest["C"])
     d = int(manifest["d"])
+    if d < 1:
+        raise DataFormatError(f"{manifest_path}: d must be >= 1, got {d}")
     known = frozenset(int(c) for c in manifest["known_classes"])
     if not known or any(c < 0 or c >= C for c in known):
         raise DataFormatError(f"{manifest_path}: known_classes must be a nonempty subset of 0..C-1")
@@ -215,22 +226,21 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if not data_path.exists():
         raise FileNotFoundError(f"data file not found: {data_path}")
 
-    points, labels, flags = [], [], []
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
-        if header != expected:
-            raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + d:
-                raise DataFormatError(
-                    f"{data_path}:{lineno}: expected {3 + d} fields, got {len(row)}"
-                )
+    expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
+    labels, flags = [], []
+    lineno = 1
+
+    def feature_text(lines):
+        """Check each data line's field count and integer fields, keep its
+        label and flag, and yield its feature text."""
+        nonlocal lineno
+        for lineno, line in enumerate(lines, start=2):
+            if line.count(",") != d + 2:
+                fields = 0 if line == "\n" else line.count(",") + 1
+                raise DataFormatError(f"{data_path}:{lineno}: expected {3 + d} fields, got {fields}")
+            _, label, flag, feats = line.split(",", 3)
             try:
-                label = int(row[1])
-                flag = int(row[2])
-                feats = [float(v) for v in row[3:]]
+                label, flag = int(label), int(flag)
             except ValueError as exc:
                 raise DataFormatError(f"{data_path}:{lineno}: malformed row ({exc})") from None
             if flag not in (0, 1):
@@ -239,12 +249,28 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
                 raise DataFormatError(f"{data_path}:{lineno}: class id {label} >= C ({C})")
             if flag == 1 and label not in known:
                 raise DataFormatError(f"{data_path}:{lineno}: labeled unknown class {label}")
-            points.append(feats)
+            if not feats.strip():
+                # np.loadtxt would skip the blank text and drop the row
+                raise DataFormatError(f"{data_path}:{lineno}: malformed row (empty feature)")
             labels.append(label)
-            flags.append(bool(flag))
-    if not points:
-        raise DataFormatError(f"{data_path}: no data rows")
-    points = np.asarray(points, dtype=np.float64)
+            flags.append(flag == 1)
+            yield feats
+
+    # Universal newlines read LF and CRLF files alike. np.loadtxt parses the
+    # features in C; it converts each line it pulls before it pulls the next,
+    # so on a parse error ``lineno`` is the line at fault.
+    with open(data_path) as fh:
+        if fh.readline().rstrip("\n").split(",") != expected:
+            raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
+        first = fh.readline()
+        if not first:
+            raise DataFormatError(f"{data_path}: no data rows")
+        try:
+            points = np.loadtxt(feature_text(itertools.chain([first], fh)), dtype=np.float64,
+                                delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            cause = str(exc).split(" at row")[0]
+            raise DataFormatError(f"{data_path}:{lineno}: malformed row ({cause})") from None
     bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad_rows):
         raise DataFormatError(f"{data_path}:{bad_rows[0] + 2}: non-finite feature value")

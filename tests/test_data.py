@@ -1,6 +1,7 @@
 """Mixture generation, augmentation, and dataset file round-trips."""
 
 import collections
+import json
 import tempfile
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestFileRoundTrip:
             loaded = load_embeddings(write_dataset(data, tmp))
         assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
 
+    def test_writer_bytes(self, tmp_path):
+        # CRLF line ends, the id,label,is_labeled prefix, and every float as
+        # its shortest round-trip repr, signed zero and subnormals included.
+        data = EmbeddingDataset(
+            points=np.array([[-0.0, 5e-324], [1e-310, 1e308], [0.1, -2.5]]),
+            labels=np.array([0, 1, 1]), is_labeled=np.array([True, False, False]),
+            known_classes=frozenset({0}), unknown_classes=frozenset({1}),
+            num_classes=2, dim=2,
+        )
+        write_dataset(data, tmp_path)
+        assert (tmp_path / "data.csv").read_bytes() == (
+            b"id,label,is_labeled,f0,f1\r\n"
+            b"0,0,1,-0.0,5e-324\r\n"
+            b"1,1,0,1e-310,1e+308\r\n"
+            b"2,1,0,0.1,-2.5\r\n"
+        )
+
     def test_small_valid_file(self, tmp_path):
         (tmp_path / "d.csv").write_text(
             "id,label,is_labeled,f0,f1\n"
@@ -228,6 +246,85 @@ class TestFileRoundTrip:
         )
         with pytest.raises(FileNotFoundError):
             load_embeddings(tmp_path / "m.json")
+
+
+def write_files(tmp_path, rows, d=1, newline="\n", header=None, **manifest):
+    """``d.csv`` with ``header`` (default: the expected one) and ``rows``,
+    each line ended by ``newline``, plus a manifest ``m.json``."""
+    if header is None:
+        header = ",".join(["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)])
+    (tmp_path / "d.csv").write_bytes("".join(line + newline for line in [header, *rows]).encode())
+    manifest = {"data": "d.csv", "C": 2, "d": d, "known_classes": [0], **manifest}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return tmp_path / "m.json"
+
+
+class TestLoaderErrors:
+    """Every loader error names its file, and a row error its line."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0,1,0.5", "1,1,0,0.25,9"], r"d\.csv:3: expected 4 fields, got 5"),
+        (["0,0,1,0.5", "1,1,0"], r"d\.csv:3: expected 4 fields, got 3"),
+        (["0,0,1,0.5", "", "1,1,0,0.25"], r"d\.csv:3: expected 4 fields, got 0"),
+        (["0,0,1,0.5", "1,1,2,0.25"], r"d\.csv:3: is_labeled must be 0 or 1"),
+        (["0,0,1,0.5", "1,1.5,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", "1,1e2,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", "1,1,0,0.25", "2,1,0,"], r"d\.csv:4: malformed row"),
+        ([], r"d\.csv: no data rows"),
+    ])
+    def test_row_errors_name_file_and_line(self, tmp_path, rows, message):
+        with pytest.raises(DataFormatError, match=message):
+            load_embeddings(write_files(tmp_path, rows))
+
+    def test_bad_header(self, tmp_path):
+        manifest = write_files(tmp_path, ["0,0,1,0.5"], header="id,label,labeled,f0")
+        with pytest.raises(DataFormatError, match=r"d\.csv: bad header"):
+            load_embeddings(manifest)
+
+    def test_invalid_manifest_json(self, tmp_path):
+        (tmp_path / "m.json").write_text('{"data": "d.csv", "C": 2,')
+        with pytest.raises(DataFormatError, match=r"m\.json: invalid JSON"):
+            load_embeddings(tmp_path / "m.json")
+
+    def test_missing_manifest_key(self, tmp_path):
+        (tmp_path / "m.json").write_text('{"data": "d.csv", "d": 1, "known_classes": [0]}')
+        with pytest.raises(DataFormatError, match=r"m\.json: manifest missing key 'C'"):
+            load_embeddings(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("known", [[2], [-1], []])
+    def test_known_classes_out_of_range(self, tmp_path, known):
+        manifest = write_files(tmp_path, ["0,0,1,0.5"], known_classes=known)
+        with pytest.raises(DataFormatError,
+                           match=r"m\.json: known_classes must be a nonempty subset of 0\.\.C-1"):
+            load_embeddings(manifest)
+
+    def test_dimension_must_be_positive(self, tmp_path):
+        manifest = write_files(tmp_path, ["0,0,1"], d=0)
+        with pytest.raises(DataFormatError, match=r"m\.json: d must be >= 1, got 0"):
+            load_embeddings(manifest)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_lf_and_crlf_files_load(self, tmp_path, newline):
+        rows = ["0,0,1,0.5,-1.0", "1,0,0,0.25,2e-300", "2,1,0,-0.0,1e308"]
+        loaded = load_embeddings(write_files(tmp_path, rows, d=2, newline=newline))
+        expected = np.array([[0.5, -1.0], [0.25, 2e-300], [-0.0, 1e308]])
+        assert np.array_equal(loaded.points.view(np.uint64), expected.view(np.uint64))
+        assert loaded.labels.tolist() == [0, 0, 1]
+        assert loaded.is_labeled.tolist() == [True, False, False]
+
+    def test_malformed_feature_past_the_first_parser_chunk(self, tmp_path):
+        # Past 50,000 rows, np.loadtxt's chunk size, the error still names
+        # the file line, counting the header as line 1.
+        rows = [f"{i},0,1,0.5" for i in range(50_010)]
+        rows[50_001] = "50001,0,1,0.5x"
+        with pytest.raises(DataFormatError, match=r"d\.csv:50003: malformed row"):
+            load_embeddings(write_files(tmp_path, rows))
+
+    def test_quoted_cell_rejected(self, tmp_path):
+        # Cells are plain numbers; CSV quoting is not part of the format.
+        manifest = write_files(tmp_path, ["0,0,1,0.5", '1,1,0,"0.5"'])
+        with pytest.raises(DataFormatError, match=r"d\.csv:3: malformed row"):
+            load_embeddings(manifest)
 
 
 class TestDatasetInvariants:
