@@ -97,9 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="the parent's perfbench-out")
     parser.add_argument("--change", required=True, type=Path, help="the change's perfbench-out")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
-    spec = json.loads(args.benchmark.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bench = fold(args.parent, args.change, spec)
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     for workload, entry in bench["workloads"].items():

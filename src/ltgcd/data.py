@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +201,11 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data
     return manifest_path
 
 
+# The text of a label or is_labeled cell; ``int()`` alone would also take
+# ``1_0``, surrounding spaces and non-ASCII digits.
+_PLAIN_INT = re.compile(r"-?[0-9]+")
+
+
 def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     """Load a dataset described by a JSON manifest; validates all invariants."""
     manifest_path = Path(manifest_path)
@@ -239,10 +245,10 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
                 fields = 0 if line == "\n" else line.count(",") + 1
                 raise DataFormatError(f"{data_path}:{lineno}: expected {3 + d} fields, got {fields}")
             _, label, flag, feats = line.split(",", 3)
-            try:
-                label, flag = int(label), int(flag)
-            except ValueError as exc:
-                raise DataFormatError(f"{data_path}:{lineno}: malformed row ({exc})") from None
+            if not (_PLAIN_INT.fullmatch(label) and _PLAIN_INT.fullmatch(flag)):
+                raise DataFormatError(f"{data_path}:{lineno}: malformed row "
+                                      "(label and is_labeled must be plain integers)")
+            label, flag = int(label), int(flag)
             if flag not in (0, 1):
                 raise DataFormatError(f"{data_path}:{lineno}: is_labeled must be 0 or 1")
             if label < 0 or label >= C:
@@ -258,8 +264,10 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
 
     # Universal newlines read LF and CRLF files alike. np.loadtxt parses the
     # features in C; it converts each line it pulls before it pulls the next,
-    # so on a parse error ``lineno`` is the line at fault.
-    with open(data_path) as fh:
+    # so on a parse error ``lineno`` is the line at fault. The cells are ASCII;
+    # a byte above 127 decodes to a lone surrogate that fails its line's parse
+    # (a strict decode would fail a whole read-ahead block, not one line).
+    with open(data_path, encoding="ascii", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n").split(",") != expected:
             raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
         first = fh.readline()

@@ -269,6 +269,10 @@ class TestLoaderErrors:
         (["0,0,1,0.5", "1,1,2,0.25"], r"d\.csv:3: is_labeled must be 0 or 1"),
         (["0,0,1,0.5", "1,1.5,0,0.25"], r"d\.csv:3: malformed row"),
         (["0,0,1,0.5", "1,1e2,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", "1,1_0,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", "1, 1,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", "1,\u0661,0,0.25"], r"d\.csv:3: malformed row"),
+        (["0,0,1,0.5", '1,1,0,"0.5"'], r"d\.csv:3: malformed row"),
         (["0,0,1,0.5", "1,1,0,0.25", "2,1,0,"], r"d\.csv:4: malformed row"),
         ([], r"d\.csv: no data rows"),
     ])
@@ -312,18 +316,22 @@ class TestLoaderErrors:
         assert loaded.labels.tolist() == [0, 0, 1]
         assert loaded.is_labeled.tolist() == [True, False, False]
 
-    def test_malformed_feature_past_the_first_parser_chunk(self, tmp_path):
-        # Past 50,000 rows, np.loadtxt's chunk size, the error still names
-        # the file line, counting the header as line 1.
+    def test_malformed_feature_deep_in_the_stream(self, tmp_path):
+        # np.loadtxt's C reader pulls and converts one line at a time from the
+        # loader's generator, so a bad float anywhere in a long file is named
+        # by its own line, counting the header as line 1.
         rows = [f"{i},0,1,0.5" for i in range(50_010)]
         rows[50_001] = "50001,0,1,0.5x"
         with pytest.raises(DataFormatError, match=r"d\.csv:50003: malformed row"):
             load_embeddings(write_files(tmp_path, rows))
 
-    def test_quoted_cell_rejected(self, tmp_path):
-        # Cells are plain numbers; CSV quoting is not part of the format.
-        manifest = write_files(tmp_path, ["0,0,1,0.5", '1,1,0,"0.5"'])
-        with pytest.raises(DataFormatError, match=r"d\.csv:3: malformed row"):
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        # Far past the text decoder's read-ahead block, in any locale.
+        rows = [f"{i},0,1,0.5" for i in range(5_000)]
+        manifest = write_files(tmp_path, rows)
+        with open(tmp_path / "d.csv", "ab") as fh:
+            fh.write(b"5000,0,1,0.5\xff\n5001,0,1,0.5\n")
+        with pytest.raises(DataFormatError, match=r"d\.csv:5002: malformed row"):
             load_embeddings(manifest)
 
 
