@@ -112,8 +112,8 @@ class SplitSpec:
 
 _HP_FIELDS = {f.name for f in fields(Hyperparams)}
 _SPLIT_FIELDS = {f.name for f in fields(SplitSpec)}
-_INT_KEYS = {"epochs", "batch_size", "seed", "num_classes", "num_known",
-             "samples_per_known", "dim"}
+# annotations are strings under ``from __future__ import annotations``
+_INT_KEYS = {f.name for f in fields(Hyperparams) + fields(SplitSpec) if f.type == "int"}
 
 # file/CLI spelling -> dataclass field
 _KEY_ALIASES = {"lambda": "lambda_"}

@@ -77,10 +77,6 @@ class EmbeddingDataset:
     def unlabeled_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.is_labeled)
 
-    @property
-    def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.is_labeled)
-
 
 def check_sep(sep: float) -> None:
     if not sep >= 0:
@@ -219,11 +215,17 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: manifest missing key {key!r}")
 
-    C = int(manifest["C"])
-    d = int(manifest["d"])
+    # JSON integers only: int() would truncate 2.7 and take true or "3"
+    for key in ("C", "d"):
+        if type(manifest[key]) is not int:
+            raise DataFormatError(f"{manifest_path}: {key} must be an integer, got {manifest[key]!r}")
+    known = manifest["known_classes"]
+    if type(known) is not list or any(type(c) is not int for c in known):
+        raise DataFormatError(f"{manifest_path}: known_classes must be a list of integers, "
+                              f"got {known!r}")
+    C, d, known = manifest["C"], manifest["d"], frozenset(known)
     if d < 1:
         raise DataFormatError(f"{manifest_path}: d must be >= 1, got {d}")
-    known = frozenset(int(c) for c in manifest["known_classes"])
     if not known or any(c < 0 or c >= C for c in known):
         raise DataFormatError(f"{manifest_path}: known_classes must be a nonempty subset of 0..C-1")
     data_path = Path(manifest["data"])

@@ -24,7 +24,7 @@ from .rng import derive_stream
 @dataclass(frozen=True)
 class MetricsReport:
     all_acc: float
-    known_acc: float
+    known_acc: float | None   # absent when no unlabeled row is of a known class
     un1_acc: float | None     # absent when the dataset has no novel rows
     un2_acc: float | None
     n_all: int
@@ -129,7 +129,7 @@ def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> Metrics
 
     return MetricsReport(
         all_acc=all_acc,
-        known_acc=known_acc if known_acc is not None else 0.0,
+        known_acc=known_acc,
         un1_acc=un1_acc,
         un2_acc=un2_acc,
         n_all=len(unlab),

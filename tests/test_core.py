@@ -159,6 +159,13 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="epochs"):
             parse_config_text("epochs = ten")
 
+    # every field defaults to a value of its annotated type
+    @pytest.mark.parametrize("name", [f.name for cls in (Hyperparams, SplitSpec)
+                                      for f in fields(cls) if type(f.default) is int])
+    def test_integer_keys_reject_fractions(self, name):
+        with pytest.raises(ValidationError, match=f"value for '{name}' must be an integer"):
+            parse_config_text(f"{name} = 1.5")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValidationError, match="key = value"):
             parse_config_text("tau 0.1")

@@ -295,6 +295,18 @@ class TestLoaderErrors:
         with pytest.raises(DataFormatError, match=r"m\.json: manifest missing key 'C'"):
             load_embeddings(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("C", 2.7, r"C must be an integer, got 2\.7"),
+        ("d", True, r"d must be an integer, got True"),
+        ("C", "3", r"C must be an integer, got '3'"),
+        ("known_classes", [0.6], r"known_classes must be a list of integers, got \[0\.6\]"),
+        ("known_classes", "01", r"known_classes must be a list of integers, got '01'"),
+    ], ids=["C-float", "d-bool", "C-string", "known-float", "known-string"])
+    def test_manifest_numbers_must_be_json_integers(self, tmp_path, key, value, message):
+        manifest = write_files(tmp_path, ["0,0,1,0.5"], **{key: value})
+        with pytest.raises(DataFormatError, match=r"m\.json: " + message):
+            load_embeddings(manifest)
+
     @pytest.mark.parametrize("known", [[2], [-1], []])
     def test_known_classes_out_of_range(self, tmp_path, known):
         manifest = write_files(tmp_path, ["0,0,1,0.5"], known_classes=known)

@@ -167,6 +167,18 @@ class TestEvaluate:
         assert report.un2_acc is None
         assert report.all_acc == report.known_acc
 
+    def test_no_known_unlabeled_rows_reports_absent_known(self):
+        # two rows per known class, both labeled: the unlabeled pool is all novel
+        split = SplitSpec(num_classes=6, num_known=3, samples_per_known=2, rho=1.0,
+                          labeled_fraction=0.9, dim=8)
+        data = generate_mixture(split, 4.0, derive_stream(0, "split"))
+        head = ProjectionHead(W1=np.eye(8), b1=np.zeros(8), W2=np.eye(8), b2=np.zeros(8))
+        report = evaluate(head, data, seed=0)
+        assert report.n_known == 0 and report.n_novel == report.n_all == 6
+        assert report.known_acc is None
+        assert report.un1_acc is not None and report.un2_acc is not None
+        assert metrics_row(report, rho=1.0, alpha=1.0, beta=2.0)[5] == ""
+
     def test_csv_row_layout(self):
         head, data = separable_snapshot(seed=7)
         report = evaluate(head, data, seed=3)
