@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import Hyperparams, SplitSpec, build_params, read_config_file
+from .config import CONFIG_KEYS, Hyperparams, SplitSpec, build_params, read_config_file
 from .data import generate_mixture, load_embeddings, write_csv, write_dataset
 from .errors import ValidationError
 from .evaluation import evaluate
@@ -44,84 +44,69 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
+def _list_of(kind):
+    """argparse ``type=`` for a comma-separated, non-empty list of ``kind``."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in text.split(",") if v.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated {kind.__name__} values, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("list is empty")
+        return values
+    return parse
+
+
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name.
+
+    Every override flag stores under its config key, so ``_load_params``
+    picks them out by name; the sweep lists store under the plan fields.
+    """
     parser = _Parser(prog="ltgcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory")
-
     p_gen = sub.add_parser("gen", help="write a synthetic dataset (CSV + manifest)")
-    add_common(p_gen)
-    p_gen.add_argument("--rho", type=float)
-    p_gen.add_argument("--sep", type=float, default=DEFAULT_SEP)
-
     p_train = sub.add_parser("train", help="train one model and evaluate it")
-    add_common(p_train)
-    p_train.add_argument("--dataset", help="dataset manifest; generated when omitted")
-    p_train.add_argument("--rho", type=float)
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--beta", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch", type=int)
-    p_train.add_argument("--sep", type=float, default=DEFAULT_SEP)
-    p_train.add_argument("--noise-sigma", type=float)
-    p_train.add_argument("--drop-prob", type=float)
-
     p_eval = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
-    add_common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", required=True)
-
-    for p in (p_gen, p_train, p_eval):
-        p.add_argument("--seed", type=int)
-
     # no abbreviations: "--seed" would otherwise be read as "--seeds"
     p_sweep = sub.add_parser("sweep", help="run a rho/alpha/beta/seed grid",
                              allow_abbrev=False)
-    add_common(p_sweep)
-    p_sweep.add_argument("--rho", help="comma-separated rho values")
-    p_sweep.add_argument("--alpha", help="comma-separated alpha values")
-    p_sweep.add_argument("--beta", help="comma-separated beta values")
-    p_sweep.add_argument("--seeds", help="comma-separated seeds (default 0,1,2)")
-    p_sweep.add_argument("--epochs", type=int)
-    p_sweep.add_argument("--batch", type=int)
-    p_sweep.add_argument("--sep", type=float, default=DEFAULT_SEP)
-    p_sweep.add_argument("--noise-sigma", type=float)
-    p_sweep.add_argument("--drop-prob", type=float)
+
+    for p in (p_gen, p_train, p_eval, p_sweep):
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", help="output directory")
+    for p in (p_gen, p_train, p_eval):
+        p.add_argument("--seed", type=int)
+    for p in (p_gen, p_train, p_sweep):
+        p.add_argument("--sep", type=float, default=DEFAULT_SEP)
+    for p in (p_train, p_sweep):
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch", dest="batch_size", type=int)
+        p.add_argument("--noise-sigma", type=float)
+        p.add_argument("--drop-prob", type=float)
+
+    p_gen.add_argument("--rho", type=float)
+    p_train.add_argument("--dataset", help="dataset manifest; generated when omitted")
+    for key in ("rho", "alpha", "beta"):
+        p_train.add_argument(f"--{key}", type=float)
+        p_sweep.add_argument(f"--{key}", dest=f"{key}s", type=_list_of(float),
+                             help=f"comma-separated {key} values")
+    p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--dataset", required=True)
+    p_sweep.add_argument("--seeds", type=_list_of(int), default=(0, 1, 2),
+                         help="comma-separated seeds (default 0,1,2)")
     p_sweep.add_argument("--workers", type=int, default=1)
 
     return parser, sub.choices
 
 
 def _load_params(args) -> tuple[Hyperparams, SplitSpec]:
+    """Config file values, then every flag that names a config key."""
     values = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "rho": getattr(args, "rho", None) if args.command != "sweep" else None,
-        "alpha": getattr(args, "alpha", None) if args.command != "sweep" else None,
-        "beta": getattr(args, "beta", None) if args.command != "sweep" else None,
-        "epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch", None),
-        "noise_sigma": getattr(args, "noise_sigma", None),
-        "drop_prob": getattr(args, "drop_prob", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update({k: v for k, v in vars(args).items()
+                   if v is not None and k in CONFIG_KEYS})
     return build_params(values)
-
-
-def _parse_float_list(text: str | None, fallback: list[float], what: str) -> list[float]:
-    if text is None:
-        return fallback
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}")
-    if not values:
-        raise ValidationError(f"{what} list is empty")
-    return values
 
 
 def _require_out(args) -> Path:
@@ -164,7 +149,9 @@ def _cmd_train(args) -> int:
         print(f"training failed: {record.error}", file=sys.stderr)
         return 2
     save_checkpoint(out / "checkpoint.json", record.head, record.protos)
-    _report_metrics(metrics_row(record.metrics, split.rho, hp.alpha, hp.beta), out)
+    # a loaded dataset does not record the rho it was made with
+    rho = None if args.dataset else split.rho
+    _report_metrics(metrics_row(record.metrics, rho, hp.alpha, hp.beta), out)
     return 0
 
 
@@ -186,16 +173,13 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     hp, split = _load_params(args)
     out = _require_out(args)   # sweep creates it, once the plan is valid
-    seeds = _parse_float_list(args.seeds, [0, 1, 2], "--seeds")
-    if not all(float(s).is_integer() for s in seeds):
-        raise ValidationError(f"--seeds must be integers, got {args.seeds!r}")
     plan = ExperimentPlan(
         hp=hp,
         split=split,
-        rhos=tuple(_parse_float_list(args.rho, [split.rho], "--rho")),
-        alphas=tuple(_parse_float_list(args.alpha, [hp.alpha], "--alpha")),
-        betas=tuple(_parse_float_list(args.beta, [hp.beta], "--beta")),
-        seeds=tuple(int(s) for s in seeds),
+        rhos=args.rhos or (split.rho,),
+        alphas=args.alphas or (hp.alpha,),
+        betas=args.betas or (hp.beta,),
+        seeds=args.seeds,
         out_dir=out,
         sep=args.sep,
         workers=args.workers,

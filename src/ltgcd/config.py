@@ -112,6 +112,7 @@ class SplitSpec:
 
 _HP_FIELDS = {f.name for f in fields(Hyperparams)}
 _SPLIT_FIELDS = {f.name for f in fields(SplitSpec)}
+CONFIG_KEYS = _HP_FIELDS | _SPLIT_FIELDS
 # annotations are strings under ``from __future__ import annotations``
 _INT_KEYS = {f.name for f in fields(Hyperparams) + fields(SplitSpec) if f.type == "int"}
 
@@ -136,7 +137,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key = key.strip()
         rhs = rhs.strip()
         name = _KEY_ALIASES.get(key, key)
-        if name not in _HP_FIELDS and name not in _SPLIT_FIELDS:
+        if name not in CONFIG_KEYS:
             raise ValidationError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
             value = int(rhs) if name in _INT_KEYS else float(rhs)
@@ -158,7 +159,7 @@ def build_params(values: dict) -> tuple[Hyperparams, SplitSpec]:
     """Split a merged value dict into validated Hyperparams and SplitSpec."""
     hp_kwargs = {k: v for k, v in values.items() if k in _HP_FIELDS}
     split_kwargs = {k: v for k, v in values.items() if k in _SPLIT_FIELDS}
-    unknown = set(values) - _HP_FIELDS - _SPLIT_FIELDS
+    unknown = set(values) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return Hyperparams(**hp_kwargs), SplitSpec(**split_kwargs)

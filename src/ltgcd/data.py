@@ -168,8 +168,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     return path
 
 
-def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data") -> Path:
-    """Write ``<name>.csv`` plus ``<name>.manifest.json``; returns the manifest path.
+def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
+    """Write ``data.csv`` plus ``data.manifest.json``; returns the manifest path.
 
     The CSV has the bytes ``write_csv`` would give it (CRLF line ends, floats
     by ``format_cell``'s rule); it is written one joined line per row, since
@@ -177,8 +177,8 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path, name: str = "data
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
-    manifest_path = out_dir / f"{name}.manifest.json"
+    csv_path = out_dir / "data.csv"
+    manifest_path = out_dir / "data.manifest.json"
 
     header = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)]
     with open(csv_path, "w", newline="") as fh:

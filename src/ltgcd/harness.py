@@ -36,7 +36,7 @@ from .model import (
     sgd_step,
     update_prototypes,
 )
-from .prior import ema_update, hard_histogram, init_uniform
+from .prior import ema_update, hard_histogram
 from .rng import derive_stream
 
 DEFAULT_SEP = 5.0
@@ -95,8 +95,11 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name in ("rhos", "alphas", "betas", "seeds"):
-            if not len(getattr(self, name)):
+            values = getattr(self, name)
+            if not len(values):
                 raise ValidationError(f"plan field {name} must be a non-empty list")
+            if len(set(values)) != len(values):
+                raise ValidationError(f"plan field {name} repeats a value: {list(values)}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         check_sep(self.sep)
@@ -128,6 +131,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     EMA update. A ``TrainingDiverged`` or ``FloatingPointError`` ends the run
     with a ``failed`` record; any other exception propagates.
     """
+    if data.num_classes < 2:
+        raise ValidationError(f"need at least 2 classes, got {data.num_classes}")
     config_echo = {
         **{("lambda" if k == "lambda_" else k): v for k, v in asdict(hp).items()},
         "n": data.n,
@@ -146,7 +151,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM, init_rng)
     feats = forward(head, data.points)
     protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
-    prior = init_uniform(data.num_classes, hp.mu)
+    r = np.full(data.num_classes, 1.0 / data.num_classes)
     velocity = {name: np.zeros_like(arr) for name, arr in head.params().items()}
     unlab = data.unlabeled_indices
 
@@ -166,7 +171,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                     labeled_mask=data.is_labeled[batch],
                     labels=data.labels[batch],
                 )
-                breakdown = overall_loss(bv, protos, prior.r, hp)
+                breakdown = overall_loss(bv, protos, r, hp)
                 if not math.isfinite(breakdown.l_overall):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}"
@@ -183,9 +188,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 )
 
             feats = forward(head, data.points)
-            probs = predict_probs(feats, protos, hp.tau_p)
-            prior = ema_update(prior, hard_histogram(probs[unlab]))
-            assignments = np.argmax(probs, axis=1)
+            assignments = np.argmax(predict_probs(feats, protos, hp.tau_p), axis=1)
+            r = ema_update(r, hard_histogram(assignments[unlab], data.num_classes), hp.mu)
             protos = update_prototypes(
                 feats, assignments, data.labels, data.is_labeled, protos, PROTOTYPE_EMA
             )
@@ -199,7 +203,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 h_uniform=float(means[3]),
                 l_overall=float(means[4]),
                 lr=lr,
-                prior_r=np.array(prior.r),
+                prior_r=r,
             ))
     except (TrainingDiverged, FloatingPointError) as exc:
         # numeric trouble mid-run (exploding or collapsing features) becomes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ltgcd.cli import cli
+from ltgcd.data import EmbeddingDataset, write_dataset
 from ltgcd.model import Prototypes, init_head, save_checkpoint
 from ltgcd.rng import derive_stream
 
@@ -72,9 +73,25 @@ class TestTrainCommand:
         assert cli(["gen", "--config", str(config_file), "--out", str(data_dir)]) == 0
         manifest = data_dir / "data.manifest.json"
         assert manifest.exists()
-        code = cli(["train", "--config", str(config_file),
+        code = cli(["train", "--config", str(config_file), "--rho", "9",
                     "--dataset", str(manifest), "--out", str(tmp_path / "run")])
         assert code == 0
+        # a loaded dataset does not record its rho, so the cell stays empty
+        _, row = read_csv(tmp_path / "run" / "metrics.csv")
+        assert row[1] == "" and row[2] != "" and row[3] != ""
+
+    def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
+        rng = derive_stream(0, "test")
+        data = EmbeddingDataset(
+            points=rng.standard_normal((8, 16)), labels=np.zeros(8, dtype=np.int64),
+            is_labeled=np.arange(8) < 4, known_classes=frozenset({0}),
+            unknown_classes=frozenset(), num_classes=1, dim=16,
+        )
+        manifest = write_dataset(data, tmp_path / "data")
+        code = cli(["train", "--config", str(config_file),
+                    "--dataset", str(manifest), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "need at least 2 classes, got 1" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -167,6 +184,8 @@ class TestSweepCommand:
         ("--sep=-1", "sep must be >= 0, got -1.0"),
         ("--noise-sigma=-1", "noise_sigma must be >= 0, got -1.0"),
         ("--drop-prob=1", "drop_prob must be in [0, 1), got 1.0"),
+        ("--beta=0,0", "plan field betas repeats a value"),
+        ("--seeds=1,1", "plan field seeds repeats a value"),
     ])
     def test_invalid_plan_value_exits_1_before_any_run(
         self, tmp_path, config_file, capsys, flag, shown
