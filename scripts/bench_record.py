@@ -16,6 +16,9 @@ end-to-end metrics and which side ran first (the record written first), and
 for each workload and metric of BENCHMARK.json: each side's median and
 quartiles, and how many pairs the change and the parent each won, by the
 metric's ``better`` direction (ties count for neither).
+
+``--stability PARENT CHANGE`` adds the two ``scripts/seed_report.py`` JSON
+tables, one from each checkout, as the ``stability`` section.
 """
 
 from __future__ import annotations
@@ -97,9 +100,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="the parent's perfbench-out")
     parser.add_argument("--change", required=True, type=Path, help="the change's perfbench-out")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--stability", nargs=2, type=Path, metavar=SIDES,
+                        help="seed_report.py tables of the parent and the change")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bench = fold(args.parent, args.change, spec)
+    if args.stability:
+        bench["stability"] = {side: json.loads(path.read_text())
+                              for side, path in zip(SIDES, args.stability)}
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     for workload, entry in bench["workloads"].items():
         op = entry["metrics"]["op_s"]

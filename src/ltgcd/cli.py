@@ -88,6 +88,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_gen.add_argument("--rho", type=float)
     p_train.add_argument("--dataset", help="dataset manifest; generated when omitted")
+    p_train.set_defaults(sep=None)   # unset, so a --sep beside --dataset shows
     for key in ("rho", "alpha", "beta"):
         p_train.add_argument(f"--{key}", type=float)
         p_sweep.add_argument(f"--{key}", dest=f"{key}s", type=_list_of(float),
@@ -139,7 +140,8 @@ def _cmd_train(args) -> int:
     if args.dataset:
         data = load_embeddings(args.dataset)
     else:
-        data = generate_mixture(split, args.sep, derive_stream(hp.seed, "split"))
+        sep = DEFAULT_SEP if args.sep is None else args.sep
+        data = generate_mixture(split, sep, derive_stream(hp.seed, "split"))
 
     record = train_one(data, hp)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,6 +204,10 @@ def cli(argv: list[str] | None = None) -> int:
         args, extras = parser.parse_known_args(argv)
         if extras:
             subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+        # the split flags shape a generated split only
+        for flag in ("rho", "sep"):
+            if args.command == "train" and args.dataset and getattr(args, flag) is not None:
+                subparsers["train"].error(f"argument --{flag}: not allowed with argument --dataset")
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"ltgcd: error: {exc}", file=sys.stderr)

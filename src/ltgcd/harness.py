@@ -167,7 +167,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 X = make_views(data, batch, hp.noise_sigma, hp.drop_prob, aug_rng)
                 Z, acts = forward_cached(head, X)
                 bv = BatchViews(
-                    Z=Z,
+                    Z=Z.astype(np.float32),
                     labeled_mask=data.is_labeled[batch],
                     labels=data.labels[batch],
                 )

@@ -21,7 +21,11 @@ _LOG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BatchViews:
-    """Interleaved two-view features: rows 2i and 2i+1 belong to instance i."""
+    """Interleaved two-view features: rows 2i and 2i+1 belong to instance i.
+
+    ``Z`` may be float32 or float64. The contrastive losses compute in its
+    dtype, the regularizers in float64; ``train_one`` passes a float32 copy.
+    """
 
     Z: np.ndarray             # (2B, p) unit-norm rows
     labeled_mask: np.ndarray  # (B,) bool
@@ -58,7 +62,7 @@ def combine_overall(
 
 def _view_rows(instance_idx: np.ndarray) -> np.ndarray:
     """Row indices of both views for the given instance indices, interleaved."""
-    return np.stack([2 * instance_idx, 2 * instance_idx + 1], axis=1).reshape(-1)
+    return (2 * instance_idx[:, None] + [0, 1]).ravel()
 
 
 def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.ndarray, bool]:
@@ -68,52 +72,40 @@ def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.nda
     into the m x m similarity matrix, never on its diagonal. Each anchor's
     denominator is every other row. Anchors with no positive are dropped from
     the outer mean; if none has one the value is 0 and the flag is set.
-    Returns the mean anchor loss, dL/dZ and that flag.
-
-    The softmax weights of the gradient are recomputed as ``exp(log_probs)``
-    rather than taken as the shifted exponentials over their sum: the two
-    differ in the last bit, and over hundreds of SGD steps that bit moves the
-    trained head and its metrics.
+    Returns the mean anchor loss, dL/dZ and that flag. The similarities and
+    the gradient are computed in the dtype of ``Z``.
     """
+    if len(pos) == 0:
+        return 0.0, np.zeros_like(Z), True
     m = Z.shape[0]
     anchors = pos // m
     pos_counts = np.bincount(anchors, minlength=m)
-    contributing = pos_counts > 0
-    n_anchors = int(contributing.sum())
-    if n_anchors == 0:
-        return 0.0, np.zeros_like(Z), True
+    n_anchors = int(np.count_nonzero(pos_counts))
 
-    # row-wise log-softmax over the off-diagonal entries, in place
-    log_probs = Z @ Z.T
-    log_probs /= tau
-    np.fill_diagonal(log_probs, -np.inf)
-    row_max = log_probs.max(axis=1, keepdims=True)
-    shifted = log_probs - row_max
-    np.exp(shifted, out=shifted)
-    logsum = np.log(shifted.sum(axis=1, keepdims=True))
-    logsum += row_max
-    log_probs -= logsum
+    # row-shifted similarities with a -inf diagonal, which exponentiates to 0
+    S = Z @ Z.T
+    S /= tau
+    S.ravel()[::m + 1] = -np.inf
+    S -= S.max(axis=1, keepdims=True)
+    S_pos = S.ravel()[pos]
+    # the one exp pass: its row sums give the log-sum-exp, and over those
+    # sums it is the softmax of the gradient
+    G = np.exp(S, out=S)
+    row_sums = G.sum(axis=1)
 
-    # full-row sums over a zeroed buffer keep the summation order fixed;
-    # only positives are copied, as the -inf diagonal must not reach a sum
-    shifted.fill(0.0)
-    shifted.ravel()[pos] = log_probs.ravel()[pos]
-    denom = np.maximum(pos_counts, 1)
-    per_anchor = -shifted.sum(axis=1) / denom
-    value = float(per_anchor[contributing].mean())
-    # freed now, its memory backs the copy ``G += G.T`` makes of ``G.T``
-    # instead of fresh pages (about 180 fewer page faults a call at m = 300)
-    del shifted
+    # each positive weighs 1 / (its anchor's positives) in the anchor's mean
+    weights = 1.0 / pos_counts[anchors]
+    neg_log_probs = np.log(row_sums)[anchors] - S_pos
+    value = float(weights @ neg_log_probs) / n_anchors
 
-    # softmax over k != a; the -inf diagonal exponentiates to exactly 0
-    G = np.exp(log_probs, out=log_probs)
-    G.ravel()[pos] -= (1.0 / denom)[anchors]
-    G[~contributing] = 0.0
-    G /= n_anchors
-    # dL/dZ = (G + G^T) Z / tau
-    G += G.T
+    # dL/dZ = (G + G^T) Z / (tau n_anchors), G the softmax minus the weights
+    G /= row_sums[:, None]
+    G.ravel()[pos] -= weights
+    if n_anchors < m:
+        G[pos_counts == 0] = 0.0
     grad = G @ Z
-    grad /= tau
+    grad += G.T @ Z
+    grad /= tau * n_anchors
     return value, grad, False
 
 
@@ -186,10 +178,10 @@ def overall_loss(
     unlab_rows = _view_rows(unlabeled_idx)
     lab_rows = _view_rows(labeled_idx)
     Z_unlab = batch.Z[unlab_rows]
+    # the unlabeled and labeled rows partition Z, so each block is set once
     grad_Z = np.zeros_like(batch.Z)
 
     l_ins, g_ins = info_nce(Z_unlab, hp.tau)
-    grad_Z[unlab_rows] += g_ins
 
     sup_warning = False
     l_sup = 0.0
@@ -197,7 +189,7 @@ def overall_loss(
         l_sup, g_sup, sup_warning = sup_con(
             batch.Z[lab_rows], np.repeat(batch.labels[labeled_idx], 2), hp.tau
         )
-        grad_Z[lab_rows] += hp.lambda_ * g_sup
+        grad_Z[lab_rows] = hp.lambda_ * g_sup
 
     # q_bar is a mean of softmax rows and the targets carry their own simplex
     # invariants, so the unchecked path is safe here
@@ -211,7 +203,7 @@ def overall_loss(
     # chain through the softmax rows onto features; prototypes stay constant
     inner = Q * g_q[None, :]
     A = inner - Q * inner.sum(axis=1, keepdims=True)
-    grad_Z[unlab_rows] += (A @ protos.M) / hp.tau_p
+    grad_Z[unlab_rows] = g_ins + (A @ protos.M) / hp.tau_p
 
     l_overall = combine_overall(l_ins, l_sup, h_prior, h_uniform, hp)
     return LossBreakdown(

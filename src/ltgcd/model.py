@@ -99,10 +99,12 @@ def backward(
     """Exact parameter gradients for ``grad_out`` = dL/d(normalized features).
 
     ``acts`` is the cache ``forward_cached(head, X)`` returned for these
-    parameters; without it the forward pass is run again. The
+    parameters; without it the forward pass is run again. A float32
+    ``grad_out`` is upcast, so the pass runs in float64. The
     row-normalization Jacobian is (I - z z^T) / ||y|| at pre-normalized y.
     """
     X = np.asarray(X, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
     if acts is None:
         _, acts = forward_cached(head, X)
     mask, H, norms, Z = acts

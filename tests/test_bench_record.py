@@ -67,3 +67,27 @@ def test_rejects_a_single_pair(tmp_path):
     record(tmp_path / "change", 1, 1.0, 0.5, 2)
     with pytest.raises(SystemExit, match="one pair"):
         bench_record.fold(tmp_path / "parent", tmp_path / "change", SPEC)
+
+
+def test_stability_tables_become_a_section(tmp_path):
+    names = [m["name"] for m in json.loads(
+        (bench_record.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    for side, op_s in (("parent", 1.0), ("change", 0.9)):
+        (tmp_path / side).mkdir()
+        for seed in (1, 2):
+            (tmp_path / side / f"desk_train-seed{seed}-trace0.json").write_text(json.dumps({
+                "environment": {"seed": seed},
+                "metrics": {**dict.fromkeys(names, 0.5), "op_s": op_s},
+            }))
+    tables = []
+    for side in ("parent", "change"):
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps({"side": side}))
+        tables.append(str(path))
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"),
+                              "--out", str(out), "--stability", *tables]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["stability"] == {"parent": {"side": "parent"}, "change": {"side": "change"}}
+    assert bench["workloads"]["desk_train"]["metrics"]["op_s"]["change_wins"] == 2

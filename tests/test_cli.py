@@ -73,12 +73,23 @@ class TestTrainCommand:
         assert cli(["gen", "--config", str(config_file), "--out", str(data_dir)]) == 0
         manifest = data_dir / "data.manifest.json"
         assert manifest.exists()
-        code = cli(["train", "--config", str(config_file), "--rho", "9",
+        code = cli(["train", "--config", str(config_file),
                     "--dataset", str(manifest), "--out", str(tmp_path / "run")])
         assert code == 0
         # a loaded dataset does not record its rho, so the cell stays empty
         _, row = read_csv(tmp_path / "run" / "metrics.csv")
         assert row[1] == "" and row[2] != "" and row[3] != ""
+
+    @pytest.mark.parametrize("flag", ["--rho", "--sep"])
+    def test_split_flag_with_dataset_is_usage_error(self, tmp_path, config_file, capsys, flag):
+        code = cli(["train", "--config", str(config_file), flag, "3",
+                    "--dataset", str(tmp_path / "data.manifest.json"),
+                    "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ltgcd train")
+        assert f"argument {flag}: not allowed with argument --dataset" in err
+        assert not (tmp_path / "run").exists()
 
     def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
         rng = derive_stream(0, "test")

@@ -181,6 +181,50 @@ class TestSupCon:
         assert abs(v1 - v2) <= 1e-9
 
 
+class TestFloat32:
+    """Training passes float32 features; the losses then compute in float32."""
+
+    @staticmethod
+    def _close_to_float64(loss, Z32, tau):
+        """The float32 call's value and gradient against the float64 call on
+        the same (rounded) inputs."""
+        v32, g32, *flag32 = loss(Z32, tau)
+        v64, g64, *flag64 = loss(Z32.astype(np.float64), tau)
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert flag32 == flag64
+        assert abs(v32 - v64) <= 1e-5 * abs(v64)
+        assert rel_error(g32, g64) <= 1e-5
+
+    def test_info_nce_float32_matches_float64(self):
+        Z = unit_rows(derive_stream(30, "test"), 300, 32).astype(np.float32)
+        self._close_to_float64(info_nce, Z, 0.1)
+
+    def test_sup_con_float32_matches_float64(self):
+        rng = derive_stream(31, "test")
+        Z = unit_rows(rng, 214, 32).astype(np.float32)
+        view_labels = np.repeat(rng.integers(0, 10, size=107), 2)
+        self._close_to_float64(lambda z, tau: sup_con(z, view_labels, tau), Z, 0.1)
+
+    def test_no_positive_returns_zero_with_warning(self):
+        # the float64 case is TestSupCon's
+        Z = unit_rows(derive_stream(33, "test"), 4, 5).astype(np.float32)
+        value, grad, warned = sup_con(Z, np.arange(4), tau=0.1)
+        assert warned
+        assert value == 0.0
+        assert grad.dtype == np.float32 and np.all(grad == 0.0)
+
+    def test_overall_loss_on_float32_batch_matches_float64(self):
+        batch, protos, prior = _random_batch(derive_stream(34, "test"), B=64, p=32, C=6)
+        hp = Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5)
+        Z32 = batch.Z.astype(np.float32)
+        lb32 = overall_loss(BatchViews(Z=Z32, labeled_mask=batch.labeled_mask,
+                                       labels=batch.labels), protos, prior, hp)
+        lb64 = overall_loss(BatchViews(Z=Z32.astype(np.float64), labeled_mask=batch.labeled_mask,
+                                       labels=batch.labels), protos, prior, hp)
+        assert lb32.l_overall == pytest.approx(lb64.l_overall, rel=1e-5)
+        assert rel_error(lb32.grad_Z, lb64.grad_Z) <= 1e-5
+
+
 class TestTargetCrossEntropy:
     def test_equal_distributions_give_entropy(self):
         value, _ = target_cross_entropy(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
