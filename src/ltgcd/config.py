@@ -104,10 +104,21 @@ class SplitSpec:
                 f"samples_per_known/rho rounds to 0 samples per unknown class "
                 f"({self.samples_per_known}/{self.rho})"
             )
+        if self.n_labeled_per_known < 1:
+            raise ValidationError(
+                f"samples_per_known * labeled_fraction rounds to 0 labeled rows per known "
+                f"class ({self.samples_per_known} * {self.labeled_fraction})"
+            )
 
     @property
     def samples_per_unknown(self) -> int:
         return round_half_up(self.samples_per_known / self.rho)
+
+    @property
+    def n_labeled_per_known(self) -> int:
+        """The unlabeled share of a known class is rounded half up; the rest is labeled."""
+        return self.samples_per_known - round_half_up(
+            self.samples_per_known * (1.0 - self.labeled_fraction))
 
 
 _HP_FIELDS = {f.name for f in fields(Hyperparams)}

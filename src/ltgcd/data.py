@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SplitSpec, round_half_up
+from .config import SplitSpec
 from .errors import DataFormatError, ValidationError
 
 
@@ -99,7 +99,6 @@ def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> E
 
     known = frozenset(range(spec.num_known))
     unknown = frozenset(range(spec.num_known, C))
-    n_labeled_per_known = n_k - round_half_up(n_k * (1.0 - spec.labeled_fraction))
 
     blocks, labels, flags = [], [], []
     for c in range(C):
@@ -108,7 +107,7 @@ def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> E
         labels.append(np.full(count, c, dtype=np.int64))
         flag = np.zeros(count, dtype=bool)
         if c in known:
-            chosen = rng.permutation(count)[:n_labeled_per_known]
+            chosen = rng.permutation(count)[:spec.n_labeled_per_known]
             flag[chosen] = True
         flags.append(flag)
 
@@ -285,12 +284,15 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if len(bad_rows):
         raise DataFormatError(f"{data_path}:{bad_rows[0] + 2}: non-finite feature value")
 
-    return EmbeddingDataset(
-        points=points,
-        labels=np.asarray(labels, dtype=np.int64),
-        is_labeled=np.asarray(flags, dtype=bool),
-        known_classes=known,
-        unknown_classes=frozenset(range(C)) - known,
-        num_classes=C,
-        dim=d,
-    )
+    try:
+        return EmbeddingDataset(
+            points=points,
+            labels=np.asarray(labels, dtype=np.int64),
+            is_labeled=np.asarray(flags, dtype=bool),
+            known_classes=known,
+            unknown_classes=frozenset(range(C)) - known,
+            num_classes=C,
+            dim=d,
+        )
+    except DataFormatError as exc:   # a whole-split rule, such as a known class's labeled row
+        raise DataFormatError(f"{manifest_path}: {exc}") from None

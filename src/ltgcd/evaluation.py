@@ -21,6 +21,10 @@ from .model import ProjectionHead, forward, labeled_class_means
 from .rng import derive_stream
 
 
+# the column name of each accuracy in every CSV; ``<name>_acc`` is its field
+METRIC_NAMES = ("all", "known", "un1", "un2")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     all_acc: float
@@ -33,10 +37,13 @@ class MetricsReport:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("all_acc", "known_acc", "un1_acc", "un2_acc"):
-            v = getattr(self, name)
+        for name, v in self.accuracies().items():
             if v is not None and not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+                raise ValidationError(f"{name}_acc must be in [0, 1], got {v}")
+
+    def accuracies(self) -> dict[str, float | None]:
+        """The four accuracies by column name, in ``METRIC_NAMES`` order."""
+        return {name: getattr(self, f"{name}_acc") for name in METRIC_NAMES}
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:

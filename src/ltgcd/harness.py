@@ -21,7 +21,7 @@ import numpy as np
 from .config import Hyperparams, SplitSpec
 from .data import EmbeddingDataset, check_sep, format_cell, generate_mixture, make_views, write_csv
 from .errors import TrainingDiverged, ValidationError
-from .evaluation import MetricsReport, evaluate
+from .evaluation import METRIC_NAMES, MetricsReport, evaluate
 from .losses import BatchViews, overall_loss
 from .model import (
     ProjectionHead,
@@ -44,12 +44,12 @@ DEFAULT_HIDDEN = 64
 DEFAULT_OUT_DIM = 32
 PROTOTYPE_EMA = 0.9
 
-RESULTS_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "lambda",
-                  "all", "known", "un1", "un2"]
+RESULTS_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "lambda", *METRIC_NAMES]
 FAILURES_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "status", "error"]
-METRICS_HEADER = ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
+METRICS_HEADER = ["seed", "rho", "alpha", "beta", *METRIC_NAMES]
 SUMMARY_HEADER = ["rho", "alpha", "beta", "lambda", "metric", "mean", "std", "n"]
-METRIC_NAMES = ("all", "known", "un1", "un2")
+# the epoch-mean losses: fields of LossBreakdown and EpochLog, train_log.csv columns
+LOSS_NAMES = ("l_ins", "l_sup", "h_prior", "h_uniform", "l_overall")
 
 
 @dataclass
@@ -159,7 +159,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     try:
         for epoch in range(hp.epochs):
             lr = learning_rate(hp.lr0, epoch, hp.epochs)
-            sums = np.zeros(5)
+            sums = np.zeros(len(LOSS_NAMES))
             n_batches = 0
             for batch in _batch_iter(batch_rng.permutation(data.n), hp.batch_size):
                 if int((~data.is_labeled[batch]).sum()) < 2:
@@ -178,8 +178,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                     )
                 grads = backward(head, X, breakdown.grad_Z, acts)
                 sgd_step(head, grads, velocity, lr, hp)
-                sums += (breakdown.l_ins, breakdown.l_sup, breakdown.h_prior,
-                         breakdown.h_uniform, breakdown.l_overall)
+                sums += [getattr(breakdown, name) for name in LOSS_NAMES]
                 n_batches += 1
             if n_batches == 0:
                 raise TrainingDiverged(
@@ -194,17 +193,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 feats, assignments, data.labels, data.is_labeled, protos, PROTOTYPE_EMA
             )
 
-            means = sums / n_batches
-            logs.append(EpochLog(
-                epoch=epoch,
-                l_ins=float(means[0]),
-                l_sup=float(means[1]),
-                h_prior=float(means[2]),
-                h_uniform=float(means[3]),
-                l_overall=float(means[4]),
-                lr=lr,
-                prior_r=r,
-            ))
+            means = dict(zip(LOSS_NAMES, (sums / n_batches).tolist()))
+            logs.append(EpochLog(epoch=epoch, **means, lr=lr, prior_r=r))
     except (TrainingDiverged, FloatingPointError) as exc:
         # numeric trouble mid-run (exploding or collapsing features) becomes
         # a diagnostic record rather than an exception
@@ -227,28 +217,19 @@ def _run_job(plan: ExperimentPlan, cell: SweepCell) -> dict:
     validated every cell, so anything raised here is a bug and propagates.
     """
     hp = cell.hp
-    out = {
+    data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
+    record = train_one(data, hp)
+    return {
         "run_id": cell.run_id,
         "seed": hp.seed,
         "rho": cell.split.rho,
         "alpha": hp.alpha,
         "beta": hp.beta,
         "lambda": hp.lambda_,
-        "status": "ok",
-        "error": None,
+        "status": record.status,
+        "error": record.error,
+        **(record.metrics.accuracies() if record.metrics is not None else {}),
     }
-    data = generate_mixture(cell.split, plan.sep, derive_stream(hp.seed, "split"))
-    record = train_one(data, hp)
-    out["status"] = record.status
-    out["error"] = record.error
-    if record.metrics is not None:
-        out.update({
-            "all": record.metrics.all_acc,
-            "known": record.metrics.known_acc,
-            "un1": record.metrics.un1_acc,
-            "un2": record.metrics.un2_acc,
-        })
-    return out
 
 
 def metrics_row(
@@ -256,15 +237,18 @@ def metrics_row(
 ) -> list[str]:
     """One formatted row in the ``METRICS_HEADER`` layout; an echo value of
     None is an empty cell."""
-    return [format_cell(v) for v in (
-        report.seed, rho, alpha, beta,
-        report.all_acc, report.known_acc, report.un1_acc, report.un2_acc,
-    )]
+    return [format_cell(v) for v in (report.seed, rho, alpha, beta, *report.accuracies().values())]
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def _metric_stats(rows: list[dict]) -> dict[str, tuple[float, float, int]]:
+    """Mean, std and count of each metric over the rows where it is present;
+    a metric absent from every row gets no entry."""
+    stats = {}
+    for metric in METRIC_NAMES:
+        values = np.asarray([r[metric] for r in rows if r[metric] is not None], dtype=np.float64)
+        if len(values):
+            stats[metric] = (float(values.mean()), float(values.std()), len(values))
+    return stats
 
 
 def sweep(plan: ExperimentPlan) -> dict[str, Path]:
@@ -298,27 +282,20 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     groups: dict[tuple, list[dict]] = {}   # first-seen order is plan order
     for r in ok_rows:
         groups.setdefault((r["rho"], r["alpha"], r["beta"], r["lambda"]), []).append(r)
-    summary_rows = []
-    for key, group in groups.items():
-        for metric in METRIC_NAMES:
-            values = [r[metric] for r in group if r[metric] is not None]
-            if values:
-                summary_rows.append([*key, metric, *_mean_std(values), len(values)])
-    artifacts["summary"] = write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
+    artifacts["summary"] = write_csv(out_dir / "summary.csv", SUMMARY_HEADER, (
+        [*key, metric, *stat]
+        for key, group in groups.items() for metric, stat in _metric_stats(group).items()
+    ))
 
     from .svg import line_plot
-    axis_values = {"rho": plan.rhos, "alpha": plan.alphas, "beta": plan.betas}
-    label = {"all": "All", "known": "Known", "un1": "Un1", "un2": "Un2"}
-    for axis, values in axis_values.items():
+    for axis, values in {"rho": plan.rhos, "alpha": plan.alphas, "beta": plan.betas}.items():
         if len(values) < 2:
             continue
         xs = sorted(float(v) for v in values)
-        series: dict[str, list[float | None]] = {label[m]: [] for m in METRIC_NAMES}
-        for x in xs:
-            group = [r for r in ok_rows if r[axis] == x]
-            for m in METRIC_NAMES:
-                vals = [r[m] for r in group if r.get(m) is not None]
-                series[label[m]].append(_mean_std(vals)[0] if vals else None)
+        stats = [_metric_stats([r for r in ok_rows if r[axis] == x]) for x in xs]
+        # each series is named as its legend spells it: All, Known, Un1, Un2
+        series = {m.capitalize(): [s[m][0] if m in s else None for s in stats]
+                  for m in METRIC_NAMES}
         artifacts[f"svg_{axis}"] = line_plot(
             out_dir / f"sweep_{axis}.svg", xs, series,
             title=f"Accuracy vs {axis}", x_label=axis,
@@ -330,10 +307,8 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
 def write_train_log(path: str | Path, record: RunRecord) -> Path:
     """Per-epoch CSV: loss components, learning rate, prior estimate."""
     num_classes = len(record.epoch_logs[0].prior_r) if record.epoch_logs else 0
-    header = ["epoch", "l_ins", "l_sup", "h_prior", "h_uniform", "l_overall", "lr"]
-    header += [f"r_{c}" for c in range(num_classes)]
+    header = ["epoch", *LOSS_NAMES, "lr", *(f"r_{c}" for c in range(num_classes))]
     return write_csv(path, header, (
-        [log.epoch, log.l_ins, log.l_sup, log.h_prior, log.h_uniform, log.l_overall,
-         log.lr, *log.prior_r.tolist()]
+        [log.epoch, *(getattr(log, name) for name in LOSS_NAMES), log.lr, *log.prior_r.tolist()]
         for log in record.epoch_logs
     ))

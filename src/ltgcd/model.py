@@ -254,7 +254,10 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
             raise DataFormatError(
                 f"{path}: {name} has shape {shape} but {len(raw)} bytes of float64 data"
             )
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: {name} has a non-finite value")
+        return arr
 
     arrays = {name: unpack(name, payload["params"][name]) for name in PARAM_NAMES}
     arrays["prototypes"] = unpack("prototypes", payload["prototypes"])

@@ -225,6 +225,22 @@ class TestSweepCommand:
         assert len(read_csv(out / "failures.csv")) == 1 + 1
 
 
+class TestSplitRule:
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_no_labeled_row_per_known_class_exits_1_without_out(
+        self, tmp_path, capsys, command
+    ):
+        # 3 * 0.1 labeled rows per known class rounds to 0
+        config = tmp_path / "c.ini"
+        config.write_text(CONFIG.replace("samples_per_known = 60", "samples_per_known = 3")
+                          + "labeled_fraction = 0.1\n")
+        out = tmp_path / "out"
+        code = cli([command, "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "samples_per_known * labeled_fraction rounds to 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert cli(["frobnicate"]) == 1

@@ -104,6 +104,11 @@ class TestSplitSpec:
         spec = SplitSpec(samples_per_known=5, rho=2.0)
         assert spec.samples_per_unknown == 3  # 2.5 rounds up
 
+    def test_unlabeled_share_of_a_known_class_rounds_half_up(self):
+        assert SplitSpec().n_labeled_per_known == 100
+        # 5 * 0.5 = 2.5 unlabeled rounds up to 3, leaving 2 labeled
+        assert SplitSpec(samples_per_known=5, labeled_fraction=0.5).n_labeled_per_known == 2
+
     @pytest.mark.parametrize("kwargs", [
         dict(num_classes=1, num_known=0),
         dict(num_known=20),                 # num_known == num_classes
@@ -115,6 +120,7 @@ class TestSplitSpec:
         dict(dim=0),
         dict(samples_per_known=0),
         dict(samples_per_known=1, rho=10.0),  # rounds to zero unknowns
+        dict(samples_per_known=3, labeled_fraction=0.1),  # rounds to zero labeled
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):

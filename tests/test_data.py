@@ -346,6 +346,12 @@ class TestLoaderErrors:
         with pytest.raises(DataFormatError, match=r"d\.csv:5002: malformed row"):
             load_embeddings(manifest)
 
+    def test_known_class_without_labeled_row_names_the_manifest(self, tmp_path):
+        manifest = write_files(tmp_path, ["0,0,1,0.5", "1,1,0,0.25"], C=3, known_classes=[0, 1])
+        with pytest.raises(DataFormatError,
+                           match=r"m\.json: known classes with no labeled row: \[1\]"):
+            load_embeddings(manifest)
+
 
 class TestDatasetInvariants:
     def test_known_unknown_must_partition(self):

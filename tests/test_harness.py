@@ -19,6 +19,7 @@ from ltgcd.harness import (
 )
 from ltgcd.model import init_head, init_prototypes, forward
 from ltgcd.rng import derive_stream
+from ltgcd.svg import _SERIES_COLORS as SERIES_COLORS
 
 
 SMALL_SPEC = dict(num_classes=6, num_known=3, samples_per_known=60, rho=3.0, dim=16)
@@ -188,6 +189,25 @@ class TestSweep:
         for name in ("All", "Known", "Un1", "Un2"):
             assert f">{name}</text>" in svg
         assert svg.count("<polyline") == 4
+
+    def test_absent_known_is_an_empty_cell_and_left_out_of_summary_and_plot(self, tmp_path):
+        # every known row is labeled, so no unlabeled row is of a known class
+        split = SplitSpec(**{**SMALL_SPEC, "samples_per_known": 2, "labeled_fraction": 0.9})
+        artifacts = sweep(small_plan(tmp_path, split=split))
+        assert "failures" not in artifacts
+        header, *results = read_csv(artifacts["results"])
+        assert len(results) == 4
+        for row in results:
+            cells = dict(zip(header, row))
+            assert cells["known"] == ""
+            assert all(cells[m] != "" for m in ("all", "un1", "un2"))
+        summary = read_csv(artifacts["summary"])[1:]
+        assert [r[4] for r in summary] == ["all", "un1", "un2"] * 2
+        svg = artifacts["svg_beta"].read_text()
+        known = SERIES_COLORS["Known"]
+        assert f'fill="{known}"' not in svg          # no point
+        assert svg.count(f'stroke="{known}"') == 1    # the legend line, no polyline
+        assert svg.count("<polyline") == 3
 
     def test_byte_identical_results_across_invocations(self, tmp_path):
         a = sweep(small_plan(tmp_path / "a"))

@@ -337,6 +337,16 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="W2 has shape"):
             load_checkpoint(path)
 
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        from ltgcd.model import load_checkpoint
+        path, payload = self._saved(tmp_path)
+        entry = payload["params"]["W2"]
+        nan = np.full(entry["shape"], np.nan, dtype="<f8")
+        entry["data"] = base64.b64encode(nan.tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=r"ckpt\.json: W2 has a non-finite value"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name, shape, data", [
         ("b2", [3], np.zeros(3)),            # 3 biases for 4 output rows
         ("W1", [30], None),                  # a matrix flattened to a vector
