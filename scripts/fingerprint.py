@@ -8,7 +8,10 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
   ``configs/desk.ini``, every file they write plus what they print;
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
-  prototype bytes and the epoch logs of each run.
+  prototype bytes and the epoch logs of each run;
+- a fixed set of usage errors: the exit code and what ``ltgcd`` prints to
+  standard error (``COLUMNS`` is pinned, since argparse wraps the usage line
+  to the terminal width).
 
 ``--root`` picks the checkout whose ``src/ltgcd`` and ``configs/desk.ini``
 are used (default: this one), so a checkout that predates this script can be
@@ -29,6 +32,7 @@ import os
 # Pinned before numpy loads, so both checkouts run their BLAS the same way.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -51,6 +55,14 @@ PLANS = (
     ("all_failed", {}, {"batch_size": 1},
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0,)}),
 )
+
+USAGE_ERRORS = {
+    "frobnicate": ["frobnicate"],
+    "sweep_seed": ["sweep", "--seed", "99"],
+    "train_epochs_x": ["train", "--epochs", "x"],
+    "gen_no_out": ["gen"],
+    "train_rho_dataset": ["train", "--rho", "3", "--dataset", "m.json"],
+}
 
 
 def sha256(data: bytes) -> str:
@@ -100,6 +112,18 @@ def desk_cli(root: Path, work: Path) -> list[tuple[str, str]]:
     return lines + files("cli/gen", data) + files("cli/train", run)
 
 
+def usage_errors() -> list[tuple[str, str]]:
+    from ltgcd.cli import cli
+
+    lines = []
+    for name, argv in USAGE_ERRORS.items():
+        printed = io.StringIO()
+        with contextlib.redirect_stderr(printed):
+            code = cli(argv)
+        lines.append((f"usage/{name}/exit={code}/stderr", sha256(printed.getvalue().encode())))
+    return lines
+
+
 def desk_train_one(root: Path) -> list[tuple[str, str]]:
     from dataclasses import replace
 
@@ -135,7 +159,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        lines = sweeps(work / "sweep") + desk_cli(root, work / "cli") + desk_train_one(root)
+        lines = (sweeps(work / "sweep") + desk_cli(root, work / "cli") + desk_train_one(root)
+                 + usage_errors())
     for name, digest in lines:
         print(f"{name} {digest}")
     return 0

@@ -29,21 +29,6 @@ from .model import load_checkpoint, save_checkpoint
 from .rng import derive_stream
 
 
-class _UsageError(Exception):
-    """Bad usage, with the parser whose usage line goes with it."""
-
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage as exit code 1 instead of 2."""
-
-    def error(self, message: str):
-        raise _UsageError(message, self)
-
-
 def _list_of(kind):
     """argparse ``type=`` for a comma-separated, non-empty list of ``kind``."""
     def parse(text: str) -> tuple:
@@ -58,13 +43,13 @@ def _list_of(kind):
     return parse
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name.
 
     Every override flag stores under its config key, so ``_load_params``
     picks them out by name; the sweep lists store under the plan fields.
     """
-    parser = _Parser(prog="ltgcd", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ltgcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_gen = sub.add_parser("gen", help="write a synthetic dataset (CSV + manifest)")
     p_train = sub.add_parser("train", help="train one model and evaluate it")
@@ -75,7 +60,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     for p in (p_gen, p_train, p_eval, p_sweep):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory")
+        # eval prints its metrics and writes them only if given an --out
+        p.add_argument("--out", type=Path, required=p is not p_eval, help="output directory")
     for p in (p_gen, p_train, p_eval):
         p.add_argument("--seed", type=int)
     for p in (p_gen, p_train, p_sweep):
@@ -110,12 +96,6 @@ def _load_params(args) -> tuple[Hyperparams, SplitSpec]:
     return build_params(values)
 
 
-def _require_out(args) -> Path:
-    if not args.out:
-        raise ValidationError(f"{args.command} requires --out")
-    return Path(args.out)
-
-
 def _report_metrics(row: list[str], out: Path | None) -> None:
     """Print the metrics row under its header; also write metrics.csv to ``out``."""
     if out is not None:
@@ -127,16 +107,14 @@ def _report_metrics(row: list[str], out: Path | None) -> None:
 
 def _cmd_gen(args) -> int:
     hp, split = _load_params(args)
-    out = _require_out(args)
     data = generate_mixture(split, args.sep, derive_stream(hp.seed, "split"))
-    manifest = write_dataset(data, out)
+    manifest = write_dataset(data, args.out)
     print(f"wrote {manifest}")
     return 0
 
 
 def _cmd_train(args) -> int:
     hp, split = _load_params(args)
-    out = _require_out(args)
     if args.dataset:
         data = load_embeddings(args.dataset)
     else:
@@ -144,16 +122,16 @@ def _cmd_train(args) -> int:
         data = generate_mixture(split, sep, derive_stream(hp.seed, "split"))
 
     record = train_one(data, hp)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
-    write_train_log(out / "train_log.csv", record)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
+    write_train_log(args.out / "train_log.csv", record)
     if record.status != "ok":
         print(f"training failed: {record.error}", file=sys.stderr)
         return 2
-    save_checkpoint(out / "checkpoint.json", record.head, record.protos)
+    save_checkpoint(args.out / "checkpoint.json", record.head, record.protos)
     # a loaded dataset does not record the rho it was made with
     rho = None if args.dataset else split.rho
-    _report_metrics(metrics_row(record.metrics, rho, hp.alpha, hp.beta), out)
+    _report_metrics(metrics_row(record.metrics, rho, hp.alpha, hp.beta), args.out)
     return 0
 
 
@@ -168,13 +146,12 @@ def _cmd_eval(args) -> int:
         )
     # the checkpoint does not record its training settings: no rho/alpha/beta
     report = evaluate(head, data, hp.seed)
-    _report_metrics(metrics_row(report, None, None, None), Path(args.out) if args.out else None)
+    _report_metrics(metrics_row(report, None, None, None), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     hp, split = _load_params(args)
-    out = _require_out(args)   # sweep creates it, once the plan is valid
     plan = ExperimentPlan(
         hp=hp,
         split=split,
@@ -182,7 +159,7 @@ def _cmd_sweep(args) -> int:
         alphas=args.alphas or (hp.alpha,),
         betas=args.betas or (hp.beta,),
         seeds=args.seeds,
-        out_dir=out,
+        out_dir=args.out,   # sweep creates it, once the plan is valid
         sep=args.sep,
         workers=args.workers,
     )
@@ -208,10 +185,8 @@ def cli(argv: list[str] | None = None) -> int:
         for flag in ("rho", "sep"):
             if args.command == "train" and args.dataset and getattr(args, flag) is not None:
                 subparsers["train"].error(f"argument --{flag}: not allowed with argument --dataset")
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"ltgcd: error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:   # argparse has printed the usage or help
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

@@ -167,10 +167,8 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def build_params(values: dict) -> tuple[Hyperparams, SplitSpec]:
-    """Split a merged value dict into validated Hyperparams and SplitSpec."""
+    """Split a merged dict of config keys (as :func:`parse_config_text`
+    returns them) into validated Hyperparams and SplitSpec."""
     hp_kwargs = {k: v for k, v in values.items() if k in _HP_FIELDS}
     split_kwargs = {k: v for k, v in values.items() if k in _SPLIT_FIELDS}
-    unknown = set(values) - CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return Hyperparams(**hp_kwargs), SplitSpec(**split_kwargs)

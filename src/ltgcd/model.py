@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,8 +182,6 @@ def update_prototypes(
     targets are normalized means of the unlabeled features argmax-assigned to
     that class (prototype left unchanged when no such rows exist).
     """
-    if not 0.0 <= ema <= 1.0:
-        raise ValidationError(f"ema must be in [0, 1], got {ema}")
     # an unlabeled row counts only toward a class with no labeled rows
     unlabeled_group = np.where(np.isin(assignments, labels[is_labeled]), -1, assignments)
     groups = np.where(is_labeled, labels, unlabeled_group)
@@ -241,16 +240,31 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint file not found: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if type(payload) is not dict:
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(
             f"{path}: format is {payload.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
         )
+    params = payload.get("params", {})
+    if type(params) is not dict:
+        raise DataFormatError(f"{path}: entry 'params' is not an object")
 
-    def unpack(name: str, entry: dict) -> np.ndarray:
-        raw = base64.b64decode(entry["data"])
-        shape = [int(n) for n in entry["shape"]]
-        if 8 * math.prod(shape) != len(raw):
+    def unpack(name: str, entry) -> np.ndarray:
+        if entry is None:
+            raise DataFormatError(f"{path}: missing entry {name!r}")
+        try:
+            raw = base64.b64decode(entry["data"])
+            # JSON integers only: int() would truncate 2.7 and take "3"
+            shape = [operator.index(n) for n in entry["shape"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"{path}: entry {name!r} is not a shape/data pair ({exc!r})") from exc
+        if min(shape, default=0) < 0 or 8 * math.prod(shape) != len(raw):
             raise DataFormatError(
                 f"{path}: {name} has shape {shape} but {len(raw)} bytes of float64 data"
             )
@@ -259,8 +273,8 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
             raise DataFormatError(f"{path}: {name} has a non-finite value")
         return arr
 
-    arrays = {name: unpack(name, payload["params"][name]) for name in PARAM_NAMES}
-    arrays["prototypes"] = unpack("prototypes", payload["prototypes"])
+    arrays = {name: unpack(name, params.get(name)) for name in PARAM_NAMES}
+    arrays["prototypes"] = unpack("prototypes", payload.get("prototypes"))
     # (h, d) input layer, (p, h) output layer, C prototypes of width p; each
     # dimension is fixed by the first array that has it
     sizes: dict[str, int] = {}

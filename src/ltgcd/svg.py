@@ -17,8 +17,6 @@ _SERIES_COLORS = {
 
 def _x_pos(i: int, n: int) -> float:
     span = _WIDTH - _MARGIN_L - _MARGIN_R
-    if n == 1:
-        return _MARGIN_L + span / 2
     return _MARGIN_L + span * i / (n - 1)
 
 
@@ -34,8 +32,9 @@ def line_plot(
     title: str,
     x_label: str,
 ) -> Path:
-    """Write a fixed-viewBox line plot of accuracy series; the y axis spans
-    [0, 1] and each series name is a key of ``_SERIES_COLORS``."""
+    """Write a fixed-viewBox line plot of accuracy series at 2 or more x
+    values; the y axis spans [0, 1] and each series name is a key of
+    ``_SERIES_COLORS``."""
     n = len(x_values)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '

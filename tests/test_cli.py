@@ -91,6 +91,18 @@ class TestTrainCommand:
         assert f"argument {flag}: not allowed with argument --dataset" in err
         assert not (tmp_path / "run").exists()
 
+    def test_run_that_steps_no_batch_exits_2_without_checkpoint(
+        self, tmp_path, config_file, capsys
+    ):
+        # batch 1 never holds the 2 unlabeled rows a step needs
+        out = tmp_path / "run"
+        code = cli(["train", "--config", str(config_file), "--batch", "1", "--out", str(out)])
+        assert code == 2
+        assert "training failed: epoch 0 stepped no batch" in capsys.readouterr().err
+        assert (out / "run_config.json").exists() and (out / "train_log.csv").exists()
+        assert not (out / "checkpoint.json").exists()
+        assert not (out / "metrics.csv").exists()
+
     def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
         rng = derive_stream(0, "test")
         data = EmbeddingDataset(
@@ -113,6 +125,38 @@ class TestEvalCommand:
                     "--dataset", str(data_dir / "data.manifest.json")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, shown", [
+        ('{"format": 1', "invalid JSON (Expecting ',' delimiter"),
+        ('{"format": "ltgcd-checkpoint-v1", "params": {}}', "missing entry 'W1'"),
+        ('{"format": "ltgcd-checkpoint-v1", "params": {"W1": 5}}',
+         "entry 'W1' is not a shape/data pair"),
+        ('{"format": "ltgcd-checkpoint-v1", "params": {"W1": {"shape": [2.0], "data": ""}}}',
+         "entry 'W1' is not a shape/data pair"),
+        ('[1, 2]', "expected a JSON object, got list"),
+    ])
+    def test_malformed_checkpoint_names_its_file(self, tmp_path, config_file, capsys,
+                                                 text, shown):
+        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
+        cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
+        ckpt.write_text(text)
+        code = cli(["eval", "--checkpoint", str(ckpt),
+                    "--dataset", str(data_dir / "data.manifest.json")])
+        assert code == 2
+        assert f"ltgcd: error: {ckpt}: {shown}" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_2_naming_the_array(self, tmp_path, config_file, capsys):
+        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
+        cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
+        rng = derive_stream(0, "test")
+        head = init_head(16, 5, 4, rng)
+        head.W2[:] = np.nan
+        raw = rng.standard_normal((6, 4))
+        save_checkpoint(ckpt, head, Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+        code = cli(["eval", "--checkpoint", str(ckpt),
+                    "--dataset", str(data_dir / "data.manifest.json")])
+        assert code == 2
+        assert f"ltgcd: error: {ckpt}: W2 has a non-finite value" in capsys.readouterr().err
 
     def test_checkpoint_dimension_mismatch_is_validation_error(
         self, tmp_path, config_file, capsys
@@ -197,6 +241,7 @@ class TestSweepCommand:
         ("--drop-prob=1", "drop_prob must be in [0, 1), got 1.0"),
         ("--beta=0,0", "plan field betas repeats a value"),
         ("--seeds=1,1", "plan field seeds repeats a value"),
+        ("--workers=0", "workers must be >= 1"),
     ])
     def test_invalid_plan_value_exits_1_before_any_run(
         self, tmp_path, config_file, capsys, flag, shown
@@ -241,6 +286,32 @@ class TestSplitRule:
         assert not out.exists()
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_split_keys_are_checked_where_the_split_goes_unused(
+        self, tmp_path, config_file, capsys, command
+    ):
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG + "labeled_fraction = 1.5\n")
+        argv = {"train": ["--out", str(out)],
+                "eval": ["--checkpoint", str(tmp_path / "missing.json")]}[command]
+        code = cli([command, "--config", str(bad),
+                    "--dataset", str(data_dir / "data.manifest.json"), *argv])
+        assert code == 1
+        assert "labeled_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_known_class_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "c.ini"
+        config.write_text(CONFIG.replace("num_known = 3", "num_known = 0"))
+        out = tmp_path / "data"
+        assert cli(["gen", "--config", str(config), "--out", str(out)]) == 1
+        assert "num_known must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert cli(["frobnicate"]) == 1
@@ -258,7 +329,15 @@ class TestUsageErrors:
         assert cli(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(usage)
-        assert "ltgcd: error: " in err
+        assert f"ltgcd {argv[0]}: error: " in err
+
+    def test_unrecognized_flag_is_reported_with_its_subcommand_usage(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert cli(["sweep", "--seed", "99", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ltgcd sweep")
+        assert "ltgcd sweep: error: unrecognized arguments: --seed 99" in err
+        assert not out.exists()
 
     def test_unknown_config_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

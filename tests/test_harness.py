@@ -82,9 +82,9 @@ class TestTrainOne:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_produces_diagnostic_record(self):
         record = train_one(small_data(), small_hp(lr0=1e200, epochs=3))
-        assert record.status in ("diverged", "failed")
+        assert record.status == "failed"
         assert record.metrics is None
-        assert record.error
+        assert "non-finite loss" in record.error
 
     def test_invalid_value_inside_the_loop_propagates(self, monkeypatch):
         # only TrainingDiverged and FloatingPointError become a failed record;
