@@ -17,6 +17,10 @@ for each workload and metric of BENCHMARK.json: each side's median and
 quartiles, and how many pairs the change and the parent each won, by the
 metric's ``better`` direction (ties count for neither).
 
+Each ``<workload>-seed<seed>-trace1.json`` present in both directories is
+one traced pair: the output lists its per-layer metrics and stage times,
+side by side, under the workload's ``traced`` key.
+
 ``--stability PARENT CHANGE`` adds the two ``scripts/seed_report.py`` JSON
 tables, one from each checkout, as the ``stability`` section.
 """
@@ -31,17 +35,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RECORD = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace0\.json")
+RECORD = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 SIDES = ("parent", "change")
 
 
-def read_records(out_dir: Path) -> dict[tuple[str, int], tuple[dict, float]]:
-    """The untraced records of ``out_dir`` by (workload, seed), each with the
-    time it was written."""
+def read_records(out_dir: Path, trace: int = 0) -> dict[tuple[str, int], tuple[dict, float]]:
+    """The records of ``out_dir`` with this ``trace`` setting by (workload,
+    seed), each with the time it was written."""
     records = {}
     for path in out_dir.iterdir():
         match = RECORD.fullmatch(path.name)
-        if match:
+        if match and int(match["trace"]) == trace:
             key = (match["workload"], int(match["seed"]))
             records[key] = (json.loads(path.read_text()), path.stat().st_mtime)
     return records
@@ -87,6 +91,14 @@ def fold(parent_dir: Path, change_dir: Path, spec: dict) -> dict:
                 "change_wins": sum(g > 0 for g in gains),
                 "parent_wins": sum(g < 0 for g in gains),
             }
+    traced = [read_records(d, trace=1) for d in (parent_dir, change_dir)]
+    for workload, seed in sorted(traced[0].keys() & traced[1].keys()):
+        if workload in workloads:
+            workloads[workload].setdefault("traced", []).append({
+                "seed": seed,
+                **{side: {key: record[workload, seed][0][key] for key in ("stages", "metrics")}
+                   for side, record in zip(SIDES, traced)},
+            })
     return {
         "environment": json.loads(environments.pop()),
         "command": spec["command"] + ["--workload", "<workload>", "--seed", "<seed>",

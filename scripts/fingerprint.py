@@ -9,6 +9,9 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
   ``configs/desk.ini``, every file they write plus what they print;
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
   prototype bytes and the epoch logs of each run;
+- a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
+  seed 0): the ``data.csv`` that ``write_dataset`` writes, and the arrays
+  ``load_embeddings`` reads back from it;
 - a fixed set of usage errors: the exit code and what ``ltgcd`` prints to
   standard error (``COLUMNS`` is pinned, since argparse wraps the usage line
   to the terminal width).
@@ -149,6 +152,19 @@ def desk_train_one(root: Path) -> list[tuple[str, str]]:
     return lines
 
 
+def embed_dataset(work: Path) -> list[tuple[str, str]]:
+    from ltgcd.config import SplitSpec
+    from ltgcd.data import generate_mixture, load_embeddings, write_dataset
+    from ltgcd.rng import derive_stream
+
+    split = SplitSpec(num_classes=100, num_known=50, samples_per_known=75, rho=5.0, dim=256)
+    manifest = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
+    loaded = load_embeddings(manifest)
+    arrays = (loaded.points, loaded.labels, loaded.is_labeled)
+    return [("embed/data.csv", sha256((work / "data.csv").read_bytes())),
+            ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -160,7 +176,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         lines = (sweeps(work / "sweep") + desk_cli(root, work / "cli") + desk_train_one(root)
-                 + usage_errors())
+                 + usage_errors() + embed_dataset(work / "embed"))
     for name, digest in lines:
         print(f"{name} {digest}")
     return 0

@@ -8,7 +8,9 @@ class is marked labeled; everything else forms the unlabeled pool.
 
 On-disk format: a CSV with header ``id,label,is_labeled,f0,...,f{d-1}``,
 unquoted numeric cells and LF or CRLF line ends, plus a JSON manifest
-``{"data": path, "C": int, "d": int, "known_classes": [ints]}``.
+``{"data": path, "C": int, "d": int, "known_classes": [ints]}``. The writer
+and the loader format and parse the rows in blocks, on every CPU the process
+may use; the bytes and arrays are those of a one-CPU run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import re
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,12 +172,60 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     return path
 
 
+# A block of dataset rows holds about this many feature cells, so that a
+# block costs about the same to format or parse at any d.
+BLOCK_CELLS = 2**15
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_blocks(fn, blocks):
+    """Yield ``fn(*args)`` for each ``args`` of ``blocks``, in order.
+
+    With two or more blocks and two or more CPUs, the blocks run on a process
+    pool with one worker per CPU, at most two blocks per worker in flight, so
+    ``blocks`` is drawn lazily. Otherwise they run in this process. A block's
+    exception is raised when its turn comes, after every earlier result.
+    """
+    blocks = iter(blocks)
+    head = list(itertools.islice(blocks, 2))
+    workers = _cpus()
+    if len(head) < 2 or workers < 2:
+        yield from itertools.starmap(fn, itertools.chain(head, blocks))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for args in itertools.chain(head, blocks):
+            pending.append(pool.submit(fn, *args))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _format_block(first_id: int, points: np.ndarray, labels: np.ndarray,
+                  flags: np.ndarray) -> str:
+    """The CSV lines of consecutive rows, the first of which has id ``first_id``."""
+    return "".join(
+        f"{i},{label},{int(flag)},{','.join(map(float.__repr__, row))}\r\n"
+        for i, label, flag, row in zip(itertools.count(first_id), labels.tolist(),
+                                        flags.tolist(), points.tolist())
+    )
+
+
 def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
     """Write ``data.csv`` plus ``data.manifest.json``; returns the manifest path.
 
     The CSV has the bytes ``write_csv`` would give it (CRLF line ends, floats
     by ``format_cell``'s rule); it is written one joined line per row, since
-    its cells are numbers and need no quoting.
+    its cells are numbers and need no quoting, and its rows are formatted in
+    blocks by ``_format_block``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,11 +233,13 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
     manifest_path = out_dir / "data.manifest.json"
 
     header = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)]
+    rows = max(1, BLOCK_CELLS // data.dim)
+    blocks = ((start, data.points[start:start + rows], data.labels[start:start + rows],
+               data.is_labeled[start:start + rows]) for start in range(0, data.n, rows))
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i, (label, flag) in enumerate(zip(data.labels.tolist(), data.is_labeled.tolist())):
-            feats = ",".join(map(float.__repr__, data.points[i].tolist()))
-            fh.write(f"{i},{label},{int(flag)},{feats}\r\n")
+        for text in _in_blocks(_format_block, blocks):
+            fh.write(text)
 
     manifest = {
         "data": csv_path.name,
@@ -199,6 +254,54 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
 # The text of a label or is_labeled cell; ``int()`` alone would also take
 # ``1_0``, surrounding spaces and non-ASCII digits.
 _PLAIN_INT = re.compile(r"-?[0-9]+")
+
+
+def _parse_block(data_path: Path, first_line: int, lines: list[str], C: int, d: int,
+                 known: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse consecutive data lines of ``data_path``, the first of which is
+    line ``first_line``: returns their ``(points, labels, flags)``.
+
+    np.loadtxt parses the features in C. It converts each line it pulls from
+    ``feature_text`` before it pulls the next, so on a parse error ``lineno``
+    is the line at fault. A byte above 127 arrives as a lone surrogate that
+    fails its line's parse.
+    """
+    labels, flags = [], []
+    lineno = first_line
+
+    def feature_text():
+        """Check each line's field count and integer fields, keep its label
+        and flag, and yield its feature text."""
+        nonlocal lineno
+        for lineno, line in enumerate(lines, start=first_line):
+            if line.count(",") != d + 2:
+                fields = 0 if line == "\n" else line.count(",") + 1
+                raise DataFormatError(f"{data_path}:{lineno}: expected {3 + d} fields, got {fields}")
+            _, label, flag, feats = line.split(",", 3)
+            if not (_PLAIN_INT.fullmatch(label) and _PLAIN_INT.fullmatch(flag)):
+                raise DataFormatError(f"{data_path}:{lineno}: malformed row "
+                                      "(label and is_labeled must be plain integers)")
+            label, flag = int(label), int(flag)
+            if flag not in (0, 1):
+                raise DataFormatError(f"{data_path}:{lineno}: is_labeled must be 0 or 1")
+            if label < 0 or label >= C:
+                raise DataFormatError(f"{data_path}:{lineno}: class id {label} >= C ({C})")
+            if flag == 1 and label not in known:
+                raise DataFormatError(f"{data_path}:{lineno}: labeled unknown class {label}")
+            if not feats.strip():
+                # np.loadtxt would skip the blank text and drop the row
+                raise DataFormatError(f"{data_path}:{lineno}: malformed row (empty feature)")
+            labels.append(label)
+            flags.append(flag == 1)
+            yield feats
+
+    try:
+        points = np.loadtxt(feature_text(), dtype=np.float64, delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError as exc:
+        cause = str(exc).split(" at row")[0]
+        raise DataFormatError(f"{data_path}:{lineno}: malformed row ({cause})") from None
+    return points, np.asarray(labels, dtype=np.int64), np.asarray(flags, dtype=bool)
 
 
 def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
@@ -234,52 +337,20 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
         raise FileNotFoundError(f"data file not found: {data_path}")
 
     expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
-    labels, flags = [], []
-    lineno = 1
-
-    def feature_text(lines):
-        """Check each data line's field count and integer fields, keep its
-        label and flag, and yield its feature text."""
-        nonlocal lineno
-        for lineno, line in enumerate(lines, start=2):
-            if line.count(",") != d + 2:
-                fields = 0 if line == "\n" else line.count(",") + 1
-                raise DataFormatError(f"{data_path}:{lineno}: expected {3 + d} fields, got {fields}")
-            _, label, flag, feats = line.split(",", 3)
-            if not (_PLAIN_INT.fullmatch(label) and _PLAIN_INT.fullmatch(flag)):
-                raise DataFormatError(f"{data_path}:{lineno}: malformed row "
-                                      "(label and is_labeled must be plain integers)")
-            label, flag = int(label), int(flag)
-            if flag not in (0, 1):
-                raise DataFormatError(f"{data_path}:{lineno}: is_labeled must be 0 or 1")
-            if label < 0 or label >= C:
-                raise DataFormatError(f"{data_path}:{lineno}: class id {label} >= C ({C})")
-            if flag == 1 and label not in known:
-                raise DataFormatError(f"{data_path}:{lineno}: labeled unknown class {label}")
-            if not feats.strip():
-                # np.loadtxt would skip the blank text and drop the row
-                raise DataFormatError(f"{data_path}:{lineno}: malformed row (empty feature)")
-            labels.append(label)
-            flags.append(flag == 1)
-            yield feats
-
-    # Universal newlines read LF and CRLF files alike. np.loadtxt parses the
-    # features in C; it converts each line it pulls before it pulls the next,
-    # so on a parse error ``lineno`` is the line at fault. The cells are ASCII;
-    # a byte above 127 decodes to a lone surrogate that fails its line's parse
-    # (a strict decode would fail a whole read-ahead block, not one line).
+    rows = max(1, BLOCK_CELLS // d)
+    # Universal newlines read LF and CRLF files alike. The cells are ASCII; a
+    # byte above 127 decodes to a lone surrogate that ``_parse_block`` rejects
+    # with its line (a strict decode would fail a whole read-ahead block, not
+    # one line). The lines are read lazily, one block at a time.
     with open(data_path, encoding="ascii", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n").split(",") != expected:
             raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
-        first = fh.readline()
-        if not first:
-            raise DataFormatError(f"{data_path}: no data rows")
-        try:
-            points = np.loadtxt(feature_text(itertools.chain([first], fh)), dtype=np.float64,
-                                delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            cause = str(exc).split(" at row")[0]
-            raise DataFormatError(f"{data_path}:{lineno}: malformed row ({cause})") from None
+        blocks = ((data_path, 2 + k * rows, block, C, d, known) for k, block in
+                  enumerate(iter(lambda: list(itertools.islice(fh, rows)), [])))
+        parts = list(_in_blocks(_parse_block, blocks))
+    if not parts:
+        raise DataFormatError(f"{data_path}: no data rows")
+    points, labels, flags = (np.concatenate(arrays) for arrays in zip(*parts))
     bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad_rows):
         raise DataFormatError(f"{data_path}:{bad_rows[0] + 2}: non-finite feature value")
@@ -287,8 +358,8 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     try:
         return EmbeddingDataset(
             points=points,
-            labels=np.asarray(labels, dtype=np.int64),
-            is_labeled=np.asarray(flags, dtype=bool),
+            labels=labels,
+            is_labeled=flags,
             known_classes=known,
             unknown_classes=frozenset(range(C)) - known,
             num_classes=C,

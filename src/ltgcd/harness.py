@@ -149,14 +149,15 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     proto_rng = derive_stream(hp.seed, "proto-seed")
 
     head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM, init_rng)
-    feats = forward(head, data.points)
-    protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
     r = np.full(data.num_classes, 1.0 / data.num_classes)
     velocity = {name: np.zeros_like(arr) for name, arr in head.params().items()}
     unlab = data.unlabeled_indices
 
     logs: list[EpochLog] = []
+    protos = None
     try:
+        feats = forward(head, data.points)
+        protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
         for epoch in range(hp.epochs):
             lr = learning_rate(hp.lr0, epoch, hp.epochs)
             sums = np.zeros(len(LOSS_NAMES))

@@ -69,9 +69,18 @@ def init_head(d: int, hidden: int, out_dim: int, rng: np.random.Generator) -> Pr
     )
 
 
-def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tuple]:
+def forward_cached(
+    head: ProjectionHead, X: np.ndarray, finite_norms: bool = False
+) -> tuple[np.ndarray, tuple]:
     """``forward`` plus the activations ``backward`` reuses:
-    ``(relu mask, hidden H, row norms of Y, Z)``."""
+    ``(relu mask, hidden H, row norms of Y, Z)``.
+
+    A row whose pre-normalization norm is below ``NORM_FLOOR`` (or, with
+    ``finite_norms``, is inf or NaN) raises ``TrainingDiverged`` naming the
+    first such row. A training step leaves ``finite_norms`` off: there a
+    non-finite norm comes from diverged weights, and the non-finite loss it
+    leads to names the epoch and the batch.
+    """
     X = np.asarray(X, dtype=np.float64)
     A = X @ head.W1.T
     A += head.b1
@@ -80,15 +89,22 @@ def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tup
     Y = H @ head.W2.T
     Y += head.b2
     norms = np.linalg.norm(Y, axis=1, keepdims=True)
-    if np.any(norms < NORM_FLOOR):
-        raise TrainingDiverged("degenerate pre-normalization feature (norm < 1e-12)")
+    bad = norms < NORM_FLOOR
+    if finite_norms:
+        bad |= ~np.isfinite(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise TrainingDiverged(f"degenerate pre-normalization feature at row {row} "
+                               f"(norm {float(norms[row, 0])}, not a finite value >= 1e-12)")
     Z = np.divide(Y, norms, out=Y)
     return Z, (mask, H, norms, Z)
 
 
 def forward(head: ProjectionHead, X: np.ndarray) -> np.ndarray:
-    """Map inputs to unit-norm features: normalize(W2 relu(W1 x + b1) + b2)."""
-    return forward_cached(head, X)[0]
+    """Map inputs to unit-norm features: normalize(W2 relu(W1 x + b1) + b2).
+    Every row norm must be finite and at least ``NORM_FLOOR``; an error names
+    the first row that is not."""
+    return forward_cached(head, X, finite_norms=True)[0]
 
 
 def backward(

@@ -54,6 +54,27 @@ def test_folds_pairs_by_workload_and_seed(tmp_path):
     assert (acc["change_wins"], acc["parent_wins"]) == (1, 0)
 
 
+def test_traced_pairs_are_listed_side_by_side(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        record(parent, seed, 3.0, 0.5, seed)
+        record(change, seed, 2.0, 0.5, seed)
+    for side, rate in ((parent, 100.0), (change, 200.0)):
+        for seed in (1, 7):
+            (side / f"embed_score-seed{seed}-trace1.json").write_text(json.dumps({
+                "environment": {"seed": seed},
+                "stages": {"eval_s": 0.1},
+                "metrics": {"data.load_embeddings.rows_per_s": rate},
+            }))
+    (parent / "embed_score-seed8-trace1.json").write_text("{}")   # unpaired: ignored
+
+    traced = bench_record.fold(parent, change, SPEC)["workloads"]["embed_score"]["traced"]
+    assert [t["seed"] for t in traced] == [1, 7]
+    assert traced[0]["parent"] == {"stages": {"eval_s": 0.1},
+                                   "metrics": {"data.load_embeddings.rows_per_s": 100.0}}
+    assert traced[1]["change"]["metrics"]["data.load_embeddings.rows_per_s"] == 200.0
+
+
 def test_rejects_runs_from_different_environments(tmp_path):
     for seed in (1, 2):
         record(tmp_path / "parent", seed, 1.0, 0.5, seed)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,48 @@ class TestEvalCommand:
         assert header == ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
         assert row[:4] == ["7", "", "", ""]
         assert all(cell != "" for cell in row[4:])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow under test
+class TestHugeFeature:
+    """A finite 1e200 feature cell on line 7 of a desk dataset: the loader
+    accepts it, and the head's row norm overflows to inf on data row 5."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        data_dir = tmp_path / "data"
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+        assert cli(["gen", "--config", str(desk), "--out", str(data_dir)]) == 0
+        csv_path = data_dir / "data.csv"
+        lines = csv_path.read_bytes().split(b"\r\n")
+        cells = lines[6].split(b",")
+        cells[3] = b"1e200"
+        lines[6] = b",".join(cells)
+        csv_path.write_bytes(b"\r\n".join(lines))
+        return data_dir / "data.manifest.json"
+
+    def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):
+        rng = derive_stream(0, "test")
+        raw = rng.standard_normal((20, 32))
+        save_checkpoint(tmp_path / "ckpt.json", init_head(64, 64, 32, rng),
+                        Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                    "--dataset", str(manifest)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ltgcd: error: degenerate pre-normalization feature at row 5 (norm inf" \
+            in captured.err
+
+    def test_train_records_failed(self, tmp_path, config_file, manifest, capsys):
+        out = tmp_path / "run"
+        code = cli(["train", "--config", str(config_file), "--dataset", str(manifest),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "training failed: degenerate pre-normalization feature at row 5" in err
+        assert "unit-norm" not in err
+        assert (out / "train_log.csv").exists() and not (out / "checkpoint.json").exists()
 
 
 class TestSweepCommand:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ltgcd import data as data_module
 from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
 from ltgcd.errors import DataFormatError, ValidationError
@@ -140,14 +141,15 @@ class TestMakeViews:
 
 class TestFileRoundTrip:
     def test_write_then_load_reproduces_dataset(self, tmp_path):
-        data, _ = small_dataset()
+        data, _ = small_dataset(samples_per_known=400, dim=64)
+        assert data.n > 2 * (data_module.BLOCK_CELLS // data.dim)   # three blocks or more
         manifest = write_dataset(data, tmp_path)
         loaded = load_embeddings(manifest)
         assert loaded.num_classes == data.num_classes
         assert loaded.known_classes == data.known_classes
         assert np.array_equal(loaded.labels, data.labels)
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
-        assert np.max(np.abs(loaded.points - data.points)) <= 1e-6
+        assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
 
     @given(points=arrays(
         np.float64, st.tuples(st.just(4), st.integers(1, 4)),
@@ -246,6 +248,66 @@ class TestFileRoundTrip:
         )
         with pytest.raises(FileNotFoundError):
             load_embeddings(tmp_path / "m.json")
+
+
+def two_class_dataset(n, d, seed=0):
+    """``n`` random rows of dimension ``d``: class 0 known, row 0 its one
+    labeled row, the rest alternating between classes 0 and 1."""
+    labels = np.arange(n) % 2
+    return EmbeddingDataset(
+        points=derive_stream(seed, "test").standard_normal((n, d)), labels=labels,
+        is_labeled=np.arange(n) == 0, known_classes=frozenset({0}),
+        unknown_classes=frozenset({1}), num_classes=2, dim=d,
+    )
+
+
+class TestBlocks:
+    """The writer and the loader work in blocks of about ``BLOCK_CELLS``
+    cells; with one CPU they run in this process, with more on a pool."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-one-row"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_block_edges_round_trip_bit_for_bit(self, tmp_path, monkeypatch, cpus, extra):
+        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+        d = 64
+        data = two_class_dataset(data_module.BLOCK_CELLS // d + extra, d)
+        loaded = load_embeddings(write_dataset(data, tmp_path))
+        assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
+        assert np.array_equal(loaded.labels, data.labels)
+        assert np.array_equal(loaded.is_labeled, data.is_labeled)
+
+    def test_one_and_two_cpus_give_the_same_bytes_and_arrays(self, tmp_path, monkeypatch):
+        data = two_class_dataset(3 * data_module.BLOCK_CELLS // 16 + 5, 16)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+            manifest = write_dataset(data, tmp_path / f"cpus{cpus}")
+            loaded = load_embeddings(manifest)
+            outputs.append(((manifest.parent / "data.csv").read_bytes(),
+                            *(getattr(loaded, name).tobytes()
+                              for name in ("points", "labels", "is_labeled"))))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == data.points.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)   # four rows a block at d = 1
+        rows = [f"{i},0,1,0.5" for i in range(30)]
+        rows[17] = "17,0,1,0.5x"   # line 19, the second row of the fifth block
+        with pytest.raises(DataFormatError, match=r"d\.csv:19: malformed row"):
+            load_embeddings(write_files(tmp_path, rows))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_earliest_bad_line_wins_across_blocks(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)
+        rows = [f"{i},0,1,0.5" for i in range(30)]
+        # both blocks are in flight at once on two CPUs
+        rows[6] = "6,0,2,0.5"      # line 8, in the second block
+        rows[13] = "13,0,1"        # line 15, in the fourth block
+        with pytest.raises(DataFormatError, match=r"d\.csv:8: is_labeled must be 0 or 1"):
+            load_embeddings(write_files(tmp_path, rows))
 
 
 def write_files(tmp_path, rows, d=1, newline="\n", header=None, **manifest):

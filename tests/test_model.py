@@ -59,6 +59,17 @@ class TestForward:
         with pytest.raises(TrainingDiverged, match="degenerate"):
             forward(head, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow under test
+    def test_non_finite_norm_rejected_naming_the_first_row(self, value):
+        # a finite 1e200 input overflows its row norm to inf; NaN fails every
+        # comparison, so the floor check alone would let it through
+        head = random_head(derive_stream(1, "test"))
+        X = np.ones((4, 16))
+        X[2, 0] = X[3, 0] = value
+        with pytest.raises(TrainingDiverged, match="degenerate .* at row 2 "):
+            forward(head, X)
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
