@@ -15,7 +15,8 @@ pair. The output records the environment the runs share, every pair's
 end-to-end metrics and which side ran first (the record written first), and
 for each workload and metric of BENCHMARK.json: each side's median and
 quartiles, and how many pairs the change and the parent each won, by the
-metric's ``better`` direction (ties count for neither).
+metric's ``better`` direction (ties count for neither). It prints those
+medians and win counts for every metric of every workload.
 
 Each ``<workload>-seed<seed>-trace1.json`` present in both directories is
 one traced pair: the output lists its per-layer metrics and stage times,
@@ -121,11 +122,13 @@ def main(argv=None) -> int:
         bench["stability"] = {side: json.loads(path.read_text())
                               for side, path in zip(SIDES, args.stability)}
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
+    units = {metric["name"]: metric["unit"] for metric in spec["end_to_end"]}
     for workload, entry in bench["workloads"].items():
-        op = entry["metrics"]["op_s"]
-        print(f"{workload}: {len(entry['pairs'])} pairs, op_s median "
-              f"{op['parent']['median']:.3f} -> {op['change']['median']:.3f} s, "
-              f"change won {op['change_wins']}")
+        print(f"{workload}: {len(entry['pairs'])} pairs")
+        for name, metric in entry["metrics"].items():
+            print(f"  {name:<12} median {metric['parent']['median']:.6g} -> "
+                  f"{metric['change']['median']:.6g} {units[name]}, change won "
+                  f"{metric['change_wins']}, parent won {metric['parent_wins']}")
     return 0
 
 

@@ -12,6 +12,9 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
 - a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
   seed 0): the ``data.csv`` that ``write_dataset`` writes, and the arrays
   ``load_embeddings`` reads back from it;
+- ``evaluate`` at that shape for seeds 0-7, as the benchmark's embed_score
+  runs it (an untrained 256-64-32 head): the ``MetricsReport`` of each seed,
+  which rests on a 50 x 50 optimal assignment;
 - a fixed set of usage errors: the exit code and what ``ltgcd`` prints to
   standard error (``COLUMNS`` is pinned, since argparse wraps the usage line
   to the terminal width).
@@ -46,6 +49,7 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 DESK_SEEDS = tuple(range(8))
+EMBED_SEEDS = tuple(range(8))
 # (name, split overrides, hyperparameter overrides, plan axes)
 PLANS = (
     ("criterion8", {}, {},
@@ -152,17 +156,25 @@ def desk_train_one(root: Path) -> list[tuple[str, str]]:
     return lines
 
 
-def embed_dataset(work: Path) -> list[tuple[str, str]]:
+def embed(work: Path) -> list[tuple[str, str]]:
     from ltgcd.config import SplitSpec
     from ltgcd.data import generate_mixture, load_embeddings, write_dataset
+    from ltgcd.evaluation import evaluate
+    from ltgcd.model import init_head
     from ltgcd.rng import derive_stream
 
     split = SplitSpec(num_classes=100, num_known=50, samples_per_known=75, rho=5.0, dim=256)
     manifest = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
     loaded = load_embeddings(manifest)
     arrays = (loaded.points, loaded.labels, loaded.is_labeled)
-    return [("embed/data.csv", sha256((work / "data.csv").read_bytes())),
-            ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
+    lines = [("embed/data.csv", sha256((work / "data.csv").read_bytes())),
+             ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
+    for seed in EMBED_SEEDS:
+        data = generate_mixture(split, 5.0, derive_stream(seed, "split"))
+        head = init_head(split.dim, 64, 32, derive_stream(seed, "init"))
+        lines.append((f"embed/evaluate/seed{seed}",
+                      sha256(repr(evaluate(head, data, seed)).encode())))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         lines = (sweeps(work / "sweep") + desk_cli(root, work / "cli") + desk_train_one(root)
-                 + usage_errors() + embed_dataset(work / "embed"))
+                 + usage_errors() + embed(work / "embed"))
     for name, digest in lines:
         print(f"{name} {digest}")
     return 0

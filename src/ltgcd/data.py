@@ -265,6 +265,11 @@ def _parse_block(data_path: Path, first_line: int, lines: list[str], C: int, d: 
     ``feature_text`` before it pulls the next, so on a parse error ``lineno``
     is the line at fault. A byte above 127 arrives as a lone surrogate that
     fails its line's parse.
+
+    The first bad line of the block is the one reported, whatever is wrong
+    with it: a feature that parses to inf or NaN (``nan``, ``inf``, or a
+    literal such as ``1e999`` that overflows) or a line that does not parse.
+    Blocks report in file order, so the first bad line of the file wins.
     """
     labels, flags = [], []
     lineno = first_line
@@ -295,12 +300,26 @@ def _parse_block(data_path: Path, first_line: int, lines: list[str], C: int, d: 
             flags.append(flag == 1)
             yield feats
 
+    def parse(text):
+        return np.loadtxt(text, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+    def check_finite(points):
+        bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad_rows):
+            raise DataFormatError(f"{data_path}:{first_line + bad_rows[0]}: "
+                                  "non-finite feature value")
+
     try:
-        points = np.loadtxt(feature_text(), dtype=np.float64, delimiter=",", comments=None,
-                            ndmin=2)
-    except ValueError as exc:
+        points = parse(feature_text())
+    except (ValueError, DataFormatError) as exc:
+        # the lines before ``lineno`` parsed; a non-finite value there comes first
+        if lineno > first_line:
+            check_finite(parse(line.split(",", 3)[3] for line in lines[:lineno - first_line]))
+        if isinstance(exc, DataFormatError):
+            raise
         cause = str(exc).split(" at row")[0]
         raise DataFormatError(f"{data_path}:{lineno}: malformed row ({cause})") from None
+    check_finite(points)
     return points, np.asarray(labels, dtype=np.int64), np.asarray(flags, dtype=bool)
 
 
@@ -351,9 +370,6 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if not parts:
         raise DataFormatError(f"{data_path}: no data rows")
     points, labels, flags = (np.concatenate(arrays) for arrays in zip(*parts))
-    bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad_rows):
-        raise DataFormatError(f"{data_path}:{bad_rows[0] + 2}: non-finite feature value")
 
     try:
         return EmbeddingDataset(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .clustering import seeded_kmeans
 from .data import EmbeddingDataset
@@ -47,16 +46,79 @@ class MetricsReport:
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost one-to-one assignment; returns pi with pi[i] the column of row i."""
+    """Minimum-cost one-to-one assignment; returns pi with pi[i] the column of row i.
+
+    Shortest augmenting paths on dual potentials (Jonker and Volgenant,
+    Computing 1987). The potentials start at the column minima plus the row
+    minima of what is left, so every row has a tight (zero reduced cost)
+    column; each row takes its first free tight column, and every row left
+    over is matched by one Dijkstra search over the columns. On a matrix
+    full of ties, such as negated counts, the greedy start leaves few rows
+    for the searches.
+    """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValidationError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    pi = np.empty(cost.shape[0], dtype=np.int64)
-    pi[rows] = cols
-    return pi
+    n = cost.shape[0]
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return col4row
+    v = cost.min(axis=0)
+    reduced = cost - v
+    u = reduced.min(axis=1)
+    reduced -= u[:, None]
+    for i in range(n):
+        tight = (reduced[i] == 0.0) & (row4col < 0)
+        if tight.any():
+            j = int(np.argmax(tight))
+            col4row[i], row4col[j] = j, i
+    for i in np.flatnonzero(col4row < 0):
+        _augment(cost, u, v, col4row, row4col, int(i))
+    return col4row
+
+
+def _augment(cost: np.ndarray, u: np.ndarray, v: np.ndarray, col4row: np.ndarray,
+             row4col: np.ndarray, start: int) -> None:
+    """Match the free row ``start`` along a shortest augmenting path in the
+    reduced costs ``cost - u - v``, updating the matching and the potentials
+    in place so that reduced costs stay >= 0 and matched pairs stay tight."""
+    n = cost.shape[0]
+    shortest = np.full(n, np.inf)     # path cost from ``start`` to each column
+    path = np.full(n, -1, dtype=np.int64)   # the row before each column on it
+    scanned = np.zeros(n, dtype=bool)
+    min_val, i = 0.0, start
+    while True:
+        r = min_val + cost[i] - u[i] - v
+        better = ~scanned & (r < shortest)
+        shortest[better] = r[better]
+        path[better] = i
+        open_cost = np.where(scanned, np.inf, shortest)
+        min_val = open_cost.min()
+        ties = open_cost == min_val
+        free = ties & (row4col < 0)
+        # among equally short columns a free one ends the search soonest
+        j = int(np.argmax(free if free.any() else ties))
+        scanned[j] = True
+        if row4col[j] < 0:
+            break
+        i = int(row4col[j])
+
+    cols = np.flatnonzero(scanned)
+    delta = min_val - shortest[cols]
+    v[cols] -= delta
+    rows = row4col[cols]
+    keep = rows >= 0   # every scanned column but j is matched to a scanned row
+    u[rows[keep]] += delta[keep]
+    u[start] += min_val
+    while True:   # flip the path back from the free column j to ``start``
+        i = int(path[j])
+        row4col[j] = i
+        col4row[i], j = j, col4row[i]
+        if i == start:
+            break
 
 
 def confusion_counts(

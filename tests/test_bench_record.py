@@ -112,3 +112,27 @@ def test_stability_tables_become_a_section(tmp_path):
     bench = json.loads(out.read_text())
     assert bench["stability"] == {"parent": {"side": "parent"}, "change": {"side": "change"}}
     assert bench["workloads"]["desk_train"]["metrics"]["op_s"]["change_wins"] == 2
+
+
+def test_prints_every_metric_of_every_workload(tmp_path, capsys):
+    spec = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+    for side, rss in (("parent", 97.0), ("change", 57.0)):
+        (tmp_path / side).mkdir()
+        for workload in ("desk_train", "embed_score"):
+            for seed in (1, 2):
+                (tmp_path / side / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps({
+                    "environment": {"seed": seed},
+                    "metrics": {**{m["name"]: 0.5 for m in spec["end_to_end"]},
+                                "peak_rss_mb": rss + seed},
+                }))
+    assert bench_record.main(["--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"),
+                              "--out", str(tmp_path / "bench.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    per_workload = 1 + len(spec["end_to_end"])
+    assert len(lines) == 2 * per_workload
+    assert lines[0] == "desk_train: 2 pairs" and lines[per_workload] == "embed_score: 2 pairs"
+    assert [line.split()[0] for line in lines[1:per_workload]] == \
+        [m["name"] for m in spec["end_to_end"]]
+    assert "  peak_rss_mb  median 98.5 -> 58.5 MB, change won 2, parent won 0" in lines
+    assert "  op_s         median 0.5 -> 0.5 s, change won 0, parent won 0" in lines

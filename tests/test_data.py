@@ -229,7 +229,7 @@ class TestFileRoundTrip:
         with pytest.raises(DataFormatError, match="malformed"):
             load_embeddings(tmp_path / "m.json")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
         (tmp_path / "d.csv").write_text(
             f"id,label,is_labeled,f0,f1\n0,0,1,0.5,1.0\n1,1,0,0.25,{value}\n"
@@ -307,6 +307,21 @@ class TestBlocks:
         rows[6] = "6,0,2,0.5"      # line 8, in the second block
         rows[13] = "13,0,1"        # line 15, in the fourth block
         with pytest.raises(DataFormatError, match=r"d\.csv:8: is_labeled must be 0 or 1"):
+            load_embeddings(write_files(tmp_path, rows))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+    @pytest.mark.parametrize("later", [2, 3, 13], ids=["short-same-block",
+                                                       "unparsable-same-block",
+                                                       "short-later-block"])
+    def test_non_finite_value_beats_a_later_bad_line(self, tmp_path, monkeypatch, cpus,
+                                                      value, later):
+        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)   # lines 2-5 are the first block
+        rows = [f"{i},0,1,0.5" for i in range(30)]
+        rows[1] = f"1,0,1,{value}"                           # line 3
+        rows[later] = f"{later},0,1" + (",0.5x" if later == 3 else "")
+        with pytest.raises(DataFormatError, match=r"d\.csv:3: non-finite feature value"):
             load_embeddings(write_files(tmp_path, rows))
 
 

@@ -17,11 +17,8 @@ from ltgcd.rng import derive_stream
 def brute_force_min_cost(cost):
     """Independent oracle: exhaustive search over all permutations."""
     n = cost.shape[0]
-    best = float("inf")
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i, perm[i]] for i in range(n))
-        best = min(best, total)
-    return best
+    perms = np.array(list(itertools.permutations(range(n))))
+    return float(cost[np.arange(n), perms].sum(axis=1).min())
 
 
 def assignment_cost(cost, pi):
@@ -48,6 +45,36 @@ class TestHungarian:
             assert assignment_cost(cost, pi) == pytest.approx(
                 brute_force_min_cost(cost), abs=1e-12
             )
+
+    def test_matches_brute_force_on_tie_heavy_integers(self):
+        # small integer costs, as negated counts are: many optimal matchings
+        rng = derive_stream(1, "test")
+        for n in range(1, 8):
+            for _ in range(60):
+                cost = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+                pi = hungarian(cost)
+                assert sorted(pi) == list(range(n))
+                assert assignment_cost(cost, pi) == brute_force_min_cost(cost)
+
+    @pytest.mark.parametrize("cost", [np.full((6, 6), 2.0), np.zeros((40, 40)),
+                                      np.array([[-3.0]]), np.zeros((0, 0))],
+                             ids=["equal6", "zeros40", "n1", "n0"])
+    def test_degenerate_matrices_give_a_permutation(self, cost):
+        pi = hungarian(cost)
+        assert pi.dtype == np.int64
+        assert sorted(pi) == list(range(cost.shape[0]))
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_total_cost_matches_scipy_at_scale(self, n):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = derive_stream(n, "test")
+        for cost in (rng.random((n, n)), -rng.poisson(3.0, size=(n, n)).astype(np.float64),
+                     rng.integers(0, 4, size=(n, n)).astype(np.float64)):
+            pi = hungarian(cost)
+            assert sorted(pi) == list(range(n))
+            rows, cols = linear_sum_assignment(cost)
+            assert assignment_cost(cost, pi) == pytest.approx(cost[rows, cols].sum(),
+                                                              rel=0, abs=1e-9)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,11 @@
 """Source checks that need no linter: every import in the package is read,
-and every function, class, method and property it defines is read somewhere."""
+every function, class, method and property it defines is read somewhere, and
+importing the CLI loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +80,14 @@ def test_detects_an_unread_definition():
 def test_every_definition_is_read():
     package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_definitions(package, [path.read_text() for path in READERS]) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone costs a process about 48 MB; the package needs none of it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    modules = subprocess.run(
+        [sys.executable, "-c", "import ltgcd.cli, sys; print(*sys.modules, sep='\\n')"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "ltgcd.evaluation" in modules
+    assert [m for m in modules if m.startswith("scipy")] == []
