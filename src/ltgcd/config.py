@@ -20,6 +20,48 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+# file/CLI spelling -> dataclass field
+_KEY_ALIASES = {"lambda": "lambda_"}
+_FILE_KEYS = {field: key for key, field in _KEY_ALIASES.items()}
+
+
+def file_key(name: str) -> str:
+    """The spelling of field ``name`` in config files, messages and output."""
+    return _FILE_KEYS.get(name, name)
+
+
+# The allowed range of every numeric setting: the text its error message
+# gives and the test a value must pass. A float setting must also be finite.
+SETTING_RULES = {
+    **dict.fromkeys(("tau", "tau_p", "lr0", "rho"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("lambda_", "alpha", "beta", "weight_decay", "noise_sigma", "epochs", "sep"),
+                    (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("batch_size", "num_known", "samples_per_known", "dim", "workers"),
+                    (">= 1", lambda v: v >= 1)),
+    "num_classes": (">= 2", lambda v: v >= 2),
+    "mu": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    **dict.fromkeys(("momentum", "drop_prob"), ("in [0, 1)", lambda v: 0 <= v < 1)),
+    "labeled_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
+    "seed": ("a 64-bit unsigned integer", lambda v: 0 <= v < 2**64),
+}
+
+
+def check_setting(name: str, value) -> None:
+    """Raise ``ValidationError`` unless ``value`` is finite (if a float) and
+    in the range ``SETTING_RULES`` gives ``name``; the message names the key."""
+    key = file_key(name)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value}")
+    text, ok = SETTING_RULES[name]
+    if not ok(value):
+        raise ValidationError(f"{key} must be {text}, got {value}")
+
+
+def _check_fields(settings) -> None:
+    for name, value in vars(settings).items():
+        check_setting(name, value)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training hyperparameters; defaults are the desk-scale operating point."""
@@ -40,31 +82,7 @@ class Hyperparams:
     drop_prob: float = 0.1    # view augmentation: per-coordinate dropout
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
-        if not self.tau_p > 0:
-            raise ValidationError(f"tau_p must be > 0, got {self.tau_p}")
-        for name in ("lambda_", "alpha", "beta", "weight_decay"):
-            value = getattr(self, name)
-            if not value >= 0:
-                key = "lambda" if name == "lambda_" else name
-                raise ValidationError(f"{key} must be >= 0, got {value}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValidationError(f"mu must be in [0, 1], got {self.mu}")
-        if not self.lr0 > 0:
-            raise ValidationError(f"lr0 must be > 0, got {self.lr0}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.noise_sigma >= 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValidationError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -79,26 +97,11 @@ class SplitSpec:
     dim: int = 64
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_known < 1:
-            raise ValidationError(f"num_known must be >= 1, got {self.num_known}")
+        _check_fields(self)
         if self.num_known >= self.num_classes:
             raise ValidationError(
                 f"num_known must be < num_classes ({self.num_known} >= {self.num_classes})"
             )
-        if self.samples_per_known < 1:
-            raise ValidationError(
-                f"samples_per_known must be >= 1, got {self.samples_per_known}"
-            )
-        if not self.rho > 0:
-            raise ValidationError(f"rho must be > 0, got {self.rho}")
-        if not 0.0 < self.labeled_fraction < 1.0:
-            raise ValidationError(
-                f"labeled_fraction must be in (0, 1), got {self.labeled_fraction}"
-            )
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
         if self.samples_per_unknown < 1:
             raise ValidationError(
                 f"samples_per_known/rho rounds to 0 samples per unknown class "
@@ -126,9 +129,6 @@ _SPLIT_FIELDS = {f.name for f in fields(SplitSpec)}
 CONFIG_KEYS = _HP_FIELDS | _SPLIT_FIELDS
 # annotations are strings under ``from __future__ import annotations``
 _INT_KEYS = {f.name for f in fields(Hyperparams) + fields(SplitSpec) if f.type == "int"}
-
-# file/CLI spelling -> dataclass field
-_KEY_ALIASES = {"lambda": "lambda_"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

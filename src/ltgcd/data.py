@@ -21,14 +21,14 @@ import json
 import os
 import re
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import SplitSpec
-from .errors import DataFormatError, ValidationError
+from .config import SplitSpec, check_setting
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,13 @@ class EmbeddingDataset:
         return np.flatnonzero(~self.is_labeled)
 
 
-def check_sep(sep: float) -> None:
-    if not sep >= 0:
-        raise ValidationError(f"sep must be >= 0, got {sep}")
-
-
 def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> EmbeddingDataset:
     """Draw a synthetic long-tailed split.
 
     ``sep`` is the radius of the sphere the class means live on; per-class
     covariance is the identity. Known classes are ids 0..num_known-1.
     """
-    check_sep(sep)
+    check_setting("sep", sep)
     C, d = spec.num_classes, spec.dim
     n_k = spec.samples_per_known
     n_u = spec.samples_per_unknown
@@ -185,28 +180,32 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_blocks(fn, blocks):
-    """Yield ``fn(*args)`` for each ``args`` of ``blocks``, in order.
+def ordered_pool_map(fn, args_iter, workers: int):
+    """Yield ``fn(*args)`` for each ``args`` of ``args_iter``, in order.
 
-    With two or more blocks and two or more CPUs, the blocks run on a process
-    pool with one worker per CPU, at most two blocks per worker in flight, so
-    ``blocks`` is drawn lazily. Otherwise they run in this process. A block's
-    exception is raised when its turn comes, after every earlier result.
+    With two or more items and two or more ``workers``, the calls run on
+    that many processes, at most two per worker queued or running, so
+    ``args_iter`` is drawn lazily; a call frees its slot when it ends, so a
+    slow call idles no other worker. Otherwise they run in this process. A
+    call's exception is raised in its turn, after every earlier result.
     """
-    blocks = iter(blocks)
-    head = list(itertools.islice(blocks, 2))
-    workers = _cpus()
+    args_iter = iter(args_iter)
+    head = list(itertools.islice(args_iter, 2))
     if len(head) < 2 or workers < 2:
-        yield from itertools.starmap(fn, itertools.chain(head, blocks))
+        yield from itertools.starmap(fn, itertools.chain(head, args_iter))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for args in itertools.chain(head, blocks):
-            pending.append(pool.submit(fn, *args))
-            if len(pending) == 2 * workers:
+        pending, running = deque(), set()
+        for args in itertools.chain(head, args_iter):
+            future = pool.submit(fn, *args)
+            pending.append(future)
+            running.add(future)
+            if len(running) == 2 * workers:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            while pending and pending[0].done():
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        for future in pending:
+            yield future.result()
 
 
 def _format_block(first_id: int, points: np.ndarray, labels: np.ndarray,
@@ -238,7 +237,7 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
                data.is_labeled[start:start + rows]) for start in range(0, data.n, rows))
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for text in _in_blocks(_format_block, blocks):
+        for text in ordered_pool_map(_format_block, blocks, _cpus()):
             fh.write(text)
 
     manifest = {
@@ -366,7 +365,7 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
             raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
         blocks = ((data_path, 2 + k * rows, block, C, d, known) for k, block in
                   enumerate(iter(lambda: list(itertools.islice(fh, rows)), [])))
-        parts = list(_in_blocks(_parse_block, blocks))
+        parts = list(ordered_pool_map(_parse_block, blocks, _cpus()))
     if not parts:
         raise DataFormatError(f"{data_path}: no data rows")
     points, labels, flags = (np.concatenate(arrays) for arrays in zip(*parts))

@@ -147,8 +147,12 @@ def matched_accuracy(y_true: np.ndarray, clusters: np.ndarray) -> float:
     return int(counts[np.arange(len(pi)), pi].sum()) / y_true.size
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(head: ProjectionHead, data: EmbeddingDataset, seed: int) -> MetricsReport:
-    """Score a model snapshot on every unlabeled row of the dataset."""
+    """Score a model snapshot on every unlabeled row of the dataset.
+
+    numpy's floating-point warnings are off: a feature norm that overflows
+    is named by ``forward``'s row check, which stops the scoring."""
     rng = derive_stream(seed, "eval")
     feats = forward(head, data.points)
     known_list = sorted(data.known_classes)

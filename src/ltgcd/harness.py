@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import Hyperparams, SplitSpec
-from .data import EmbeddingDataset, check_sep, format_cell, generate_mixture, make_views, write_csv
+from .config import Hyperparams, SplitSpec, check_setting, file_key
+from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, ordered_pool_map, write_csv
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
 from .losses import BatchViews, overall_loss
@@ -100,9 +98,8 @@ class ExperimentPlan:
                 raise ValidationError(f"plan field {name} must be a non-empty list")
             if len(set(values)) != len(values):
                 raise ValidationError(f"plan field {name} repeats a value: {list(values)}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        check_sep(self.sep)
+        check_setting("workers", self.workers)
+        check_setting("sep", self.sep)
         self.jobs()   # builds, and so validates, every cell before any run
 
     def jobs(self) -> list[SweepCell]:
@@ -123,18 +120,22 @@ def _batch_iter(perm: np.ndarray, batch_size: int):
         yield perm[start:start + batch_size]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     """Train on one dataset and evaluate the final snapshot.
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
     then prior refresh from the unlabeled hard histogram and the prototype
-    EMA update. A ``TrainingDiverged`` or ``FloatingPointError`` ends the run
-    with a ``failed`` record; any other exception propagates.
+    EMA update. A ``TrainingDiverged`` ends the run with a ``failed`` record;
+    any other exception propagates. numpy's floating-point warnings are off
+    for the whole run: a non-finite value is named by the detector that meets
+    it (the loss check names the epoch and the batch, ``sgd_step`` the
+    gradient, ``forward`` the row), which ends the run.
     """
     if data.num_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {data.num_classes}")
     config_echo = {
-        **{("lambda" if k == "lambda_" else k): v for k, v in asdict(hp).items()},
+        **{file_key(k): v for k, v in asdict(hp).items()},
         "n": data.n,
         "num_classes": data.num_classes,
         "num_known": len(data.known_classes),
@@ -196,7 +197,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
 
             means = dict(zip(LOSS_NAMES, (sums / n_batches).tolist()))
             logs.append(EpochLog(epoch=epoch, **means, lr=lr, prior_r=r))
-    except (TrainingDiverged, FloatingPointError) as exc:
+    except TrainingDiverged as exc:
         # numeric trouble mid-run (exploding or collapsing features) becomes
         # a diagnostic record rather than an exception
         return RunRecord(
@@ -255,16 +256,12 @@ def _metric_stats(rows: list[dict]) -> dict[str, tuple[float, float, int]]:
 def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     """Run the plan cross product and write results.csv, summary.csv, and one
     trend SVG per swept axis. Failed runs land in failures.csv and the sweep
-    continues."""
+    continues. ``ordered_pool_map`` runs the cells on ``plan.workers``
+    processes: rows keep plan order and a slow cell idles no other worker."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()
-    run = partial(_run_job, plan)
-    if plan.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = list(map(run, cells))
+    rows = list(ordered_pool_map(_run_job, ((plan, cell) for cell in cells), plan.workers))
 
     artifacts: dict[str, Path] = {}
     ok_rows = [r for r in rows if r["status"] == "ok"]

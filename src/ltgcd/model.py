@@ -79,7 +79,9 @@ def forward_cached(
     ``finite_norms``, is inf or NaN) raises ``TrainingDiverged`` naming the
     first such row. A training step leaves ``finite_norms`` off: there a
     non-finite norm comes from diverged weights, and the non-finite loss it
-    leads to names the epoch and the batch.
+    leads to names the epoch and the batch. A norm that overflows is inf;
+    ``train_one`` and ``evaluate`` turn off numpy's warning about it, since
+    these checks name the row, but a direct call still warns.
     """
     X = np.asarray(X, dtype=np.float64)
     A = X @ head.W1.T
@@ -88,19 +90,15 @@ def forward_cached(
     H = np.maximum(A, 0.0, out=A)
     Y = H @ head.W2.T
     Y += head.b2
-    # A norm that overflows is inf: the check below names its row, or in a
-    # training step the non-finite loss check catches it. numpy's warning
-    # about the overflow would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(Y, axis=1, keepdims=True)
-        bad = norms < NORM_FLOOR
-        if finite_norms:
-            bad |= ~np.isfinite(norms)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise TrainingDiverged(f"degenerate pre-normalization feature at row {row} "
-                                   f"(norm {float(norms[row, 0])}, not a finite value >= 1e-12)")
-        Z = np.divide(Y, norms, out=Y)
+    norms = np.linalg.norm(Y, axis=1, keepdims=True)
+    bad = norms < NORM_FLOOR
+    if finite_norms:
+        bad |= ~np.isfinite(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise TrainingDiverged(f"degenerate pre-normalization feature at row {row} "
+                               f"(norm {float(norms[row, 0])}, not a finite value >= 1e-12)")
+    Z = np.divide(Y, norms, out=Y)
     return Z, (mask, H, norms, Z)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,48 @@ class TestHugeFeature:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("training failed: degenerate pre-normalization feature at row 5 ")
         assert (out / "train_log.csv").exists() and not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNumericSettings:
+    """A non-finite setting exits 1 before any output, naming its key; a
+    finite one that makes training diverge exits 2, naming the epoch and the
+    batch. Either way standard error is one line: numpy warns of nothing."""
+
+    @pytest.mark.parametrize("key", ["tau", "tau_p", "lambda", "alpha", "beta", "mu", "lr0",
+                                     "momentum", "weight_decay", "noise_sigma", "drop_prob",
+                                     "rho", "labeled_fraction"])
+    def test_infinite_config_value_exits_1(self, tmp_path, capsys, key):
+        config = tmp_path / "c.ini"
+        config.write_text(CONFIG + f"{key} = inf\n")
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(config), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ltgcd: invalid input: {key} must be finite, got inf"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["gen", "--sep", "inf"], "sep"),
+        (["train", "--sep", "inf"], "sep"),
+        (["sweep", "--sep", "inf"], "sep"),
+        (["sweep", "--alpha", "0,inf"], "alpha"),
+        (["sweep", "--rho=-inf"], "rho"),
+    ])
+    def test_infinite_flag_exits_1(self, tmp_path, config_file, capsys, argv, key):
+        out = tmp_path / "out"
+        assert cli([*argv, "--config", str(config_file), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"ltgcd: invalid input: {key} must be finite, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("lr0", "1e300"), ("tau", "1e-300"),
+                                            ("beta", "1e308")])
+    def test_diverging_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
+        config = tmp_path / "c.ini"
+        config.write_text(CONFIG + f"{key} = {value}\n")
+        assert cli(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"training failed: non-finite loss at epoch \d+, batch \d+", line)
 
 
 class TestSweepCommand:

@@ -1,5 +1,6 @@
 """Named random streams, hyperparameter validation, config parsing."""
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ltgcd.config import (
+    SETTING_RULES,
     Hyperparams,
     SplitSpec,
     build_params,
+    file_key,
     parse_config_text,
     read_config_file,
     round_half_up,
@@ -52,6 +55,14 @@ class TestRoundHalfUp:
         assert round_half_up(x) == expected
 
 
+def non_finite_cases(cls):
+    """``(kwargs, message)`` setting one float field of ``cls`` to inf, -inf
+    or nan, for every such field."""
+    return [({f.name: value}, f"{file_key(f.name)} must be finite, got {value}")
+            for f in fields(cls) if type(f.default) is float
+            for value in (math.inf, -math.inf, math.nan)]
+
+
 class TestHyperparams:
     def test_defaults_valid(self):
         hp = Hyperparams()
@@ -77,6 +88,7 @@ class TestHyperparams:
         (dict(noise_sigma=-0.1), "noise_sigma"),
         (dict(drop_prob=1.0), "drop_prob"),
         (dict(drop_prob=-0.2), "drop_prob"),
+        *non_finite_cases(Hyperparams),
     ])
     def test_rejects_out_of_range(self, kwargs, fragment):
         with pytest.raises(ValidationError, match=fragment):
@@ -121,9 +133,11 @@ class TestSplitSpec:
         dict(samples_per_known=0),
         dict(samples_per_known=1, rho=10.0),  # rounds to zero unknowns
         dict(samples_per_known=3, labeled_fraction=0.1),  # rounds to zero labeled
+        *(kwargs for kwargs, _ in non_finite_cases(SplitSpec)),
     ])
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValidationError):
+        # the message names the first key of the case
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             SplitSpec(**kwargs)
 
 
@@ -191,3 +205,8 @@ class TestConfigParsing:
         listed = set(read_config_file(desk))
         expected = {f.name for cls in (Hyperparams, SplitSpec) for f in fields(cls)}
         assert listed == expected
+
+    def test_every_numeric_setting_has_a_rule(self):
+        # sep shapes a generated split and workers a sweep; neither is a config key
+        settings = {f.name for cls in (Hyperparams, SplitSpec) for f in fields(cls)}
+        assert set(SETTING_RULES) == settings | {"sep", "workers"}

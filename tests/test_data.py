@@ -3,6 +3,8 @@
 import collections
 import json
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,29 @@ class TestBlocks:
         rows[later] = f"{later},0,1" + (",0.5x" if later == 3 else "")
         with pytest.raises(DataFormatError, match=r"d\.csv:3: non-finite feature value"):
             load_embeddings(write_files(tmp_path, rows))
+
+
+def _slow_first(marks, k, total):
+    """Call ``k`` of the pool test. Each later call leaves a mark; the first
+    returns once all ``total - 1`` marks are there, or fails after a minute."""
+    if k:
+        Path(marks, str(k)).touch()
+        return k
+    deadline = time.monotonic() + 60
+    while len(list(Path(marks).iterdir())) < total - 1:
+        if time.monotonic() > deadline:
+            raise TimeoutError("the later calls did not all run while the first one did")
+        time.sleep(0.01)
+    return k
+
+
+class TestOrderedPoolMap:
+    def test_a_slow_first_call_idles_no_other_worker(self, tmp_path):
+        # the first call runs until every later one has run, which on two
+        # workers needs the other worker to take all 11 of them meanwhile
+        total = 12
+        calls = ((tmp_path, k, total) for k in range(total))
+        assert list(data_module.ordered_pool_map(_slow_first, calls, 2)) == list(range(total))
 
 
 def write_files(tmp_path, rows, d=1, newline="\n", header=None, **manifest):

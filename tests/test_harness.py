@@ -79,7 +79,7 @@ class TestTrainOne:
                 known[lam].append(record.metrics.known_acc)
         assert np.mean(known[1.0]) >= np.mean(known[0.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # the loss check speaks, not numpy
     def test_divergence_produces_diagnostic_record(self):
         record = train_one(small_data(), small_hp(lr0=1e200, epochs=3))
         assert record.status == "failed"
@@ -87,8 +87,8 @@ class TestTrainOne:
         assert "non-finite loss" in record.error
 
     def test_invalid_value_inside_the_loop_propagates(self, monkeypatch):
-        # only TrainingDiverged and FloatingPointError become a failed record;
-        # a ValidationError mid-run is a bug and must reach the caller
+        # only TrainingDiverged becomes a failed record; a ValidationError
+        # mid-run is a bug and must reach the caller
         def broken_loss(*args, **kwargs):
             raise ValidationError("broken invariant")
         monkeypatch.setattr("ltgcd.harness.overall_loss", broken_loss)
@@ -223,7 +223,7 @@ class TestSweep:
         with pytest.raises(ValidationError, match="got -1"):
             small_plan(tmp_path, seeds=(-1,))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # the loss check speaks, not numpy
     def test_failed_runs_recorded_and_sweep_continues(self, tmp_path):
         plan = small_plan(tmp_path, hp=Hyperparams(epochs=2, batch_size=64,
                                                    seed=0, lr0=1e200))
