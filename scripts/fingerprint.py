@@ -2,9 +2,11 @@
 
 Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
 
-- four sweeps: the criterion-8 plan, a rho x alpha x beta grid, a plan whose
-  known rows are all labeled (so Known is absent) and a plan whose every run
-  fails; each sweep file is one output;
+- five sweeps: the criterion-8 plan, a rho x alpha x beta grid, a plan whose
+  known rows are all labeled (so Known is absent), a plan whose every run
+  steps no batch and one whose every run diverges; each sweep file is one
+  output, and a sweep that raises is one ``raised`` line hashing
+  ``Type: message``;
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
   ``configs/desk.ini``, every file they write plus what they print;
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
@@ -61,6 +63,8 @@ PLANS = (
     # batch 1 never holds the 2 unlabeled rows a step needs
     ("all_failed", {}, {"batch_size": 1},
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0,)}),
+    ("diverged", {}, {"lr0": 1e100},
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
 )
 
 USAGE_ERRORS = {
@@ -92,8 +96,13 @@ def sweeps(work: Path) -> list[tuple[str, str]]:
     lines = []
     for name, split_kw, hp_kw, axes in PLANS:
         out_dir = work / name
-        sweep(ExperimentPlan(hp=replace(hp, **hp_kw), split=replace(split, **split_kw),
-                             out_dir=out_dir, **axes))
+        try:
+            sweep(ExperimentPlan(hp=replace(hp, **hp_kw), split=replace(split, **split_kw),
+                                 out_dir=out_dir, **axes))
+        except Exception as exc:
+            raised = f"{type(exc).__name__}: {exc}"
+            lines.append((f"sweep/{name}/raised", sha256(raised.encode())))
+            continue
         lines += files(f"sweep/{name}", out_dir)
     return lines
 

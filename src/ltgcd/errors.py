@@ -11,4 +11,5 @@ class DataFormatError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Training cannot go on: a non-finite loss or gradient, a degenerate
-    (near-zero) pre-normalization feature, or an epoch that stepped no batch."""
+    (near-zero or non-finite) pre-normalization feature norm, or an epoch that
+    stepped no batch."""

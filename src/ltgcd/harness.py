@@ -129,8 +129,11 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     EMA update. A ``TrainingDiverged`` ends the run with a ``failed`` record;
     any other exception propagates. numpy's floating-point warnings are off
     for the whole run: a non-finite value is named by the detector that meets
-    it (the loss check names the epoch and the batch, ``sgd_step`` the
-    gradient, ``forward`` the row), which ends the run.
+    it (the row-norm check of ``forward_cached``, the loss check, or
+    ``sgd_step``'s gradient check), and the record's error appends where the
+    run stopped: ``at epoch E, batch B`` for a step, ``at the end of epoch E``
+    for the refresh. Before epoch 0 the norm check names a dataset row, and an
+    epoch that steps no batch names itself, so neither gets a suffix.
     """
     if data.num_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {data.num_classes}")
@@ -156,6 +159,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
 
     logs: list[EpochLog] = []
     protos = None
+    where = ""   # appended to a divergence's message
     try:
         feats = forward(head, data.points)
         protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
@@ -166,6 +170,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
             for batch in _batch_iter(batch_rng.permutation(data.n), hp.batch_size):
                 if int((~data.is_labeled[batch]).sum()) < 2:
                     continue
+                where = f" at epoch {epoch}, batch {n_batches}"
                 X = make_views(data, batch, hp.noise_sigma, hp.drop_prob, aug_rng)
                 Z, acts = forward_cached(head, X)
                 bv = BatchViews(
@@ -175,19 +180,19 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 )
                 breakdown = overall_loss(bv, protos, r, hp)
                 if not math.isfinite(breakdown.l_overall):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {n_batches}"
-                    )
+                    raise TrainingDiverged("non-finite loss")
                 grads = backward(head, X, breakdown.grad_Z, acts)
                 sgd_step(head, grads, velocity, lr, hp)
                 sums += [getattr(breakdown, name) for name in LOSS_NAMES]
                 n_batches += 1
             if n_batches == 0:
+                where = ""
                 raise TrainingDiverged(
                     f"epoch {epoch} stepped no batch: with batch_size={hp.batch_size} "
                     "no batch holds the 2 unlabeled rows a step needs"
                 )
 
+            where = f" at the end of epoch {epoch}"
             feats = forward(head, data.points)
             assignments = np.argmax(predict_probs(feats, protos, hp.tau_p), axis=1)
             r = ema_update(r, hard_histogram(assignments[unlab], data.num_classes), hp.mu)
@@ -202,7 +207,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
         # a diagnostic record rather than an exception
         return RunRecord(
             config=config_echo, epoch_logs=logs, metrics=None,
-            status="failed", error=str(exc), head=head, protos=protos,
+            status="failed", error=f"{exc}{where}", head=head, protos=protos,
         )
 
     metrics = evaluate(head, data, hp.seed)

@@ -14,7 +14,6 @@ import numpy as np
 from .config import Hyperparams
 from .errors import ValidationError
 from .model import Prototypes, predict_probs
-from .prior import check_simplex
 
 _LOG_FLOOR = 1e-12
 
@@ -141,24 +140,18 @@ def sup_con(Z: np.ndarray, view_labels: np.ndarray, tau: float) -> tuple[float, 
     return _contrast(Z, np.flatnonzero(same), tau)
 
 
-def _cross_entropy_unchecked(q_bar: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    clamped = np.maximum(q_bar, _LOG_FLOOR)
-    value = float(-(target * np.log(clamped)).sum())
-    grad = -target / clamped
-    return value, grad
-
-
 def target_cross_entropy(q_bar: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Cross-entropy of a mean prediction against a fixed target distribution.
 
     value = -sum_c target_c log q_bar_c with q_bar clamped at 1e-12 below;
     gradient is -target / clamped(q_bar). Minimized exactly at q_bar = target.
+    The inputs are not checked: ``overall_loss`` passes a mean of softmax rows
+    and targets that hold their own simplex invariants.
     """
-    q_bar = np.asarray(q_bar, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    check_simplex(q_bar, "q_bar")
-    check_simplex(target, "target")
-    return _cross_entropy_unchecked(q_bar, target)
+    clamped = np.maximum(q_bar, _LOG_FLOOR)
+    value = float(-(target * np.log(clamped)).sum())
+    grad = -target / clamped
+    return value, grad
 
 
 def overall_loss(
@@ -191,13 +184,11 @@ def overall_loss(
         )
         grad_Z[lab_rows] = hp.lambda_ * g_sup
 
-    # q_bar is a mean of softmax rows and the targets carry their own simplex
-    # invariants, so the unchecked path is safe here
     Q = predict_probs(Z_unlab, protos, hp.tau_p)
     q_bar = Q.mean(axis=0)
     uniform = np.full(protos.num_classes, 1.0 / protos.num_classes)
-    h_prior, g_prior = _cross_entropy_unchecked(q_bar, prior_r)
-    h_uniform, g_uniform = _cross_entropy_unchecked(q_bar, uniform)
+    h_prior, g_prior = target_cross_entropy(q_bar, prior_r)
+    h_uniform, g_uniform = target_cross_entropy(q_bar, uniform)
 
     g_q = (hp.alpha * g_prior + hp.beta * g_uniform) / len(unlab_rows)
     # chain through the softmax rows onto features; prototypes stay constant

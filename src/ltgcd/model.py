@@ -69,19 +69,15 @@ def init_head(d: int, hidden: int, out_dim: int, rng: np.random.Generator) -> Pr
     )
 
 
-def forward_cached(
-    head: ProjectionHead, X: np.ndarray, finite_norms: bool = False
-) -> tuple[np.ndarray, tuple]:
+def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tuple]:
     """``forward`` plus the activations ``backward`` reuses:
     ``(relu mask, hidden H, row norms of Y, Z)``.
 
-    A row whose pre-normalization norm is below ``NORM_FLOOR`` (or, with
-    ``finite_norms``, is inf or NaN) raises ``TrainingDiverged`` naming the
-    first such row. A training step leaves ``finite_norms`` off: there a
-    non-finite norm comes from diverged weights, and the non-finite loss it
-    leads to names the epoch and the batch. A norm that overflows is inf;
-    ``train_one`` and ``evaluate`` turn off numpy's warning about it, since
-    these checks name the row, but a direct call still warns.
+    A row whose pre-normalization norm is inf, NaN or below ``NORM_FLOOR``
+    raises ``TrainingDiverged`` naming the first such row of ``X``. A norm
+    that overflows is inf; ``train_one`` and ``evaluate`` turn off numpy's
+    warning about it, since this check names the row, but a direct call
+    still warns.
     """
     X = np.asarray(X, dtype=np.float64)
     A = X @ head.W1.T
@@ -91,9 +87,7 @@ def forward_cached(
     Y = H @ head.W2.T
     Y += head.b2
     norms = np.linalg.norm(Y, axis=1, keepdims=True)
-    bad = norms < NORM_FLOOR
-    if finite_norms:
-        bad |= ~np.isfinite(norms)
+    bad = (norms < NORM_FLOOR) | ~np.isfinite(norms)
     if bad.any():
         row = int(np.argmax(bad))
         raise TrainingDiverged(f"degenerate pre-normalization feature at row {row} "
@@ -104,9 +98,8 @@ def forward_cached(
 
 def forward(head: ProjectionHead, X: np.ndarray) -> np.ndarray:
     """Map inputs to unit-norm features: normalize(W2 relu(W1 x + b1) + b2).
-    Every row norm must be finite and at least ``NORM_FLOOR``; an error names
-    the first row that is not."""
-    return forward_cached(head, X, finite_norms=True)[0]
+    The first output of ``forward_cached``, under the same row-norm check."""
+    return forward_cached(head, X)[0]
 
 
 def backward(

@@ -288,13 +288,20 @@ class TestNumericSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("lr0", "1e300"), ("tau", "1e-300"),
-                                            ("beta", "1e308")])
+                                            ("beta", "1e308"), ("lr0", "1e20"),
+                                            ("lr0", "1e100"), ("noise_sigma", "1e200"),
+                                            ("weight_decay", "1e50"), ("lambda", "1e100")])
     def test_diverging_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
         config = tmp_path / "c.ini"
         config.write_text(CONFIG + f"{key} = {value}\n")
-        assert cli(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(config), "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert re.fullmatch(r"training failed: non-finite loss at epoch \d+, batch \d+", line)
+        # tau and beta overflow the loss itself; the others first break a row
+        # norm or a gradient
+        cause = "non-finite loss" if key in ("tau", "beta") else ".+"
+        assert re.fullmatch(rf"training failed: {cause} at epoch \d+, batch \d+", line)
+        assert (out / "train_log.csv").exists() and not (out / "checkpoint.json").exists()
 
 
 class TestSweepCommand:

@@ -1,11 +1,14 @@
 """Training runs, sweep artifacts, and end-to-end determinism."""
 
 import csv
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltgcd.config import Hyperparams, SplitSpec
+from ltgcd.config import Hyperparams, SplitSpec, build_params, read_config_file
 from ltgcd.data import EmbeddingDataset, generate_mixture
 from ltgcd.errors import ValidationError
 from ltgcd.evaluation import evaluate
@@ -22,6 +25,7 @@ from ltgcd.rng import derive_stream
 from ltgcd.svg import _SERIES_COLORS as SERIES_COLORS
 
 
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
 SMALL_SPEC = dict(num_classes=6, num_known=3, samples_per_known=60, rho=3.0, dim=16)
 
 
@@ -79,12 +83,22 @@ class TestTrainOne:
                 known[lam].append(record.metrics.known_acc)
         assert np.mean(known[1.0]) >= np.mean(known[0.0])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")   # the loss check speaks, not numpy
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a detector speaks, not numpy
     def test_divergence_produces_diagnostic_record(self):
         record = train_one(small_data(), small_hp(lr0=1e200, epochs=3))
         assert record.status == "failed"
         assert record.metrics is None
-        assert "non-finite loss" in record.error
+        assert re.search(r" at epoch \d+, batch \d+$", record.error)
+
+    def test_divergence_in_the_epoch_end_refresh_names_the_epoch(self):
+        # weight decay this strong overflows the weights between the last
+        # step of an epoch and the refresh forward over the dataset
+        hp, split = build_params(read_config_file(DESK_CONFIG))
+        data = generate_mixture(split, 5.0, derive_stream(0, "split"))
+        record = train_one(data, replace(hp, weight_decay=1e10, epochs=3))
+        assert record.status == "failed"
+        assert re.fullmatch(r"degenerate pre-normalization feature at row \d+ \(.*\) "
+                            r"at the end of epoch \d+", record.error)
 
     def test_invalid_value_inside_the_loop_propagates(self, monkeypatch):
         # only TrainingDiverged becomes a failed record; a ValidationError
@@ -223,10 +237,11 @@ class TestSweep:
         with pytest.raises(ValidationError, match="got -1"):
             small_plan(tmp_path, seeds=(-1,))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")   # the loss check speaks, not numpy
-    def test_failed_runs_recorded_and_sweep_continues(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a detector speaks, not numpy
+    @pytest.mark.parametrize("lr0", [1e200, 1e100])
+    def test_failed_runs_recorded_and_sweep_continues(self, tmp_path, lr0):
         plan = small_plan(tmp_path, hp=Hyperparams(epochs=2, batch_size=64,
-                                                   seed=0, lr0=1e200))
+                                                   seed=0, lr0=lr0))
         artifacts = sweep(plan)
         assert "failures" in artifacts
         failures = read_csv(artifacts["failures"])

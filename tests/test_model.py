@@ -67,8 +67,9 @@ class TestForward:
         head = random_head(derive_stream(1, "test"))
         X = np.ones((4, 16))
         X[2, 0] = X[3, 0] = value
-        with pytest.raises(TrainingDiverged, match="degenerate .* at row 2 "):
-            forward(head, X)
+        for fn in (forward, forward_cached):
+            with pytest.raises(TrainingDiverged, match="degenerate .* at row 2 "):
+                fn(head, X)
 
 
 class TestBackward:
