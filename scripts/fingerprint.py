@@ -12,8 +12,10 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
   prototype bytes and the epoch logs of each run;
 - a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
-  seed 0): the ``data.csv`` that ``write_dataset`` writes, and the arrays
-  ``load_embeddings`` reads back from it;
+  seed 0): the data file that ``write_dataset`` writes, named as the
+  manifest's ``data`` entry names it (``data.npz``, or ``data.csv`` in a
+  checkout that writes CSV), and the arrays ``load_embeddings`` reads back
+  from it;
 - ``evaluate`` at that shape for seeds 0-7, as the benchmark's embed_score
   runs it (an untrained 256-64-32 head): the ``MetricsReport`` of each seed,
   which rests on a 50 x 50 optimal assignment;
@@ -46,6 +48,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -176,7 +179,8 @@ def embed(work: Path) -> list[tuple[str, str]]:
     manifest = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
     loaded = load_embeddings(manifest)
     arrays = (loaded.points, loaded.labels, loaded.is_labeled)
-    lines = [("embed/data.csv", sha256((work / "data.csv").read_bytes())),
+    data_file = json.loads(manifest.read_text())["data"]
+    lines = [(f"embed/{data_file}", sha256((work / data_file).read_bytes())),
              ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
     for seed in EMBED_SEEDS:
         data = generate_mixture(split, 5.0, derive_stream(seed, "split"))

@@ -51,7 +51,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     """
     parser = argparse.ArgumentParser(prog="ltgcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_gen = sub.add_parser("gen", help="write a synthetic dataset (CSV + manifest)")
+    p_gen = sub.add_parser("gen", help="write a synthetic dataset (npz + manifest)")
     p_train = sub.add_parser("train", help="train one model and evaluate it")
     p_eval = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
     # no abbreviations: "--seed" would otherwise be read as "--seeds"

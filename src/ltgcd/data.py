@@ -6,11 +6,11 @@ classes contribute ``samples_per_known`` points each, unknown classes
 ``round_half_up(samples_per_known / rho)``. A balanced fraction of each known
 class is marked labeled; everything else forms the unlabeled pool.
 
-On-disk format: a CSV with header ``id,label,is_labeled,f0,...,f{d-1}``,
-unquoted numeric cells and LF or CRLF line ends, plus a JSON manifest
-``{"data": path, "C": int, "d": int, "known_classes": [ints]}``. The writer
-and the loader format and parse the rows in blocks, on every CPU the process
-may use; the bytes and arrays are those of a one-CPU run.
+On-disk format: a JSON manifest ``{"data": path, "C": int, "d": int,
+"known_classes": [ints]}`` naming the data file: an npz of the arrays of
+``NPZ_LAYOUT``, as ``write_dataset`` writes it, or else a CSV with header
+``id,label,is_labeled,f0,...,f{d-1}``, unquoted numeric cells and LF or CRLF
+line ends, parsed in blocks on every CPU the process may use.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     return path
 
 
-# A block of dataset rows holds about this many feature cells, so that a
-# block costs about the same to format or parse at any d.
+# A block of CSV rows holds about this many feature cells, so that a block
+# costs about the same to parse at any d.
 BLOCK_CELLS = 2**15
 
 
@@ -208,44 +208,24 @@ def ordered_pool_map(fn, args_iter, workers: int):
             yield future.result()
 
 
-def _format_block(first_id: int, points: np.ndarray, labels: np.ndarray,
-                  flags: np.ndarray) -> str:
-    """The CSV lines of consecutive rows, the first of which has id ``first_id``."""
-    return "".join(
-        f"{i},{label},{int(flag)},{','.join(map(float.__repr__, row))}\r\n"
-        for i, label, flag, row in zip(itertools.count(first_id), labels.tolist(),
-                                        flags.tolist(), points.tolist())
-    )
+# The arrays of a dataset npz and their dtypes.
+NPZ_LAYOUT = {"points": np.float64, "labels": np.int64, "is_labeled": np.bool_}
 
 
 def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
-    """Write ``data.csv`` plus ``data.manifest.json``; returns the manifest path.
+    """Write ``data.npz`` plus ``data.manifest.json``; returns the manifest path.
 
-    The CSV has the bytes ``write_csv`` would give it (CRLF line ends, floats
-    by ``format_cell``'s rule); it is written one joined line per row, since
-    its cells are numbers and need no quoting, and its rows are formatted in
-    blocks by ``_format_block``.
+    The npz holds the arrays of ``NPZ_LAYOUT``, uncompressed. Its zip members
+    carry a fixed date, so a dataset always gives the same bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "data.csv"
+    arrays = (data.points, data.labels, data.is_labeled)
+    np.savez(out_dir / "data.npz", **{name: arr.astype(dtype, copy=False)
+                                      for (name, dtype), arr in zip(NPZ_LAYOUT.items(), arrays)})
+    manifest = {"data": "data.npz", "C": data.num_classes, "d": data.dim,
+                "known_classes": sorted(data.known_classes)}
     manifest_path = out_dir / "data.manifest.json"
-
-    header = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)]
-    rows = max(1, BLOCK_CELLS // data.dim)
-    blocks = ((start, data.points[start:start + rows], data.labels[start:start + rows],
-               data.is_labeled[start:start + rows]) for start in range(0, data.n, rows))
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for text in ordered_pool_map(_format_block, blocks, _cpus()):
-            fh.write(text)
-
-    manifest = {
-        "data": csv_path.name,
-        "C": data.num_classes,
-        "d": data.dim,
-        "known_classes": sorted(data.known_classes),
-    }
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
 
@@ -322,6 +302,61 @@ def _parse_block(data_path: Path, first_line: int, lines: list[str], C: int, d: 
     return points, np.asarray(labels, dtype=np.int64), np.asarray(flags, dtype=bool)
 
 
+def _read_csv(data_path: Path, C: int, d: int,
+              known: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(points, labels, flags)`` of a dataset CSV, parsed in blocks by
+    ``_parse_block`` on every CPU the process may use."""
+    expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
+    rows = max(1, BLOCK_CELLS // d)
+    # Universal newlines read LF and CRLF files alike. The cells are ASCII; a
+    # byte above 127 decodes to a lone surrogate that ``_parse_block`` rejects
+    # with its line (a strict decode would fail a whole read-ahead block, not
+    # one line). The lines are read lazily, one block at a time.
+    with open(data_path, encoding="ascii", errors="surrogateescape") as fh:
+        if fh.readline().rstrip("\n").split(",") != expected:
+            raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
+        blocks = ((data_path, 2 + k * rows, block, C, d, known) for k, block in
+                  enumerate(iter(lambda: list(itertools.islice(fh, rows)), [])))
+        parts = list(ordered_pool_map(_parse_block, blocks, _cpus()))
+    if not parts:
+        raise DataFormatError(f"{data_path}: no data rows")
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _read_npz(data_path: Path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(points, labels, flags)`` of a dataset npz, checked in order: it
+    holds exactly the arrays of ``NPZ_LAYOUT``, in their native dtypes, shaped
+    (n, d), (n,) and (n,) for some n >= 1, with finite features."""
+    try:
+        # np.load leaves a path's file open when the zip directory is bad
+        with open(data_path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise DataFormatError(f"{data_path}: not an npz archive (a single .npy array)")
+            if sorted(archive.files) != sorted(NPZ_LAYOUT):
+                raise DataFormatError(f"{data_path}: expected the arrays {list(NPZ_LAYOUT)}, "
+                                      f"got {archive.files}")
+            arrays = [archive[name] for name in NPZ_LAYOUT]
+    except DataFormatError:
+        raise
+    except Exception as exc:   # numpy and zipfile raise many types on a malformed archive
+        raise DataFormatError(f"{data_path}: cannot read as npz "
+                              f"({type(exc).__name__}: {exc})") from None
+    for (name, dtype), arr in zip(NPZ_LAYOUT.items(), arrays):
+        if arr.dtype != dtype:
+            raise DataFormatError(f"{data_path}: {name} must be native {np.dtype(dtype)}, "
+                                  f"got {arr.dtype}")
+    points, labels, flags = arrays
+    n = points.shape[0] if points.ndim == 2 else 0
+    if not (n and points.shape[1] == d and labels.shape == flags.shape == (n,)):
+        raise DataFormatError(f"{data_path}: expected shapes (n, {d}), (n,), (n,) with n >= 1, "
+                              f"got {points.shape}, {labels.shape}, {flags.shape}")
+    bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad_rows):
+        raise DataFormatError(f"{data_path}: row {bad_rows[0]}: non-finite feature value")
+    return points, labels, flags
+
+
 def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     """Load a dataset described by a JSON manifest; validates all invariants."""
     manifest_path = Path(manifest_path)
@@ -354,21 +389,10 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if not data_path.exists():
         raise FileNotFoundError(f"data file not found: {data_path}")
 
-    expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
-    rows = max(1, BLOCK_CELLS // d)
-    # Universal newlines read LF and CRLF files alike. The cells are ASCII; a
-    # byte above 127 decodes to a lone surrogate that ``_parse_block`` rejects
-    # with its line (a strict decode would fail a whole read-ahead block, not
-    # one line). The lines are read lazily, one block at a time.
-    with open(data_path, encoding="ascii", errors="surrogateescape") as fh:
-        if fh.readline().rstrip("\n").split(",") != expected:
-            raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
-        blocks = ((data_path, 2 + k * rows, block, C, d, known) for k, block in
-                  enumerate(iter(lambda: list(itertools.islice(fh, rows)), [])))
-        parts = list(ordered_pool_map(_parse_block, blocks, _cpus()))
-    if not parts:
-        raise DataFormatError(f"{data_path}: no data rows")
-    points, labels, flags = (np.concatenate(arrays) for arrays in zip(*parts))
+    if data_path.suffix == ".npz":
+        points, labels, flags = _read_npz(data_path, d)
+    else:
+        points, labels, flags = _read_csv(data_path, C, d, known)
 
     try:
         return EmbeddingDataset(

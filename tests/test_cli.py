@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from ltgcd.cli import cli
-from ltgcd.data import EmbeddingDataset, write_dataset
+from ltgcd.data import EmbeddingDataset, load_embeddings, write_dataset
 from ltgcd.model import Prototypes, init_head, save_checkpoint
 from ltgcd.rng import derive_stream
+from support import write_csv_dataset
 
 
 CONFIG = """
@@ -30,6 +31,15 @@ dim = 16
 def config_file(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text(CONFIG)
+    return path
+
+
+def untrained_checkpoint(path, d):
+    """A checkpoint of a seeded untrained d-64-32 head with 20 prototypes."""
+    rng = derive_stream(0, "test")
+    raw = rng.standard_normal((20, 32))
+    save_checkpoint(path, init_head(d, 64, 32, rng),
+                    Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
     return path
 
 
@@ -211,32 +221,51 @@ class TestEvalCommand:
         assert row[:4] == ["7", "", "", ""]
         assert all(cell != "" for cell in row[4:])
 
+    def test_truncated_npz_exits_2_naming_the_file(self, tmp_path, config_file, capsys):
+        data_dir = tmp_path / "data"
+        assert cli(["gen", "--config", str(config_file), "--out", str(data_dir)]) == 0
+        npz = data_dir / "data.npz"
+        npz.write_bytes(npz.read_bytes()[:1000])
+        capsys.readouterr()
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.json", 16)),
+                    "--dataset", str(data_dir / "data.manifest.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"ltgcd: error: {npz}: cannot read as npz (BadZipFile: ")
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHugeFeature:
-    """A finite 1e200 feature cell on line 7 of a desk dataset: the loader
-    accepts it, and the head's row norm overflows to inf on data row 5. The
-    named error is all the user sees: numpy warns of no overflow."""
+    """A finite 1e200 first feature on data row 5 of a desk dataset, edited
+    into its npz or on line 7 of the same data as CSV: the loader accepts it,
+    and the head's row norm overflows to inf on that row. The named error is
+    all the user sees: numpy warns of no overflow."""
 
-    @pytest.fixture
-    def manifest(self, tmp_path):
+    @pytest.fixture(params=["npz", "csv"])
+    def manifest(self, tmp_path, request):
         data_dir = tmp_path / "data"
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
         assert cli(["gen", "--config", str(desk), "--out", str(data_dir)]) == 0
-        csv_path = data_dir / "data.csv"
+        manifest = data_dir / "data.manifest.json"
+        if request.param == "npz":
+            with np.load(data_dir / "data.npz") as archive:
+                arrays = dict(archive)
+            arrays["points"][5, 0] = 1e200
+            np.savez(data_dir / "data.npz", **arrays)
+            return manifest
+        manifest = write_csv_dataset(load_embeddings(manifest), data_dir / "csv")
+        csv_path = manifest.parent / "data.csv"
         lines = csv_path.read_bytes().split(b"\r\n")
         cells = lines[6].split(b",")
         cells[3] = b"1e200"
         lines[6] = b",".join(cells)
         csv_path.write_bytes(b"\r\n".join(lines))
-        return data_dir / "data.manifest.json"
+        return manifest
 
     def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):
-        rng = derive_stream(0, "test")
-        raw = rng.standard_normal((20, 32))
-        save_checkpoint(tmp_path / "ckpt.json", init_head(64, 64, 32, rng),
-                        Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
-        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "ckpt.json", 64)),
                     "--dataset", str(manifest)])
         assert code == 2
         captured = capsys.readouterr()

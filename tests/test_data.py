@@ -4,6 +4,7 @@ import collections
 import json
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
+from support import write_csv_dataset
 
 
 def small_dataset(seed=0, **kwargs):
@@ -141,10 +143,19 @@ class TestMakeViews:
                        derive_stream(0, "aug"))
 
 
+# features on which a text round trip is most likely to lose bits
+FEATURES = arrays(
+    np.float64, st.tuples(st.just(4), st.integers(1, 4)),
+    elements=st.one_of(
+        st.sampled_from([5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
 class TestFileRoundTrip:
     def test_write_then_load_reproduces_dataset(self, tmp_path):
         data, _ = small_dataset(samples_per_known=400, dim=64)
-        assert data.n > 2 * (data_module.BLOCK_CELLS // data.dim)   # three blocks or more
         manifest = write_dataset(data, tmp_path)
         loaded = load_embeddings(manifest)
         assert loaded.num_classes == data.num_classes
@@ -153,16 +164,8 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
         assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
 
-    @given(points=arrays(
-        np.float64, st.tuples(st.just(4), st.integers(1, 4)),
-        elements=st.one_of(
-            st.sampled_from([5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0]),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-    ))
-    @settings(max_examples=50, deadline=None)
-    def test_features_round_trip_bit_for_bit(self, points):
-        # subnormals, +-1e308 and -0.0 survive the CSV text form unchanged
+    @staticmethod
+    def round_trip(points, write):
         data = EmbeddingDataset(
             points=points, labels=np.array([0, 0, 1, 1]),
             is_labeled=np.array([True, False, False, False]),
@@ -170,25 +173,41 @@ class TestFileRoundTrip:
             num_classes=2, dim=points.shape[1],
         )
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = load_embeddings(write_dataset(data, tmp))
+            loaded = load_embeddings(write(data, tmp))
         assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
 
-    def test_writer_bytes(self, tmp_path):
-        # CRLF line ends, the id,label,is_labeled prefix, and every float as
-        # its shortest round-trip repr, signed zero and subnormals included.
+    @given(points=FEATURES)
+    @settings(max_examples=50, deadline=None)
+    def test_features_round_trip_bit_for_bit(self, points):
+        # subnormals, +-1e308 and -0.0 survive the CSV text form unchanged
+        self.round_trip(points, write_csv_dataset)
+
+    @given(points=FEATURES)
+    @settings(max_examples=50, deadline=None)
+    def test_features_round_trip_bit_for_bit_through_npz(self, points):
+        self.round_trip(points, write_dataset)
+
+    def test_npz_holds_the_loader_dtypes_whatever_the_dataset_holds(self, tmp_path):
         data = EmbeddingDataset(
-            points=np.array([[-0.0, 5e-324], [1e-310, 1e308], [0.1, -2.5]]),
-            labels=np.array([0, 1, 1]), is_labeled=np.array([True, False, False]),
+            points=np.array([[0.5, -1.0], [0.25, 2.0]], dtype=np.float32),
+            labels=np.array([0, 1], dtype=np.int32), is_labeled=np.array([True, False]),
             known_classes=frozenset({0}), unknown_classes=frozenset({1}),
             num_classes=2, dim=2,
         )
-        write_dataset(data, tmp_path)
-        assert (tmp_path / "data.csv").read_bytes() == (
-            b"id,label,is_labeled,f0,f1\r\n"
-            b"0,0,1,-0.0,5e-324\r\n"
-            b"1,1,0,1e-310,1e+308\r\n"
-            b"2,1,0,0.1,-2.5\r\n"
-        )
+        loaded = load_embeddings(write_dataset(data, tmp_path))
+        assert (loaded.points.dtype, loaded.labels.dtype) == (np.float64, np.int64)
+        assert loaded.points.tolist() == [[0.5, -1.0], [0.25, 2.0]]
+        assert loaded.labels.tolist() == [0, 1]
+
+    def test_write_dataset_gives_the_same_npz_bytes_every_time(self, tmp_path):
+        data, _ = small_dataset()
+        first, second = (write_dataset(data, tmp_path / name).parent / "data.npz"
+                         for name in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads((tmp_path / "a" / "data.manifest.json").read_text())["data"] == "data.npz"
+        # the zip members carry a fixed date, not the time of the save
+        with zipfile.ZipFile(first) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_small_valid_file(self, tmp_path):
         (tmp_path / "d.csv").write_text(
@@ -264,8 +283,8 @@ def two_class_dataset(n, d, seed=0):
 
 
 class TestBlocks:
-    """The writer and the loader work in blocks of about ``BLOCK_CELLS``
-    cells; with one CPU they run in this process, with more on a pool."""
+    """The CSV loader works in blocks of about ``BLOCK_CELLS`` cells; with one
+    CPU it runs in this process, with more on a pool."""
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-one-row"])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -273,23 +292,22 @@ class TestBlocks:
         monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
         d = 64
         data = two_class_dataset(data_module.BLOCK_CELLS // d + extra, d)
-        loaded = load_embeddings(write_dataset(data, tmp_path))
+        loaded = load_embeddings(write_csv_dataset(data, tmp_path))
         assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
         assert np.array_equal(loaded.labels, data.labels)
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
 
     def test_one_and_two_cpus_give_the_same_bytes_and_arrays(self, tmp_path, monkeypatch):
         data = two_class_dataset(3 * data_module.BLOCK_CELLS // 16 + 5, 16)
+        manifest = write_csv_dataset(data, tmp_path)
         outputs = []
         for cpus in (1, 2):
             monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-            manifest = write_dataset(data, tmp_path / f"cpus{cpus}")
             loaded = load_embeddings(manifest)
-            outputs.append(((manifest.parent / "data.csv").read_bytes(),
-                            *(getattr(loaded, name).tobytes()
-                              for name in ("points", "labels", "is_labeled"))))
+            outputs.append(tuple(getattr(loaded, name).tobytes()
+                                 for name in ("points", "labels", "is_labeled")))
         assert outputs[0] == outputs[1]
-        assert outputs[0][1] == data.points.tobytes()
+        assert outputs[0][0] == data.points.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, cpus):
@@ -361,8 +379,97 @@ def write_files(tmp_path, rows, d=1, newline="\n", header=None, **manifest):
     return tmp_path / "m.json"
 
 
+def write_npz(tmp_path, **arrays):
+    """``d.npz`` holding a valid three-row, d = 2 dataset, with each array of
+    ``arrays`` added or put in place of the one of its name (None drops it),
+    plus a manifest ``m.json``."""
+    valid = {"points": np.arange(6.0).reshape(3, 2), "labels": np.array([0, 0, 1]),
+             "is_labeled": np.array([True, False, False])}
+    np.savez(tmp_path / "d.npz",
+             **{name: arr for name, arr in {**valid, **arrays}.items() if arr is not None})
+    (tmp_path / "m.json").write_text('{"data": "d.npz", "C": 2, "d": 2, "known_classes": [0]}')
+    return tmp_path / "m.json"
+
+
 class TestLoaderErrors:
-    """Every loader error names its file, and a row error its line."""
+    """Every loader error names its file, and a CSV row error its line."""
+
+    def test_valid_npz_loads(self, tmp_path):
+        loaded = load_embeddings(write_npz(tmp_path))
+        assert loaded.points.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert loaded.labels.tolist() == [0, 0, 1]
+        assert loaded.is_labeled.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda good: good[:len(good) // 2], "BadZipFile"),
+        (lambda good: b"", "EOFError"),
+        (lambda good: b"garbage, not an archive", "ValueError: .*pickled"),
+    ], ids=["truncated", "empty", "garbage"])
+    def test_unreadable_npz(self, tmp_path, edit, cause):
+        manifest = write_npz(tmp_path)
+        npz = tmp_path / "d.npz"
+        npz.write_bytes(edit(npz.read_bytes()))
+        with pytest.raises(DataFormatError, match=rf"d\.npz: cannot read as npz \({cause}"):
+            load_embeddings(manifest)
+
+    def test_npz_object_array_is_not_unpickled(self, tmp_path):
+        manifest = write_npz(tmp_path, labels=np.array([0, 0, 1], dtype=object))
+        with pytest.raises(DataFormatError, match=r"d\.npz: cannot read as npz \(ValueError: "
+                                                  r"Object arrays cannot be loaded"):
+            load_embeddings(manifest)
+
+    def test_npy_file_under_an_npz_name(self, tmp_path):
+        manifest = write_npz(tmp_path)
+        with open(tmp_path / "d.npz", "wb") as fh:
+            np.save(fh, np.arange(6.0).reshape(3, 2))
+        with pytest.raises(DataFormatError,
+                           match=r"d\.npz: not an npz archive \(a single \.npy array\)"):
+            load_embeddings(manifest)
+
+    @pytest.mark.parametrize("arrays, got", [
+        (dict(is_labeled=None), r"\['points', 'labels'\]"),
+        (dict(ids=np.arange(3)), r"\['points', 'labels', 'is_labeled', 'ids'\]"),
+    ], ids=["missing", "extra"])
+    def test_npz_must_hold_exactly_the_three_arrays(self, tmp_path, arrays, got):
+        with pytest.raises(DataFormatError, match=r"d\.npz: expected the arrays "
+                                                  r"\['points', 'labels', 'is_labeled'\], got " + got):
+            load_embeddings(write_npz(tmp_path, **arrays))
+
+    @pytest.mark.parametrize("name, arr, message", [
+        ("points", np.zeros((3, 2), dtype=np.float32), "native float64, got float32"),
+        ("labels", np.array([0, 0, 1], dtype=np.int32), "native int64, got int32"),
+        ("is_labeled", np.array([1, 0, 0], dtype=np.uint8), "native bool, got uint8"),
+        ("points", np.zeros((3, 2), dtype=">f8"), "native float64, got >f8"),
+    ], ids=["float32-points", "int32-labels", "uint8-flags", "big-endian-points"])
+    def test_npz_dtypes(self, tmp_path, name, arr, message):
+        with pytest.raises(DataFormatError, match=rf"d\.npz: {name} must be {message}$"):
+            load_embeddings(write_npz(tmp_path, **{name: arr}))
+
+    @pytest.mark.parametrize("arrays, got", [
+        (dict(points=np.zeros((3, 3))), r"\(3, 3\), \(3,\), \(3,\)"),
+        (dict(points=np.zeros(6)), r"\(6,\), \(3,\), \(3,\)"),
+        (dict(labels=np.array([0, 1])), r"\(3, 2\), \(2,\), \(3,\)"),
+        (dict(is_labeled=np.array([True, False, False, False])), r"\(3, 2\), \(3,\), \(4,\)"),
+        (dict(points=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64),
+              is_labeled=np.zeros(0, dtype=bool)), r"\(0, 2\), \(0,\), \(0,\)"),
+    ], ids=["width", "one-dimensional", "short-labels", "long-flags", "zero-rows"])
+    def test_npz_shapes(self, tmp_path, arrays, got):
+        with pytest.raises(DataFormatError, match=r"d\.npz: expected shapes \(n, 2\), \(n,\), "
+                                                  r"\(n,\) with n >= 1, got " + got):
+            load_embeddings(write_npz(tmp_path, **arrays))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_npz_non_finite_feature_names_the_first_bad_row(self, tmp_path, value):
+        points = np.arange(6.0).reshape(3, 2)
+        points[1, 1] = value
+        points[2, 0] = np.nan
+        with pytest.raises(DataFormatError, match=r"d\.npz: row 1: non-finite feature value"):
+            load_embeddings(write_npz(tmp_path, points=points))
+
+    def test_npz_labels_get_the_dataset_checks(self, tmp_path):
+        manifest = write_npz(tmp_path, labels=np.array([0, 0, 2]))
+        with pytest.raises(DataFormatError, match=r"m\.json: labels must lie in \[0, C\)"):
+            load_embeddings(manifest)
 
     @pytest.mark.parametrize("rows, message", [
         (["0,0,1,0.5", "1,1,0,0.25,9"], r"d\.csv:3: expected 4 fields, got 5"),
