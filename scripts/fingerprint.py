@@ -8,7 +8,8 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
   output, and a sweep that raises is one ``raised`` line hashing
   ``Type: message``;
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
-  ``configs/desk.ini``, every file they write plus what they print;
+  ``configs/desk.ini``, every file they write plus what they print; ``eval``
+  scores whichever ``checkpoint.*`` file ``train`` wrote;
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
   prototype bytes and the epoch logs of each run;
 - a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
@@ -115,17 +116,21 @@ def desk_cli(root: Path, work: Path) -> list[tuple[str, str]]:
 
     config = str(root / "configs" / "desk.ini")
     data, run = work / "data", work / "run"
+    # eval reads the checkpoint train wrote: checkpoint.npz, or checkpoint.json
+    # in a checkout that writes JSON checkpoints
     commands = {
-        "gen": ["gen", "--config", config, "--out", str(data)],
-        "train": ["train", "--config", config, "--seed", "0", "--out", str(run)],
-        "eval": ["eval", "--config", config, "--checkpoint", str(run / "checkpoint.json"),
-                 "--dataset", str(data / "data.manifest.json"), "--out", str(run / "eval")],
+        "gen": lambda: ["gen", "--config", config, "--out", str(data)],
+        "train": lambda: ["train", "--config", config, "--seed", "0", "--out", str(run)],
+        "eval": lambda: ["eval", "--config", config,
+                         "--checkpoint", str(next(run.glob("checkpoint.*"))),
+                         "--dataset", str(data / "data.manifest.json"),
+                         "--out", str(run / "eval")],
     }
     lines = []
     for name, argv in commands.items():
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            code = cli(argv)
+            code = cli(argv())
         lines.append((f"cli/{name}/exit={code}/stdout",
                       sha256(printed.getvalue().replace(str(work), "<work>").encode())))
     return lines + files("cli/gen", data) + files("cli/train", run)

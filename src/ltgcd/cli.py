@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
     if record.status != "ok":
         print(f"training failed: {record.error}", file=sys.stderr)
         return 2
-    save_checkpoint(args.out / "checkpoint.json", record.head, record.protos)
+    save_checkpoint(args.out / "checkpoint.npz", record.head, record.protos)
     # a loaded dataset does not record the rho it was made with
     rho = None if args.dataset else split.rho
     _report_metrics(metrics_row(record.metrics, rho, hp.alpha, hp.beta), args.out)

@@ -323,38 +323,31 @@ def _read_csv(data_path: Path, C: int, d: int,
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _read_npz(data_path: Path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(points, labels, flags)`` of a dataset npz, checked in order: it
-    holds exactly the arrays of ``NPZ_LAYOUT``, in their native dtypes, shaped
-    (n, d), (n,) and (n,) for some n >= 1, with finite features."""
+def read_npz(path: Path, layout: dict) -> dict[str, np.ndarray]:
+    """The arrays of the npz at ``path``, keyed by name in ``layout`` order.
+    Checked in order: the file is an npz archive, not a bare ``.npy``, holding
+    exactly the arrays of ``layout``, in their native dtypes. Every failure
+    is a ``DataFormatError`` that names ``path``."""
     try:
         # np.load leaves a path's file open when the zip directory is bad
-        with open(data_path, "rb") as fh:
+        with open(path, "rb") as fh:
             archive = np.load(fh, allow_pickle=False)
             if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise DataFormatError(f"{data_path}: not an npz archive (a single .npy array)")
-            if sorted(archive.files) != sorted(NPZ_LAYOUT):
-                raise DataFormatError(f"{data_path}: expected the arrays {list(NPZ_LAYOUT)}, "
+                raise DataFormatError(f"{path}: not an npz archive (a single .npy array)")
+            if sorted(archive.files) != sorted(layout):
+                raise DataFormatError(f"{path}: expected the arrays {list(layout)}, "
                                       f"got {archive.files}")
-            arrays = [archive[name] for name in NPZ_LAYOUT]
+            arrays = {name: archive[name] for name in layout}
     except DataFormatError:
         raise
     except Exception as exc:   # numpy and zipfile raise many types on a malformed archive
-        raise DataFormatError(f"{data_path}: cannot read as npz "
+        raise DataFormatError(f"{path}: cannot read as npz "
                               f"({type(exc).__name__}: {exc})") from None
-    for (name, dtype), arr in zip(NPZ_LAYOUT.items(), arrays):
-        if arr.dtype != dtype:
-            raise DataFormatError(f"{data_path}: {name} must be native {np.dtype(dtype)}, "
-                                  f"got {arr.dtype}")
-    points, labels, flags = arrays
-    n = points.shape[0] if points.ndim == 2 else 0
-    if not (n and points.shape[1] == d and labels.shape == flags.shape == (n,)):
-        raise DataFormatError(f"{data_path}: expected shapes (n, {d}), (n,), (n,) with n >= 1, "
-                              f"got {points.shape}, {labels.shape}, {flags.shape}")
-    bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad_rows):
-        raise DataFormatError(f"{data_path}: row {bad_rows[0]}: non-finite feature value")
-    return points, labels, flags
+    for name, dtype in layout.items():
+        if arrays[name].dtype != dtype:
+            raise DataFormatError(f"{path}: {name} must be native {np.dtype(dtype)}, "
+                                  f"got {arrays[name].dtype}")
+    return arrays
 
 
 def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
@@ -366,6 +359,9 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if type(manifest) is not dict:
+        raise DataFormatError(f"{manifest_path}: expected a JSON object, "
+                              f"got {type(manifest).__name__}")
     for key in ("data", "C", "d", "known_classes"):
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: manifest missing key {key!r}")
@@ -378,6 +374,9 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if type(known) is not list or any(type(c) is not int for c in known):
         raise DataFormatError(f"{manifest_path}: known_classes must be a list of integers, "
                               f"got {known!r}")
+    if type(manifest["data"]) is not str:
+        raise DataFormatError(f"{manifest_path}: data must be a string, "
+                              f"got {manifest['data']!r}")
     C, d, known = manifest["C"], manifest["d"], frozenset(known)
     if d < 1:
         raise DataFormatError(f"{manifest_path}: d must be >= 1, got {d}")
@@ -390,7 +389,14 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
         raise FileNotFoundError(f"data file not found: {data_path}")
 
     if data_path.suffix == ".npz":
-        points, labels, flags = _read_npz(data_path, d)
+        points, labels, flags = read_npz(data_path, NPZ_LAYOUT).values()
+        n = points.shape[0] if points.ndim == 2 else 0
+        if not (n and points.shape[1] == d and labels.shape == flags.shape == (n,)):
+            raise DataFormatError(f"{data_path}: expected shapes (n, {d}), (n,), (n,) with "
+                                  f"n >= 1, got {points.shape}, {labels.shape}, {flags.shape}")
+        bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad_rows):
+            raise DataFormatError(f"{data_path}: row {bad_rows[0]}: non-finite feature value")
     else:
         points, labels, flags = _read_csv(data_path, C, d, known)
 

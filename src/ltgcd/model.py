@@ -8,10 +8,6 @@ softmax over cosine similarities to per-class unit prototypes.
 
 from __future__ import annotations
 
-import base64
-import json
-import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,10 +15,12 @@ import numpy as np
 
 from .clustering import NORM_FLOOR, kmeans_pp_extend, normalized_group_means
 from .config import Hyperparams
+from .data import read_npz
 from .errors import DataFormatError, TrainingDiverged, ValidationError
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
-CHECKPOINT_FORMAT = "ltgcd-checkpoint-v1"
+# The arrays of a checkpoint npz and their dtypes.
+CHECKPOINT_LAYOUT = dict.fromkeys((*PARAM_NAMES, "prototypes"), np.float64)
 
 
 @dataclass
@@ -234,58 +232,22 @@ def sgd_step(
 
 
 def save_checkpoint(path: str | Path, head: ProjectionHead, protos: Prototypes) -> None:
-    """JSON checkpoint: shapes plus base64 little-endian float64 buffers."""
-    def pack(arr: np.ndarray) -> dict:
-        buf = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        return {"shape": list(arr.shape), "data": base64.b64encode(buf).decode("ascii")}
-
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "params": {name: pack(arr) for name, arr in head.params().items()},
-        "prototypes": pack(protos.M),
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    """Write the arrays of ``CHECKPOINT_LAYOUT`` as an uncompressed npz to
+    exactly ``path``, whatever its suffix. The zip members carry a fixed
+    date, so a model always gives the same bytes."""
+    with open(path, "wb") as fh:   # np.savez appends .npz to a path, not to a file
+        np.savez(fh, **{name: np.asarray(arr, dtype=np.float64) for name, arr in
+                        {**head.params(), "prototypes": protos.M}.items()})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
+    """The head and prototypes of a checkpoint npz: ``read_npz`` of
+    ``CHECKPOINT_LAYOUT``, then shapes that agree and finite values. Every
+    failure is a ``DataFormatError`` that names ``path``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if type(payload) is not dict:
-        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(
-            f"{path}: format is {payload.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
-        )
-    params = payload.get("params", {})
-    if type(params) is not dict:
-        raise DataFormatError(f"{path}: entry 'params' is not an object")
-
-    def unpack(name: str, entry) -> np.ndarray:
-        if entry is None:
-            raise DataFormatError(f"{path}: missing entry {name!r}")
-        try:
-            raw = base64.b64decode(entry["data"])
-            # JSON integers only: int() would truncate 2.7 and take "3"
-            shape = [operator.index(n) for n in entry["shape"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(
-                f"{path}: entry {name!r} is not a shape/data pair ({exc!r})") from exc
-        if min(shape, default=0) < 0 or 8 * math.prod(shape) != len(raw):
-            raise DataFormatError(
-                f"{path}: {name} has shape {shape} but {len(raw)} bytes of float64 data"
-            )
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise DataFormatError(f"{path}: {name} has a non-finite value")
-        return arr
-
-    arrays = {name: unpack(name, params.get(name)) for name in PARAM_NAMES}
-    arrays["prototypes"] = unpack("prototypes", payload.get("prototypes"))
+    arrays = read_npz(path, CHECKPOINT_LAYOUT)
     # (h, d) input layer, (p, h) output layer, C prototypes of width p; each
     # dimension is fixed by the first array that has it
     sizes: dict[str, int] = {}
@@ -299,5 +261,11 @@ def load_checkpoint(path: str | Path) -> tuple[ProjectionHead, Prototypes]:
                 f"{path}: {name} has shape {list(shape)}, expected "
                 f"({', '.join(dims)}) = {expected}"
             )
-    head = ProjectionHead(**{name: arrays[name] for name in PARAM_NAMES})
-    return head, Prototypes(M=arrays["prototypes"])
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: {name} has a non-finite value")
+    try:
+        protos = Prototypes(M=arrays["prototypes"])
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return ProjectionHead(**{name: arrays[name] for name in PARAM_NAMES}), protos

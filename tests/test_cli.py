@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and file outputs."""
 
+import base64
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -43,6 +45,22 @@ def untrained_checkpoint(path, d):
     return path
 
 
+def npz_bytes(arrays):
+    """The npz of the arrays of ``arrays`` that are not None."""
+    buf = io.BytesIO()
+    np.savez(buf, **{name: arr for name, arr in arrays.items() if arr is not None})
+    return buf.getvalue()
+
+
+def v1_json(arrays):
+    """The arrays as a checkpoint of the retired JSON format: shapes plus
+    base64 float64 buffers under a format tag."""
+    packed = {name: {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+              for name, arr in arrays.items()}
+    return json.dumps({"format": "ltgcd-checkpoint-v1", "prototypes": packed.pop("prototypes"),
+                       "params": packed}).encode()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -56,7 +74,7 @@ class TestTrainCommand:
         assert code == 0
         assert (out / "run_config.json").exists()
         assert (out / "train_log.csv").exists()
-        assert (out / "checkpoint.json").exists()
+        assert (out / "checkpoint.npz").exists()
         rows = read_csv(out / "metrics.csv")
         assert rows[0] == ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
         assert rows[1][0] == "42"
@@ -112,7 +130,7 @@ class TestTrainCommand:
         assert code == 2
         assert "training failed: epoch 0 stepped no batch" in capsys.readouterr().err
         assert (out / "run_config.json").exists() and (out / "train_log.csv").exists()
-        assert not (out / "checkpoint.json").exists()
+        assert not (out / "checkpoint.npz").exists()
         assert not (out / "metrics.csv").exists()
 
     def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
@@ -133,32 +151,47 @@ class TestEvalCommand:
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, config_file, capsys):
         data_dir = tmp_path / "data"
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
-        code = cli(["eval", "--checkpoint", str(tmp_path / "missing.json"),
+        code = cli(["eval", "--checkpoint", str(tmp_path / "missing.npz"),
                     "--dataset", str(data_dir / "data.manifest.json")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, shown", [
-        ('{"format": 1', "invalid JSON (Expecting ',' delimiter"),
-        ('{"format": "ltgcd-checkpoint-v1", "params": {}}', "missing entry 'W1'"),
-        ('{"format": "ltgcd-checkpoint-v1", "params": {"W1": 5}}',
-         "entry 'W1' is not a shape/data pair"),
-        ('{"format": "ltgcd-checkpoint-v1", "params": {"W1": {"shape": [2.0], "data": ""}}}',
-         "entry 'W1' is not a shape/data pair"),
-        ('[1, 2]', "expected a JSON object, got list"),
-    ])
+    # Each edit maps the bytes and arrays of a valid checkpoint, and the data
+    # directory, to the bytes of the checkpoint file.
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda good, arrays, data: v1_json(arrays),
+         "cannot read as npz (ValueError: "),
+        (lambda good, arrays, data: good[:len(good) // 2],
+         "cannot read as npz (BadZipFile: "),
+        (lambda good, arrays, data: (data / "data.npz").read_bytes(),
+         "expected the arrays ['W1', 'b1', 'W2', 'b2', 'prototypes'], "
+         "got ['points', 'labels', 'is_labeled']"),
+        (lambda good, arrays, data: npz_bytes({**arrays, "b2": None}),
+         "expected the arrays ['W1', 'b1', 'W2', 'b2', 'prototypes'], "
+         "got ['W1', 'b1', 'W2', 'prototypes']"),
+        (lambda good, arrays, data: npz_bytes({**arrays, "W1": arrays["W1"].astype(np.float32)}),
+         "W1 must be native float64, got float32"),
+        (lambda good, arrays, data: npz_bytes({**arrays, "prototypes": 2 * arrays["prototypes"]}),
+         "prototype rows must be unit-norm"),
+    ], ids=["v1-json", "truncated", "dataset-npz", "missing-array", "float32-W1",
+            "non-unit-prototypes"])
     def test_malformed_checkpoint_names_its_file(self, tmp_path, config_file, capsys,
-                                                 text, shown):
-        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
+                                                 edit, shown):
+        data_dir = tmp_path / "data"
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
-        ckpt.write_text(text)
+        ckpt = untrained_checkpoint(tmp_path / "ckpt.npz", 16)
+        with np.load(ckpt) as archive:
+            arrays = dict(archive)
+        ckpt.write_bytes(edit(ckpt.read_bytes(), arrays, data_dir))
+        capsys.readouterr()
         code = cli(["eval", "--checkpoint", str(ckpt),
                     "--dataset", str(data_dir / "data.manifest.json")])
         assert code == 2
-        assert f"ltgcd: error: {ckpt}: {shown}" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"ltgcd: error: {ckpt}: {shown}")
 
     def test_non_finite_checkpoint_exits_2_naming_the_array(self, tmp_path, config_file, capsys):
-        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
+        data_dir, ckpt = tmp_path / "data", tmp_path / "ckpt.npz"
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
         rng = derive_stream(0, "test")
         head = init_head(16, 5, 4, rng)
@@ -177,9 +210,9 @@ class TestEvalCommand:
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
         rng = derive_stream(0, "test")
         raw = rng.standard_normal((6, 4))
-        save_checkpoint(tmp_path / "ckpt.json", init_head(8, 5, 4, rng),
+        save_checkpoint(tmp_path / "ckpt.npz", init_head(8, 5, 4, rng),
                         Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
-        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"),
                     "--dataset", str(data_dir / "data.manifest.json")])
         assert code == 1
         err = capsys.readouterr().err
@@ -193,7 +226,7 @@ class TestEvalCommand:
              "--dataset", str(data_dir / "data.manifest.json"),
              "--out", str(run_dir)])
         capsys.readouterr()
-        code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
                     "--dataset", str(data_dir / "data.manifest.json"),
                     "--config", str(config_file)])
         assert code == 0
@@ -203,7 +236,7 @@ class TestEvalCommand:
 
 
     def test_echo_flags_are_usage_errors(self, tmp_path):
-        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+        code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"),
                     "--dataset", str(tmp_path / "data.manifest.json"), "--rho", "5"])
         assert code == 1
 
@@ -213,7 +246,7 @@ class TestEvalCommand:
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
         cli(["train", "--config", str(config_file), "--dataset", manifest,
              "--out", str(run_dir)])
-        code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
                     "--dataset", manifest, "--seed", "7", "--out", str(eval_dir)])
         assert code == 0
         header, row = read_csv(eval_dir / "metrics.csv")
@@ -227,7 +260,7 @@ class TestEvalCommand:
         npz = data_dir / "data.npz"
         npz.write_bytes(npz.read_bytes()[:1000])
         capsys.readouterr()
-        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.json", 16)),
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.npz", 16)),
                     "--dataset", str(data_dir / "data.manifest.json")])
         assert code == 2
         captured = capsys.readouterr()
@@ -265,7 +298,7 @@ class TestHugeFeature:
         return manifest
 
     def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):
-        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "ckpt.json", 64)),
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "ckpt.npz", 64)),
                     "--dataset", str(manifest)])
         assert code == 2
         captured = capsys.readouterr()
@@ -281,7 +314,7 @@ class TestHugeFeature:
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("training failed: degenerate pre-normalization feature at row 5 ")
-        assert (out / "train_log.csv").exists() and not (out / "checkpoint.json").exists()
+        assert (out / "train_log.csv").exists() and not (out / "checkpoint.npz").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -330,7 +363,7 @@ class TestNumericSettings:
         # norm or a gradient
         cause = "non-finite loss" if key in ("tau", "beta") else ".+"
         assert re.fullmatch(rf"training failed: {cause} at epoch \d+, batch \d+", line)
-        assert (out / "train_log.csv").exists() and not (out / "checkpoint.json").exists()
+        assert (out / "train_log.csv").exists() and not (out / "checkpoint.npz").exists()
 
 
 class TestSweepCommand:
@@ -419,7 +452,7 @@ class TestConfigFile:
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + "labeled_fraction = 1.5\n")
         argv = {"train": ["--out", str(out)],
-                "eval": ["--checkpoint", str(tmp_path / "missing.json")]}[command]
+                "eval": ["--checkpoint", str(tmp_path / "missing.npz")]}[command]
         code = cli([command, "--config", str(bad),
                     "--dataset", str(data_dir / "data.manifest.json"), *argv])
         assert code == 1

@@ -504,6 +504,19 @@ class TestLoaderErrors:
         with pytest.raises(DataFormatError, match=r"m\.json: manifest missing key 'C'"):
             load_embeddings(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("text, message", [
+        ("null", "expected a JSON object, got NoneType"),
+        ('"data C d known_classes"', "expected a JSON object, got str"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"data": 5, "C": 2, "d": 1, "known_classes": [0]}', "data must be a string, got 5"),
+        ('{"data": null, "C": 2, "d": 1, "known_classes": [0]}',
+         "data must be a string, got None"),
+    ], ids=["null", "string", "list", "data-int", "data-null"])
+    def test_manifest_must_be_an_object_naming_a_data_string(self, tmp_path, text, message):
+        (tmp_path / "m.json").write_text(text)
+        with pytest.raises(DataFormatError, match=rf"m\.json: {message}$"):
+            load_embeddings(tmp_path / "m.json")
+
     @pytest.mark.parametrize("key, value, message", [
         ("C", 2.7, r"C must be an integer, got 2\.7"),
         ("d", True, r"d must be an integer, got True"),

@@ -1,8 +1,5 @@
 """Projection head forward/backward, prototypes, optimizer schedule."""
 
-import base64
-import json
-
 import numpy as np
 import pytest
 
@@ -327,35 +324,37 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "nope.json")
 
     def _saved(self, tmp_path):
+        """A saved checkpoint and its arrays, as a d=6, h=5, p=4 head with 3
+        prototypes."""
         from ltgcd.model import save_checkpoint
         rng = derive_stream(20, "test")
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, random_head(rng, d=6, h=5, p=4), Prototypes(M=unit_rows(rng, 3, 4)))
-        return path, json.loads(path.read_text())
+        with np.load(path) as archive:
+            return path, dict(archive)
 
-    def test_unknown_format_tag_rejected(self, tmp_path):
-        from ltgcd.model import load_checkpoint
-        path, payload = self._saved(tmp_path)
-        payload["format"] = "something-else"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="format"):
-            load_checkpoint(path)
+    @staticmethod
+    def _rewrite(path, arrays):
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
-    def test_shape_must_match_buffer_length(self, tmp_path):
-        from ltgcd.model import load_checkpoint
-        path, payload = self._saved(tmp_path)
-        payload["params"]["W2"]["shape"] = [4, 6]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="W2 has shape"):
-            load_checkpoint(path)
+    def test_writes_exactly_the_given_path_and_the_same_bytes(self, tmp_path):
+        from ltgcd.model import save_checkpoint
+        rng = derive_stream(19, "test")
+        head, protos = random_head(rng, d=6, h=5, p=4), Prototypes(M=unit_rows(rng, 3, 4))
+        save_checkpoint(tmp_path / "a.json", head, protos)
+        save_checkpoint(tmp_path / "b.json", head, protos)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        with np.load(tmp_path / "a.json") as archive:
+            assert archive.files == ["W1", "b1", "W2", "b2", "prototypes"]
+            assert all(archive[name].dtype == np.float64 for name in archive.files)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         from ltgcd.model import load_checkpoint
-        path, payload = self._saved(tmp_path)
-        entry = payload["params"]["W2"]
-        nan = np.full(entry["shape"], np.nan, dtype="<f8")
-        entry["data"] = base64.b64encode(nan.tobytes()).decode("ascii")
-        path.write_text(json.dumps(payload))
+        path, arrays = self._saved(tmp_path)
+        arrays["W2"][:] = np.nan
+        self._rewrite(path, arrays)
         with pytest.raises(DataFormatError, match=r"ckpt\.json: W2 has a non-finite value"):
             load_checkpoint(path)
 
@@ -366,11 +365,8 @@ class TestCheckpoint:
     ])
     def test_parameter_shapes_must_agree(self, tmp_path, name, shape, data):
         from ltgcd.model import load_checkpoint
-        path, payload = self._saved(tmp_path)
-        entry = payload["prototypes"] if name == "prototypes" else payload["params"][name]
-        entry["shape"] = shape
-        if data is not None:
-            entry["data"] = base64.b64encode(data.astype("<f8").tobytes()).decode("ascii")
-        path.write_text(json.dumps(payload))
+        path, arrays = self._saved(tmp_path)
+        arrays[name] = (arrays[name] if data is None else data).reshape(shape)
+        self._rewrite(path, arrays)
         with pytest.raises(DataFormatError, match=rf"ckpt\.json: {name} has shape"):
             load_checkpoint(path)
