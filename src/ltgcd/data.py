@@ -7,21 +7,14 @@ classes contribute ``samples_per_known`` points each, unknown classes
 class is marked labeled; everything else forms the unlabeled pool.
 
 On-disk format: a JSON manifest ``{"data": path, "C": int, "d": int,
-"known_classes": [ints]}`` naming the data file: an npz of the arrays of
-``NPZ_LAYOUT``, as ``write_dataset`` writes it, or else a CSV with header
-``id,label,is_labeled,f0,...,f{d-1}``, unquoted numeric cells and LF or CRLF
-line ends, parsed in blocks on every CPU the process may use.
+"known_classes": [ints]}`` naming the data file, an npz of the arrays of
+``NPZ_LAYOUT`` as ``write_dataset`` writes it.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
-import os
-import re
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,47 +160,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     return path
 
 
-# A block of CSV rows holds about this many feature cells, so that a block
-# costs about the same to parse at any d.
-BLOCK_CELLS = 2**15
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def ordered_pool_map(fn, args_iter, workers: int):
-    """Yield ``fn(*args)`` for each ``args`` of ``args_iter``, in order.
-
-    With two or more items and two or more ``workers``, the calls run on
-    that many processes, at most two per worker queued or running, so
-    ``args_iter`` is drawn lazily; a call frees its slot when it ends, so a
-    slow call idles no other worker. Otherwise they run in this process. A
-    call's exception is raised in its turn, after every earlier result.
-    """
-    args_iter = iter(args_iter)
-    head = list(itertools.islice(args_iter, 2))
-    if len(head) < 2 or workers < 2:
-        yield from itertools.starmap(fn, itertools.chain(head, args_iter))
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending, running = deque(), set()
-        for args in itertools.chain(head, args_iter):
-            future = pool.submit(fn, *args)
-            pending.append(future)
-            running.add(future)
-            if len(running) == 2 * workers:
-                running = wait(running, return_when=FIRST_COMPLETED).not_done
-            while pending and pending[0].done():
-                yield pending.popleft().result()
-        for future in pending:
-            yield future.result()
-
-
 # The arrays of a dataset npz and their dtypes.
 NPZ_LAYOUT = {"points": np.float64, "labels": np.int64, "is_labeled": np.bool_}
 
@@ -230,110 +182,21 @@ def write_dataset(data: EmbeddingDataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-# The text of a label or is_labeled cell; ``int()`` alone would also take
-# ``1_0``, surrounding spaces and non-ASCII digits.
-_PLAIN_INT = re.compile(r"-?[0-9]+")
-
-
-def _parse_block(data_path: Path, first_line: int, lines: list[str], C: int, d: int,
-                 known: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse consecutive data lines of ``data_path``, the first of which is
-    line ``first_line``: returns their ``(points, labels, flags)``.
-
-    np.loadtxt parses the features in C. It converts each line it pulls from
-    ``feature_text`` before it pulls the next, so on a parse error ``lineno``
-    is the line at fault. A byte above 127 arrives as a lone surrogate that
-    fails its line's parse.
-
-    The first bad line of the block is the one reported, whatever is wrong
-    with it: a feature that parses to inf or NaN (``nan``, ``inf``, or a
-    literal such as ``1e999`` that overflows) or a line that does not parse.
-    Blocks report in file order, so the first bad line of the file wins.
-    """
-    labels, flags = [], []
-    lineno = first_line
-
-    def feature_text():
-        """Check each line's field count and integer fields, keep its label
-        and flag, and yield its feature text."""
-        nonlocal lineno
-        for lineno, line in enumerate(lines, start=first_line):
-            if line.count(",") != d + 2:
-                fields = 0 if line == "\n" else line.count(",") + 1
-                raise DataFormatError(f"{data_path}:{lineno}: expected {3 + d} fields, got {fields}")
-            _, label, flag, feats = line.split(",", 3)
-            if not (_PLAIN_INT.fullmatch(label) and _PLAIN_INT.fullmatch(flag)):
-                raise DataFormatError(f"{data_path}:{lineno}: malformed row "
-                                      "(label and is_labeled must be plain integers)")
-            label, flag = int(label), int(flag)
-            if flag not in (0, 1):
-                raise DataFormatError(f"{data_path}:{lineno}: is_labeled must be 0 or 1")
-            if label < 0 or label >= C:
-                raise DataFormatError(f"{data_path}:{lineno}: class id {label} >= C ({C})")
-            if flag == 1 and label not in known:
-                raise DataFormatError(f"{data_path}:{lineno}: labeled unknown class {label}")
-            if not feats.strip():
-                # np.loadtxt would skip the blank text and drop the row
-                raise DataFormatError(f"{data_path}:{lineno}: malformed row (empty feature)")
-            labels.append(label)
-            flags.append(flag == 1)
-            yield feats
-
-    def parse(text):
-        return np.loadtxt(text, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-
-    def check_finite(points):
-        bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        if len(bad_rows):
-            raise DataFormatError(f"{data_path}:{first_line + bad_rows[0]}: "
-                                  "non-finite feature value")
-
-    try:
-        points = parse(feature_text())
-    except (ValueError, DataFormatError) as exc:
-        # the lines before ``lineno`` parsed; a non-finite value there comes first
-        if lineno > first_line:
-            check_finite(parse(line.split(",", 3)[3] for line in lines[:lineno - first_line]))
-        if isinstance(exc, DataFormatError):
-            raise
-        cause = str(exc).split(" at row")[0]
-        raise DataFormatError(f"{data_path}:{lineno}: malformed row ({cause})") from None
-    check_finite(points)
-    return points, np.asarray(labels, dtype=np.int64), np.asarray(flags, dtype=bool)
-
-
-def _read_csv(data_path: Path, C: int, d: int,
-              known: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(points, labels, flags)`` of a dataset CSV, parsed in blocks by
-    ``_parse_block`` on every CPU the process may use."""
-    expected = ["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)]
-    rows = max(1, BLOCK_CELLS // d)
-    # Universal newlines read LF and CRLF files alike. The cells are ASCII; a
-    # byte above 127 decodes to a lone surrogate that ``_parse_block`` rejects
-    # with its line (a strict decode would fail a whole read-ahead block, not
-    # one line). The lines are read lazily, one block at a time.
-    with open(data_path, encoding="ascii", errors="surrogateescape") as fh:
-        if fh.readline().rstrip("\n").split(",") != expected:
-            raise DataFormatError(f"{data_path}: bad header, expected {expected[:4]}...")
-        blocks = ((data_path, 2 + k * rows, block, C, d, known) for k, block in
-                  enumerate(iter(lambda: list(itertools.islice(fh, rows)), [])))
-        parts = list(ordered_pool_map(_parse_block, blocks, _cpus()))
-    if not parts:
-        raise DataFormatError(f"{data_path}: no data rows")
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
 def read_npz(path: Path, layout: dict) -> dict[str, np.ndarray]:
     """The arrays of the npz at ``path``, keyed by name in ``layout`` order.
-    Checked in order: the file is an npz archive, not a bare ``.npy``, holding
+    Checked in order: the file starts as a zip archive does (so np.load never
+    takes it for a pickle or a bare ``.npy``), it reads as one, and it holds
     exactly the arrays of ``layout``, in their native dtypes. Every failure
     is a ``DataFormatError`` that names ``path``."""
     try:
         # np.load leaves a path's file open when the zip directory is bad
         with open(path, "rb") as fh:
+            magic = fh.read(6)
+            if not magic.startswith(b"PK\x03\x04"):
+                kind = " (a single .npy array)" if magic == b"\x93NUMPY" else ""
+                raise DataFormatError(f"{path}: not an npz archive{kind}")
+            fh.seek(0)
             archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise DataFormatError(f"{path}: not an npz archive (a single .npy array)")
             if sorted(archive.files) != sorted(layout):
                 raise DataFormatError(f"{path}: expected the arrays {list(layout)}, "
                                       f"got {archive.files}")
@@ -377,6 +240,9 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if type(manifest["data"]) is not str:
         raise DataFormatError(f"{manifest_path}: data must be a string, "
                               f"got {manifest['data']!r}")
+    if not manifest["data"].endswith(".npz"):
+        raise DataFormatError(f"{manifest_path}: data must name an .npz file, "
+                              f"got {manifest['data']!r}")
     C, d, known = manifest["C"], manifest["d"], frozenset(known)
     if d < 1:
         raise DataFormatError(f"{manifest_path}: d must be >= 1, got {d}")
@@ -388,17 +254,14 @@ def load_embeddings(manifest_path: str | Path) -> EmbeddingDataset:
     if not data_path.exists():
         raise FileNotFoundError(f"data file not found: {data_path}")
 
-    if data_path.suffix == ".npz":
-        points, labels, flags = read_npz(data_path, NPZ_LAYOUT).values()
-        n = points.shape[0] if points.ndim == 2 else 0
-        if not (n and points.shape[1] == d and labels.shape == flags.shape == (n,)):
-            raise DataFormatError(f"{data_path}: expected shapes (n, {d}), (n,), (n,) with "
-                                  f"n >= 1, got {points.shape}, {labels.shape}, {flags.shape}")
-        bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        if len(bad_rows):
-            raise DataFormatError(f"{data_path}: row {bad_rows[0]}: non-finite feature value")
-    else:
-        points, labels, flags = _read_csv(data_path, C, d, known)
+    points, labels, flags = read_npz(data_path, NPZ_LAYOUT).values()
+    n = points.shape[0] if points.ndim == 2 else 0
+    if not (n and points.shape[1] == d and labels.shape == flags.shape == (n,)):
+        raise DataFormatError(f"{data_path}: expected shapes (n, {d}), (n,), (n,) with "
+                              f"n >= 1, got {points.shape}, {labels.shape}, {flags.shape}")
+    bad_rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad_rows):
+        raise DataFormatError(f"{data_path}: row {bad_rows[0]}: non-finite feature value")
 
     try:
         return EmbeddingDataset(

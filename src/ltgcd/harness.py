@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Hyperparams, SplitSpec, check_setting, file_key
-from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, ordered_pool_map, write_csv
+from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, write_csv
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
 from .losses import BatchViews, overall_loss
@@ -261,12 +262,17 @@ def _metric_stats(rows: list[dict]) -> dict[str, tuple[float, float, int]]:
 def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     """Run the plan cross product and write results.csv, summary.csv, and one
     trend SVG per swept axis. Failed runs land in failures.csv and the sweep
-    continues. ``ordered_pool_map`` runs the cells on ``plan.workers``
-    processes: rows keep plan order and a slow cell idles no other worker."""
+    continues. With two or more cells and ``plan.workers >= 2``, the cells run
+    on that many processes, all queued at once, so a slow cell idles no other
+    worker; rows keep plan order either way."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()
-    rows = list(ordered_pool_map(_run_job, ((plan, cell) for cell in cells), plan.workers))
+    if plan.workers < 2 or len(cells) < 2:
+        rows = [_run_job(plan, cell) for cell in cells]
+    else:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            rows = list(pool.map(_run_job, itertools.repeat(plan), cells))
 
     artifacts: dict[str, Path] = {}
     ok_rows = [r for r in rows if r["status"] == "ok"]

@@ -1,9 +1,6 @@
-"""Shared test helpers: independent numeric oracles, tolerances, and a CSV dataset writer."""
+"""Shared test helpers: independent numeric oracles and random test inputs."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -47,24 +44,3 @@ def random_orthogonal(rng: np.random.Generator, p: int) -> np.ndarray:
 def random_simplex(rng: np.random.Generator, c: int) -> np.ndarray:
     raw = rng.random(c) + 1e-6
     return raw / raw.sum()
-
-
-def write_csv_dataset(data, out_dir) -> Path:
-    """Write the ``EmbeddingDataset`` ``data`` as ``data.csv`` plus
-    ``data.manifest.json`` in ``out_dir``; returns the manifest path.
-
-    The CSV has CRLF line ends and each float as its shortest round-trip
-    ``repr``, so every float64 survives the loader's text parser bit for bit.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(["id", "label", "is_labeled"] + [f"f{j}" for j in range(data.dim)])]
-    lines += [f"{i},{label},{int(flag)},{','.join(map(float.__repr__, row))}"
-              for i, (label, flag, row) in enumerate(zip(data.labels.tolist(),
-                                                         data.is_labeled.tolist(),
-                                                         data.points.tolist()))]
-    (out_dir / "data.csv").write_bytes("".join(line + "\r\n" for line in lines).encode("ascii"))
-    manifest = {"data": "data.csv", "C": data.num_classes, "d": data.dim,
-                "known_classes": sorted(data.known_classes)}
-    (out_dir / "data.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return out_dir / "data.manifest.json"

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from ltgcd.cli import cli
-from ltgcd.data import EmbeddingDataset, load_embeddings, write_dataset
+from ltgcd.data import EmbeddingDataset, write_dataset
 from ltgcd.model import Prototypes, init_head, save_checkpoint
 from ltgcd.rng import derive_stream
-from support import write_csv_dataset
 
 
 CONFIG = """
@@ -160,7 +159,7 @@ class TestEvalCommand:
     # directory, to the bytes of the checkpoint file.
     @pytest.mark.parametrize("edit, shown", [
         (lambda good, arrays, data: v1_json(arrays),
-         "cannot read as npz (ValueError: "),
+         "not an npz archive"),
         (lambda good, arrays, data: good[:len(good) // 2],
          "cannot read as npz (BadZipFile: "),
         (lambda good, arrays, data: (data / "data.npz").read_bytes(),
@@ -268,34 +267,35 @@ class TestEvalCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"ltgcd: error: {npz}: cannot read as npz (BadZipFile: ")
 
+    def test_non_npz_data_entry_exits_2_naming_the_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"data": "d.csv", "C": 2, "d": 16, "known_classes": [0]}))
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.npz", 16)),
+                    "--dataset", str(manifest)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ltgcd: error: {manifest}: data must name an .npz file, got 'd.csv'"]
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHugeFeature:
     """A finite 1e200 first feature on data row 5 of a desk dataset, edited
-    into its npz or on line 7 of the same data as CSV: the loader accepts it,
-    and the head's row norm overflows to inf on that row. The named error is
-    all the user sees: numpy warns of no overflow."""
+    into its npz: the loader accepts it, and the head's row norm overflows to
+    inf on that row. The named error is all the user sees: numpy warns of no
+    overflow."""
 
-    @pytest.fixture(params=["npz", "csv"])
-    def manifest(self, tmp_path, request):
+    @pytest.fixture
+    def manifest(self, tmp_path):
         data_dir = tmp_path / "data"
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
         assert cli(["gen", "--config", str(desk), "--out", str(data_dir)]) == 0
-        manifest = data_dir / "data.manifest.json"
-        if request.param == "npz":
-            with np.load(data_dir / "data.npz") as archive:
-                arrays = dict(archive)
-            arrays["points"][5, 0] = 1e200
-            np.savez(data_dir / "data.npz", **arrays)
-            return manifest
-        manifest = write_csv_dataset(load_embeddings(manifest), data_dir / "csv")
-        csv_path = manifest.parent / "data.csv"
-        lines = csv_path.read_bytes().split(b"\r\n")
-        cells = lines[6].split(b",")
-        cells[3] = b"1e200"
-        lines[6] = b",".join(cells)
-        csv_path.write_bytes(b"\r\n".join(lines))
-        return manifest
+        with np.load(data_dir / "data.npz") as archive:
+            arrays = dict(archive)
+        arrays["points"][5, 0] = 1e200
+        np.savez(data_dir / "data.npz", **arrays)
+        return data_dir / "data.manifest.json"
 
     def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):
         code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "ckpt.npz", 64)),

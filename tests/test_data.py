@@ -3,9 +3,7 @@
 import collections
 import json
 import tempfile
-import time
 import zipfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ltgcd import data as data_module
 from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
-from support import write_csv_dataset
 
 
 def small_dataset(seed=0, **kwargs):
@@ -143,7 +139,20 @@ class TestMakeViews:
                        derive_stream(0, "aug"))
 
 
-# features on which a text round trip is most likely to lose bits
+def write_npz(tmp_path, manifest=None, **arrays):
+    """``d.npz`` holding a valid three-row, d = 2 dataset, with each array of
+    ``arrays`` added or put in place of the one of its name (None drops it),
+    plus a manifest ``m.json`` with the entries of ``manifest`` put in."""
+    valid = {"points": np.arange(6.0).reshape(3, 2), "labels": np.array([0, 0, 1]),
+             "is_labeled": np.array([True, False, False])}
+    np.savez(tmp_path / "d.npz",
+             **{name: arr for name, arr in {**valid, **arrays}.items() if arr is not None})
+    entries = {"data": "d.npz", "C": 2, "d": 2, "known_classes": [0], **(manifest or {})}
+    (tmp_path / "m.json").write_text(json.dumps(entries))
+    return tmp_path / "m.json"
+
+
+# features whose bits a round trip is most likely to lose
 FEATURES = arrays(
     np.float64, st.tuples(st.just(4), st.integers(1, 4)),
     elements=st.one_of(
@@ -164,8 +173,9 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
         assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
 
-    @staticmethod
-    def round_trip(points, write):
+    @given(points=FEATURES)
+    @settings(max_examples=50, deadline=None)
+    def test_features_round_trip_bit_for_bit_through_npz(self, points):
         data = EmbeddingDataset(
             points=points, labels=np.array([0, 0, 1, 1]),
             is_labeled=np.array([True, False, False, False]),
@@ -173,19 +183,8 @@ class TestFileRoundTrip:
             num_classes=2, dim=points.shape[1],
         )
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = load_embeddings(write(data, tmp))
+            loaded = load_embeddings(write_dataset(data, tmp))
         assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
-
-    @given(points=FEATURES)
-    @settings(max_examples=50, deadline=None)
-    def test_features_round_trip_bit_for_bit(self, points):
-        # subnormals, +-1e308 and -0.0 survive the CSV text form unchanged
-        self.round_trip(points, write_csv_dataset)
-
-    @given(points=FEATURES)
-    @settings(max_examples=50, deadline=None)
-    def test_features_round_trip_bit_for_bit_through_npz(self, points):
-        self.round_trip(points, write_dataset)
 
     def test_npz_holds_the_loader_dtypes_whatever_the_dataset_holds(self, tmp_path):
         data = EmbeddingDataset(
@@ -210,189 +209,31 @@ class TestFileRoundTrip:
             assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_small_valid_file(self, tmp_path):
-        (tmp_path / "d.csv").write_text(
-            "id,label,is_labeled,f0,f1\n"
-            "0,0,1,0.5,1.0\n"
-            "1,0,0,0.25,-1.0\n"
-            "2,1,0,2.0,3.5\n"
-            "3,1,0,-1.0,0.0\n"
-        )
-        (tmp_path / "d.manifest.json").write_text(
-            '{"data": "d.csv", "C": 2, "d": 2, "known_classes": [0]}'
-        )
-        loaded = load_embeddings(tmp_path / "d.manifest.json")
+        manifest = write_npz(tmp_path, points=np.array([[0.5, 1.0], [0.25, -1.0],
+                                                        [2.0, 3.5], [-1.0, 0.0]]),
+                             labels=np.array([0, 0, 1, 1]),
+                             is_labeled=np.array([True, False, False, False]))
+        loaded = load_embeddings(manifest)
         assert loaded.n == 4
         assert loaded.unknown_classes == frozenset({1})
 
     def test_labeled_unknown_class_rejected(self, tmp_path):
-        (tmp_path / "d.csv").write_text(
-            "id,label,is_labeled,f0\n0,0,1,0.5\n1,1,1,0.25\n"
-        )
-        (tmp_path / "m.json").write_text(
-            '{"data": "d.csv", "C": 2, "d": 1, "known_classes": [0]}'
-        )
-        with pytest.raises(DataFormatError, match="labeled unknown class"):
-            load_embeddings(tmp_path / "m.json")
-
-    def test_class_id_out_of_range_rejected(self, tmp_path):
-        (tmp_path / "d.csv").write_text("id,label,is_labeled,f0\n0,0,1,0.5\n1,5,0,0.2\n")
-        (tmp_path / "m.json").write_text(
-            '{"data": "d.csv", "C": 2, "d": 1, "known_classes": [0]}'
-        )
-        with pytest.raises(DataFormatError, match=">= C"):
-            load_embeddings(tmp_path / "m.json")
-
-    def test_malformed_row_rejected(self, tmp_path):
-        (tmp_path / "d.csv").write_text("id,label,is_labeled,f0\n0,0,1,not_a_number\n")
-        (tmp_path / "m.json").write_text(
-            '{"data": "d.csv", "C": 2, "d": 1, "known_classes": [0]}'
-        )
-        with pytest.raises(DataFormatError, match="malformed"):
-            load_embeddings(tmp_path / "m.json")
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_feature_rejected(self, tmp_path, value):
-        (tmp_path / "d.csv").write_text(
-            f"id,label,is_labeled,f0,f1\n0,0,1,0.5,1.0\n1,1,0,0.25,{value}\n"
-        )
-        (tmp_path / "m.json").write_text(
-            '{"data": "d.csv", "C": 2, "d": 2, "known_classes": [0]}'
-        )
-        with pytest.raises(DataFormatError, match=r"d\.csv:3: non-finite"):
-            load_embeddings(tmp_path / "m.json")
+        manifest = write_npz(tmp_path, is_labeled=np.array([True, False, True]))
+        with pytest.raises(DataFormatError, match=r"m\.json: labeled unknown class: \[1\]"):
+            load_embeddings(manifest)
 
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_embeddings(tmp_path / "absent.json")
         (tmp_path / "m.json").write_text(
-            '{"data": "gone.csv", "C": 2, "d": 1, "known_classes": [0]}'
+            '{"data": "gone.npz", "C": 2, "d": 1, "known_classes": [0]}'
         )
         with pytest.raises(FileNotFoundError):
             load_embeddings(tmp_path / "m.json")
 
 
-def two_class_dataset(n, d, seed=0):
-    """``n`` random rows of dimension ``d``: class 0 known, row 0 its one
-    labeled row, the rest alternating between classes 0 and 1."""
-    labels = np.arange(n) % 2
-    return EmbeddingDataset(
-        points=derive_stream(seed, "test").standard_normal((n, d)), labels=labels,
-        is_labeled=np.arange(n) == 0, known_classes=frozenset({0}),
-        unknown_classes=frozenset({1}), num_classes=2, dim=d,
-    )
-
-
-class TestBlocks:
-    """The CSV loader works in blocks of about ``BLOCK_CELLS`` cells; with one
-    CPU it runs in this process, with more on a pool."""
-
-    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-one-row"])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_block_edges_round_trip_bit_for_bit(self, tmp_path, monkeypatch, cpus, extra):
-        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-        d = 64
-        data = two_class_dataset(data_module.BLOCK_CELLS // d + extra, d)
-        loaded = load_embeddings(write_csv_dataset(data, tmp_path))
-        assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
-        assert np.array_equal(loaded.labels, data.labels)
-        assert np.array_equal(loaded.is_labeled, data.is_labeled)
-
-    def test_one_and_two_cpus_give_the_same_bytes_and_arrays(self, tmp_path, monkeypatch):
-        data = two_class_dataset(3 * data_module.BLOCK_CELLS // 16 + 5, 16)
-        manifest = write_csv_dataset(data, tmp_path)
-        outputs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-            loaded = load_embeddings(manifest)
-            outputs.append(tuple(getattr(loaded, name).tobytes()
-                                 for name in ("points", "labels", "is_labeled")))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == data.points.tobytes()
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)   # four rows a block at d = 1
-        rows = [f"{i},0,1,0.5" for i in range(30)]
-        rows[17] = "17,0,1,0.5x"   # line 19, the second row of the fifth block
-        with pytest.raises(DataFormatError, match=r"d\.csv:19: malformed row"):
-            load_embeddings(write_files(tmp_path, rows))
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_earliest_bad_line_wins_across_blocks(self, tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)
-        rows = [f"{i},0,1,0.5" for i in range(30)]
-        # both blocks are in flight at once on two CPUs
-        rows[6] = "6,0,2,0.5"      # line 8, in the second block
-        rows[13] = "13,0,1"        # line 15, in the fourth block
-        with pytest.raises(DataFormatError, match=r"d\.csv:8: is_labeled must be 0 or 1"):
-            load_embeddings(write_files(tmp_path, rows))
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
-    @pytest.mark.parametrize("later", [2, 3, 13], ids=["short-same-block",
-                                                       "unparsable-same-block",
-                                                       "short-later-block"])
-    def test_non_finite_value_beats_a_later_bad_line(self, tmp_path, monkeypatch, cpus,
-                                                      value, later):
-        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
-        monkeypatch.setattr(data_module, "BLOCK_CELLS", 4)   # lines 2-5 are the first block
-        rows = [f"{i},0,1,0.5" for i in range(30)]
-        rows[1] = f"1,0,1,{value}"                           # line 3
-        rows[later] = f"{later},0,1" + (",0.5x" if later == 3 else "")
-        with pytest.raises(DataFormatError, match=r"d\.csv:3: non-finite feature value"):
-            load_embeddings(write_files(tmp_path, rows))
-
-
-def _slow_first(marks, k, total):
-    """Call ``k`` of the pool test. Each later call leaves a mark; the first
-    returns once all ``total - 1`` marks are there, or fails after a minute."""
-    if k:
-        Path(marks, str(k)).touch()
-        return k
-    deadline = time.monotonic() + 60
-    while len(list(Path(marks).iterdir())) < total - 1:
-        if time.monotonic() > deadline:
-            raise TimeoutError("the later calls did not all run while the first one did")
-        time.sleep(0.01)
-    return k
-
-
-class TestOrderedPoolMap:
-    def test_a_slow_first_call_idles_no_other_worker(self, tmp_path):
-        # the first call runs until every later one has run, which on two
-        # workers needs the other worker to take all 11 of them meanwhile
-        total = 12
-        calls = ((tmp_path, k, total) for k in range(total))
-        assert list(data_module.ordered_pool_map(_slow_first, calls, 2)) == list(range(total))
-
-
-def write_files(tmp_path, rows, d=1, newline="\n", header=None, **manifest):
-    """``d.csv`` with ``header`` (default: the expected one) and ``rows``,
-    each line ended by ``newline``, plus a manifest ``m.json``."""
-    if header is None:
-        header = ",".join(["id", "label", "is_labeled"] + [f"f{j}" for j in range(d)])
-    (tmp_path / "d.csv").write_bytes("".join(line + newline for line in [header, *rows]).encode())
-    manifest = {"data": "d.csv", "C": 2, "d": d, "known_classes": [0], **manifest}
-    (tmp_path / "m.json").write_text(json.dumps(manifest))
-    return tmp_path / "m.json"
-
-
-def write_npz(tmp_path, **arrays):
-    """``d.npz`` holding a valid three-row, d = 2 dataset, with each array of
-    ``arrays`` added or put in place of the one of its name (None drops it),
-    plus a manifest ``m.json``."""
-    valid = {"points": np.arange(6.0).reshape(3, 2), "labels": np.array([0, 0, 1]),
-             "is_labeled": np.array([True, False, False])}
-    np.savez(tmp_path / "d.npz",
-             **{name: arr for name, arr in {**valid, **arrays}.items() if arr is not None})
-    (tmp_path / "m.json").write_text('{"data": "d.npz", "C": 2, "d": 2, "known_classes": [0]}')
-    return tmp_path / "m.json"
-
-
 class TestLoaderErrors:
-    """Every loader error names its file, and a CSV row error its line."""
+    """Every loader error names its file."""
 
     def test_valid_npz_loads(self, tmp_path):
         loaded = load_embeddings(write_npz(tmp_path))
@@ -400,16 +241,16 @@ class TestLoaderErrors:
         assert loaded.labels.tolist() == [0, 0, 1]
         assert loaded.is_labeled.tolist() == [True, False, False]
 
-    @pytest.mark.parametrize("edit, cause", [
-        (lambda good: good[:len(good) // 2], "BadZipFile"),
-        (lambda good: b"", "EOFError"),
-        (lambda good: b"garbage, not an archive", "ValueError: .*pickled"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda good: good[:len(good) // 2], r"cannot read as npz \(BadZipFile"),
+        (lambda good: b"", "not an npz archive$"),
+        (lambda good: b"garbage, not an archive", "not an npz archive$"),
     ], ids=["truncated", "empty", "garbage"])
-    def test_unreadable_npz(self, tmp_path, edit, cause):
+    def test_unreadable_npz(self, tmp_path, edit, message):
         manifest = write_npz(tmp_path)
         npz = tmp_path / "d.npz"
         npz.write_bytes(edit(npz.read_bytes()))
-        with pytest.raises(DataFormatError, match=rf"d\.npz: cannot read as npz \({cause}"):
+        with pytest.raises(DataFormatError, match=rf"d\.npz: {message}"):
             load_embeddings(manifest)
 
     def test_npz_object_array_is_not_unpickled(self, tmp_path):
@@ -471,36 +312,13 @@ class TestLoaderErrors:
         with pytest.raises(DataFormatError, match=r"m\.json: labels must lie in \[0, C\)"):
             load_embeddings(manifest)
 
-    @pytest.mark.parametrize("rows, message", [
-        (["0,0,1,0.5", "1,1,0,0.25,9"], r"d\.csv:3: expected 4 fields, got 5"),
-        (["0,0,1,0.5", "1,1,0"], r"d\.csv:3: expected 4 fields, got 3"),
-        (["0,0,1,0.5", "", "1,1,0,0.25"], r"d\.csv:3: expected 4 fields, got 0"),
-        (["0,0,1,0.5", "1,1,2,0.25"], r"d\.csv:3: is_labeled must be 0 or 1"),
-        (["0,0,1,0.5", "1,1.5,0,0.25"], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", "1,1e2,0,0.25"], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", "1,1_0,0,0.25"], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", "1, 1,0,0.25"], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", "1,\u0661,0,0.25"], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", '1,1,0,"0.5"'], r"d\.csv:3: malformed row"),
-        (["0,0,1,0.5", "1,1,0,0.25", "2,1,0,"], r"d\.csv:4: malformed row"),
-        ([], r"d\.csv: no data rows"),
-    ])
-    def test_row_errors_name_file_and_line(self, tmp_path, rows, message):
-        with pytest.raises(DataFormatError, match=message):
-            load_embeddings(write_files(tmp_path, rows))
-
-    def test_bad_header(self, tmp_path):
-        manifest = write_files(tmp_path, ["0,0,1,0.5"], header="id,label,labeled,f0")
-        with pytest.raises(DataFormatError, match=r"d\.csv: bad header"):
-            load_embeddings(manifest)
-
     def test_invalid_manifest_json(self, tmp_path):
-        (tmp_path / "m.json").write_text('{"data": "d.csv", "C": 2,')
+        (tmp_path / "m.json").write_text('{"data": "d.npz", "C": 2,')
         with pytest.raises(DataFormatError, match=r"m\.json: invalid JSON"):
             load_embeddings(tmp_path / "m.json")
 
     def test_missing_manifest_key(self, tmp_path):
-        (tmp_path / "m.json").write_text('{"data": "d.csv", "d": 1, "known_classes": [0]}')
+        (tmp_path / "m.json").write_text('{"data": "d.npz", "d": 1, "known_classes": [0]}')
         with pytest.raises(DataFormatError, match=r"m\.json: manifest missing key 'C'"):
             load_embeddings(tmp_path / "m.json")
 
@@ -525,51 +343,33 @@ class TestLoaderErrors:
         ("known_classes", "01", r"known_classes must be a list of integers, got '01'"),
     ], ids=["C-float", "d-bool", "C-string", "known-float", "known-string"])
     def test_manifest_numbers_must_be_json_integers(self, tmp_path, key, value, message):
-        manifest = write_files(tmp_path, ["0,0,1,0.5"], **{key: value})
+        manifest = write_npz(tmp_path, manifest={key: value})
         with pytest.raises(DataFormatError, match=r"m\.json: " + message):
             load_embeddings(manifest)
 
     @pytest.mark.parametrize("known", [[2], [-1], []])
     def test_known_classes_out_of_range(self, tmp_path, known):
-        manifest = write_files(tmp_path, ["0,0,1,0.5"], known_classes=known)
+        manifest = write_npz(tmp_path, manifest={"known_classes": known})
         with pytest.raises(DataFormatError,
                            match=r"m\.json: known_classes must be a nonempty subset of 0\.\.C-1"):
             load_embeddings(manifest)
 
     def test_dimension_must_be_positive(self, tmp_path):
-        manifest = write_files(tmp_path, ["0,0,1"], d=0)
+        manifest = write_npz(tmp_path, manifest={"d": 0})
         with pytest.raises(DataFormatError, match=r"m\.json: d must be >= 1, got 0"):
             load_embeddings(manifest)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_lf_and_crlf_files_load(self, tmp_path, newline):
-        rows = ["0,0,1,0.5,-1.0", "1,0,0,0.25,2e-300", "2,1,0,-0.0,1e308"]
-        loaded = load_embeddings(write_files(tmp_path, rows, d=2, newline=newline))
-        expected = np.array([[0.5, -1.0], [0.25, 2e-300], [-0.0, 1e308]])
-        assert np.array_equal(loaded.points.view(np.uint64), expected.view(np.uint64))
-        assert loaded.labels.tolist() == [0, 0, 1]
-        assert loaded.is_labeled.tolist() == [True, False, False]
-
-    def test_malformed_feature_deep_in_the_stream(self, tmp_path):
-        # np.loadtxt's C reader pulls and converts one line at a time from the
-        # loader's generator, so a bad float anywhere in a long file is named
-        # by its own line, counting the header as line 1.
-        rows = [f"{i},0,1,0.5" for i in range(50_010)]
-        rows[50_001] = "50001,0,1,0.5x"
-        with pytest.raises(DataFormatError, match=r"d\.csv:50003: malformed row"):
-            load_embeddings(write_files(tmp_path, rows))
-
-    def test_non_ascii_byte_names_its_line(self, tmp_path):
-        # Far past the text decoder's read-ahead block, in any locale.
-        rows = [f"{i},0,1,0.5" for i in range(5_000)]
-        manifest = write_files(tmp_path, rows)
-        with open(tmp_path / "d.csv", "ab") as fh:
-            fh.write(b"5000,0,1,0.5\xff\n5001,0,1,0.5\n")
-        with pytest.raises(DataFormatError, match=r"d\.csv:5002: malformed row"):
-            load_embeddings(manifest)
+    @pytest.mark.parametrize("name", ["d.csv", "d.npy", "d.npz.bak"])
+    def test_data_must_name_an_npz_file(self, tmp_path, name):
+        # checked before the file is looked for: none of these files exists
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"data": name, "C": 2, "d": 2, "known_classes": [0]}))
+        with pytest.raises(DataFormatError,
+                           match=rf"m\.json: data must name an \.npz file, got '{name}'$"):
+            load_embeddings(tmp_path / "m.json")
 
     def test_known_class_without_labeled_row_names_the_manifest(self, tmp_path):
-        manifest = write_files(tmp_path, ["0,0,1,0.5", "1,1,0,0.25"], C=3, known_classes=[0, 1])
+        manifest = write_npz(tmp_path, manifest={"C": 3, "known_classes": [0, 1]})
         with pytest.raises(DataFormatError,
                            match=r"m\.json: known classes with no labeled row: \[1\]"):
             load_embeddings(manifest)

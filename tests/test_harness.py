@@ -238,10 +238,11 @@ class TestSweep:
             small_plan(tmp_path, seeds=(-1,))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")   # a detector speaks, not numpy
-    @pytest.mark.parametrize("lr0", [1e200, 1e100])
-    def test_failed_runs_recorded_and_sweep_continues(self, tmp_path, lr0):
-        plan = small_plan(tmp_path, hp=Hyperparams(epochs=2, batch_size=64,
-                                                   seed=0, lr0=lr0))
+    @pytest.mark.parametrize("lr0, workers", [(1e200, 1), (1e100, 1), (1e200, 2)],
+                             ids=["1e+200", "1e+100", "1e+200-2-workers"])
+    def test_failed_runs_recorded_and_sweep_continues(self, tmp_path, lr0, workers):
+        plan = small_plan(tmp_path, workers=workers,
+                          hp=Hyperparams(epochs=2, batch_size=64, seed=0, lr0=lr0))
         artifacts = sweep(plan)
         assert "failures" in artifacts
         failures = read_csv(artifacts["failures"])

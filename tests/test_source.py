@@ -1,6 +1,7 @@
 """Source checks that need no linter: every import in the package is read,
-every function, class, method and property it defines is read somewhere, and
-importing the CLI loads no scipy module."""
+every function, class, method and property it defines is read somewhere, one
+function loads npz files and one starts a process pool, and importing the CLI
+loads no scipy module."""
 
 import ast
 import os
@@ -80,6 +81,48 @@ def test_detects_an_unread_definition():
 def test_every_definition_is_read():
     package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_definitions(package, [path.read_text() for path in READERS]) == []
+
+
+def readers_of(source: str, targets: set[str]) -> set[tuple[str, str]]:
+    """``(target, function)`` for each dotted name of ``targets`` (such as
+    ``np.load``) that ``source`` reads, by its whole dotted name or its last
+    parts; ``function`` is the innermost enclosing one, ``""`` at module level.
+    Imports bind names and are not reads."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            dotted = ast.unparse(node)
+            found.update((t, function) for t in targets
+                         if dotted == t or dotted.endswith("." + t))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_readers_of_a_dotted_name():
+    source = (
+        "import concurrent.futures\n"
+        "import numpy as np\n"
+        "def load(p):\n"
+        "    def inner():\n"
+        "        return np.load(p), np.loadtxt(p)\n"
+        "    return inner\n"
+        "pool = concurrent.futures.ProcessPoolExecutor\n"
+    )
+    assert readers_of(source, {"np.load", "ProcessPoolExecutor"}) == {
+        ("np.load", "inner"), ("ProcessPoolExecutor", "")}
+
+
+def test_one_npz_reader_and_one_pool():
+    # the README promises one checked npz reader and one process pool
+    found = {(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
+             for use in readers_of(path.read_text(), {"np.load", "ProcessPoolExecutor"})}
+    assert found == {("data", "np.load", "read_npz"), ("harness", "ProcessPoolExecutor", "sweep")}
 
 
 def test_cli_import_loads_no_scipy():
