@@ -286,15 +286,16 @@ class TestHugeFeature:
     inf on that row. The named error is all the user sees: numpy warns of no
     overflow."""
 
-    @pytest.fixture
-    def manifest(self, tmp_path):
+    @pytest.fixture(params=["npz"])
+    def manifest(self, tmp_path, request):
         data_dir = tmp_path / "data"
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
         assert cli(["gen", "--config", str(desk), "--out", str(data_dir)]) == 0
-        with np.load(data_dir / "data.npz") as archive:
+        data_file = data_dir / f"data.{request.param}"
+        with np.load(data_file) as archive:
             arrays = dict(archive)
         arrays["points"][5, 0] = 1e200
-        np.savez(data_dir / "data.npz", **arrays)
+        np.savez(data_file, **arrays)
         return data_dir / "data.manifest.json"
 
     def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):

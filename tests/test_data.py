@@ -4,6 +4,7 @@ import collections
 import json
 import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestFileRoundTrip:
 
     @given(points=FEATURES)
     @settings(max_examples=50, deadline=None)
+    def test_features_round_trip_bit_for_bit(self, points):
+        # the one np.savez call that turns external embeddings into a dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_embeddings(write_npz(
+                Path(tmp), points=points, labels=np.array([0, 0, 1, 1]),
+                is_labeled=np.array([True, False, False, False]),
+                manifest={"d": points.shape[1]}))
+        assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
+
+    @given(points=FEATURES)
+    @settings(max_examples=50, deadline=None)
     def test_features_round_trip_bit_for_bit_through_npz(self, points):
         data = EmbeddingDataset(
             points=points, labels=np.array([0, 0, 1, 1]),
@@ -221,6 +233,26 @@ class TestFileRoundTrip:
         manifest = write_npz(tmp_path, is_labeled=np.array([True, False, True]))
         with pytest.raises(DataFormatError, match=r"m\.json: labeled unknown class: \[1\]"):
             load_embeddings(manifest)
+
+    def test_class_id_out_of_range_rejected(self, tmp_path):
+        manifest = write_npz(tmp_path, labels=np.array([0, 0, -1]))
+        with pytest.raises(DataFormatError, match=r"m\.json: labels must lie in \[0, C\)"):
+            load_embeddings(manifest)
+
+    def test_malformed_row_rejected(self, tmp_path):
+        # features saved as the text they were read from, not as numbers
+        manifest = write_npz(tmp_path, points=np.array([["0.5", "1.0"], ["0.25", "-1.0"],
+                                                        ["2.0", "not_a_number"]]))
+        with pytest.raises(DataFormatError, match=r"d\.npz: points must be native float64, "
+                                                  r"got <U12$"):
+            load_embeddings(manifest)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        points = np.arange(6.0).reshape(3, 2)
+        points[2, 1] = float(value)
+        with pytest.raises(DataFormatError, match=r"d\.npz: row 2: non-finite feature value"):
+            load_embeddings(write_npz(tmp_path, points=points))
 
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
