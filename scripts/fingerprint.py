@@ -9,14 +9,16 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
   ``Type: message``;
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
   ``configs/desk.ini``, every file they write plus what they print; ``eval``
-  scores whichever ``checkpoint.*`` file ``train`` wrote;
+  scores whichever ``checkpoint.*`` file ``train`` wrote on the dataset
+  ``gen`` wrote (``data.npz``, or ``data.manifest.json`` in a checkout that
+  writes a manifest beside it);
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
   prototype bytes and the epoch logs of each run;
 - a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
-  seed 0): the data file that ``write_dataset`` writes, named as the
-  manifest's ``data`` entry names it (``data.npz``, or ``data.csv`` in a
-  checkout that writes CSV), and the arrays ``load_embeddings`` reads back
-  from it;
+  seed 0): the data file that ``write_dataset`` writes, named by the path it
+  returns (``data.npz``) or, in a checkout where that path is a manifest, by
+  the manifest's ``data`` entry, and the arrays ``load_embeddings`` reads
+  back;
 - ``evaluate`` at that shape for seeds 0-7, as the benchmark's embed_score
   runs it (an untrained 256-64-32 head): the ``MetricsReport`` of each seed,
   which rests on a 50 x 50 optimal assignment;
@@ -116,14 +118,16 @@ def desk_cli(root: Path, work: Path) -> list[tuple[str, str]]:
 
     config = str(root / "configs" / "desk.ini")
     data, run = work / "data", work / "run"
-    # eval reads the checkpoint train wrote: checkpoint.npz, or checkpoint.json
-    # in a checkout that writes JSON checkpoints
+    manifest = data / "data.manifest.json"
+    # eval reads the checkpoint train wrote (checkpoint.npz, or checkpoint.json
+    # in a checkout that writes JSON checkpoints) and the dataset gen wrote
+    # (data.npz, or data.manifest.json in a checkout that writes a manifest)
     commands = {
         "gen": lambda: ["gen", "--config", config, "--out", str(data)],
         "train": lambda: ["train", "--config", config, "--seed", "0", "--out", str(run)],
         "eval": lambda: ["eval", "--config", config,
                          "--checkpoint", str(next(run.glob("checkpoint.*"))),
-                         "--dataset", str(data / "data.manifest.json"),
+                         "--dataset", str(manifest if manifest.exists() else data / "data.npz"),
                          "--out", str(run / "eval")],
     }
     lines = []
@@ -181,10 +185,11 @@ def embed(work: Path) -> list[tuple[str, str]]:
     from ltgcd.rng import derive_stream
 
     split = SplitSpec(num_classes=100, num_known=50, samples_per_known=75, rho=5.0, dim=256)
-    manifest = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
-    loaded = load_embeddings(manifest)
+    written = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
+    loaded = load_embeddings(written)
     arrays = (loaded.points, loaded.labels, loaded.is_labeled)
-    data_file = json.loads(manifest.read_text())["data"]
+    data_file = (written.name if written.suffix == ".npz"
+                 else json.loads(written.read_text())["data"])
     lines = [(f"embed/{data_file}", sha256((work / data_file).read_bytes())),
              ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
     for seed in EMBED_SEEDS:

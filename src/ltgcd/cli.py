@@ -51,7 +51,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     """
     parser = argparse.ArgumentParser(prog="ltgcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_gen = sub.add_parser("gen", help="write a synthetic dataset (npz + manifest)")
+    p_gen = sub.add_parser("gen", help="write a synthetic dataset npz")
     p_train = sub.add_parser("train", help="train one model and evaluate it")
     p_eval = sub.add_parser("eval", help="metrics for a checkpoint on a dataset")
     # no abbreviations: "--seed" would otherwise be read as "--seeds"
@@ -73,7 +73,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--drop-prob", type=float)
 
     p_gen.add_argument("--rho", type=float)
-    p_train.add_argument("--dataset", help="dataset manifest; generated when omitted")
+    p_train.add_argument("--dataset", help="dataset npz; generated when omitted")
     p_train.set_defaults(sep=None)   # unset, so a --sep beside --dataset shows
     for key in ("rho", "alpha", "beta"):
         p_train.add_argument(f"--{key}", type=float)
@@ -108,8 +108,7 @@ def _report_metrics(row: list[str], out: Path | None) -> None:
 def _cmd_gen(args) -> int:
     hp, split = _load_params(args)
     data = generate_mixture(split, args.sep, derive_stream(hp.seed, "split"))
-    manifest = write_dataset(data, args.out)
-    print(f"wrote {manifest}")
+    print(f"wrote {write_dataset(data, args.out)}")
     return 0
 
 

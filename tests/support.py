@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import zipfile
+
 import numpy as np
 
 
@@ -44,3 +47,16 @@ def random_orthogonal(rng: np.random.Generator, p: int) -> np.ndarray:
 def random_simplex(rng: np.random.Generator, c: int) -> np.ndarray:
     raw = rng.random(c) + 1e-6
     return raw / raw.sum()
+
+
+def replace_member(npz: bytes, name: str, data: bytes) -> bytes:
+    """The zip archive ``npz`` with its member ``name`` holding ``data``. The
+    archive is written anew, so its checksums match the new bytes."""
+    with zipfile.ZipFile(io.BytesIO(npz)) as archive:
+        members = {member: archive.read(member) for member in archive.namelist()}
+    members[name] = data
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for member, member_data in members.items():
+            archive.writestr(member, member_data)
+    return out.getvalue()

@@ -214,9 +214,7 @@ def test_criterion_4_metric_contracts():
     for c in range(3):
         is_labeled[np.flatnonzero(labels == c)[: per_class // 2]] = True
     data = EmbeddingDataset(
-        points=points, labels=labels, is_labeled=is_labeled,
-        known_classes=frozenset({0, 1, 2}), unknown_classes=frozenset({3, 4, 5}),
-        num_classes=C, dim=C,
+        points=points, labels=labels, is_labeled=is_labeled, num_classes=C,
     )
     head = ProjectionHead(W1=np.eye(C), b1=np.zeros(C),
                           W2=np.eye(C), b2=np.zeros(C))

@@ -14,6 +14,7 @@ from ltgcd.cli import cli
 from ltgcd.data import EmbeddingDataset, write_dataset
 from ltgcd.model import Prototypes, init_head, save_checkpoint
 from ltgcd.rng import derive_stream
+from support import replace_member
 
 
 CONFIG = """
@@ -100,10 +101,10 @@ class TestTrainCommand:
     def test_trains_from_dataset_manifest(self, tmp_path, config_file):
         data_dir = tmp_path / "data"
         assert cli(["gen", "--config", str(config_file), "--out", str(data_dir)]) == 0
-        manifest = data_dir / "data.manifest.json"
-        assert manifest.exists()
+        # the npz is the whole dataset
+        assert list(data_dir.iterdir()) == [data_dir / "data.npz"]
         code = cli(["train", "--config", str(config_file),
-                    "--dataset", str(manifest), "--out", str(tmp_path / "run")])
+                    "--dataset", str(data_dir / "data.npz"), "--out", str(tmp_path / "run")])
         assert code == 0
         # a loaded dataset does not record its rho, so the cell stays empty
         _, row = read_csv(tmp_path / "run" / "metrics.csv")
@@ -112,7 +113,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag", ["--rho", "--sep"])
     def test_split_flag_with_dataset_is_usage_error(self, tmp_path, config_file, capsys, flag):
         code = cli(["train", "--config", str(config_file), flag, "3",
-                    "--dataset", str(tmp_path / "data.manifest.json"),
+                    "--dataset", str(tmp_path / "data.npz"),
                     "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
@@ -136,12 +137,10 @@ class TestTrainCommand:
         rng = derive_stream(0, "test")
         data = EmbeddingDataset(
             points=rng.standard_normal((8, 16)), labels=np.zeros(8, dtype=np.int64),
-            is_labeled=np.arange(8) < 4, known_classes=frozenset({0}),
-            unknown_classes=frozenset(), num_classes=1, dim=16,
+            is_labeled=np.arange(8) < 4, num_classes=1,
         )
-        manifest = write_dataset(data, tmp_path / "data")
-        code = cli(["train", "--config", str(config_file),
-                    "--dataset", str(manifest), "--out", str(tmp_path / "run")])
+        code = cli(["train", "--config", str(config_file), "--dataset",
+                    str(write_dataset(data, tmp_path / "data")), "--out", str(tmp_path / "run")])
         assert code == 1
         assert "need at least 2 classes, got 1" in capsys.readouterr().err
 
@@ -151,7 +150,7 @@ class TestEvalCommand:
         data_dir = tmp_path / "data"
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
         code = cli(["eval", "--checkpoint", str(tmp_path / "missing.npz"),
-                    "--dataset", str(data_dir / "data.manifest.json")])
+                    "--dataset", str(data_dir / "data.npz")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
@@ -164,7 +163,7 @@ class TestEvalCommand:
          "cannot read as npz (BadZipFile: "),
         (lambda good, arrays, data: (data / "data.npz").read_bytes(),
          "expected the arrays ['W1', 'b1', 'W2', 'b2', 'prototypes'], "
-         "got ['points', 'labels', 'is_labeled']"),
+         "got ['points', 'labels', 'is_labeled', 'num_classes']"),
         (lambda good, arrays, data: npz_bytes({**arrays, "b2": None}),
          "expected the arrays ['W1', 'b1', 'W2', 'b2', 'prototypes'], "
          "got ['W1', 'b1', 'W2', 'prototypes']"),
@@ -172,8 +171,10 @@ class TestEvalCommand:
          "W1 must be native float64, got float32"),
         (lambda good, arrays, data: npz_bytes({**arrays, "prototypes": 2 * arrays["prototypes"]}),
          "prototype rows must be unit-norm"),
+        (lambda good, arrays, data: replace_member(good, "W1.npy", b"W1 as text"),
+         "W1 is not a .npy array"),
     ], ids=["v1-json", "truncated", "dataset-npz", "missing-array", "float32-W1",
-            "non-unit-prototypes"])
+            "non-unit-prototypes", "raw-member"])
     def test_malformed_checkpoint_names_its_file(self, tmp_path, config_file, capsys,
                                                  edit, shown):
         data_dir = tmp_path / "data"
@@ -184,7 +185,7 @@ class TestEvalCommand:
         ckpt.write_bytes(edit(ckpt.read_bytes(), arrays, data_dir))
         capsys.readouterr()
         code = cli(["eval", "--checkpoint", str(ckpt),
-                    "--dataset", str(data_dir / "data.manifest.json")])
+                    "--dataset", str(data_dir / "data.npz")])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"ltgcd: error: {ckpt}: {shown}")
@@ -198,7 +199,7 @@ class TestEvalCommand:
         raw = rng.standard_normal((6, 4))
         save_checkpoint(ckpt, head, Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
         code = cli(["eval", "--checkpoint", str(ckpt),
-                    "--dataset", str(data_dir / "data.manifest.json")])
+                    "--dataset", str(data_dir / "data.npz")])
         assert code == 2
         assert f"ltgcd: error: {ckpt}: W2 has a non-finite value" in capsys.readouterr().err
 
@@ -212,7 +213,7 @@ class TestEvalCommand:
         save_checkpoint(tmp_path / "ckpt.npz", init_head(8, 5, 4, rng),
                         Prototypes(M=raw / np.linalg.norm(raw, axis=1, keepdims=True)))
         code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"),
-                    "--dataset", str(data_dir / "data.manifest.json")])
+                    "--dataset", str(data_dir / "data.npz")])
         assert code == 1
         err = capsys.readouterr().err
         assert "d=8" in err and "d=16" in err
@@ -222,11 +223,11 @@ class TestEvalCommand:
         run_dir = tmp_path / "run"
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
         cli(["train", "--config", str(config_file),
-             "--dataset", str(data_dir / "data.manifest.json"),
+             "--dataset", str(data_dir / "data.npz"),
              "--out", str(run_dir)])
         capsys.readouterr()
         code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
-                    "--dataset", str(data_dir / "data.manifest.json"),
+                    "--dataset", str(data_dir / "data.npz"),
                     "--config", str(config_file)])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -236,17 +237,17 @@ class TestEvalCommand:
 
     def test_echo_flags_are_usage_errors(self, tmp_path):
         code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"),
-                    "--dataset", str(tmp_path / "data.manifest.json"), "--rho", "5"])
+                    "--dataset", str(tmp_path / "data.npz"), "--rho", "5"])
         assert code == 1
 
     def test_metrics_csv_leaves_echo_cells_empty(self, tmp_path, config_file):
         data_dir, run_dir, eval_dir = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
-        manifest = str(data_dir / "data.manifest.json")
+        dataset = str(data_dir / "data.npz")
         cli(["gen", "--config", str(config_file), "--out", str(data_dir)])
-        cli(["train", "--config", str(config_file), "--dataset", manifest,
+        cli(["train", "--config", str(config_file), "--dataset", dataset,
              "--out", str(run_dir)])
         code = cli(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
-                    "--dataset", manifest, "--seed", "7", "--out", str(eval_dir)])
+                    "--dataset", dataset, "--seed", "7", "--out", str(eval_dir)])
         assert code == 0
         header, row = read_csv(eval_dir / "metrics.csv")
         assert header == ["seed", "rho", "alpha", "beta", "all", "known", "un1", "un2"]
@@ -260,23 +261,40 @@ class TestEvalCommand:
         npz.write_bytes(npz.read_bytes()[:1000])
         capsys.readouterr()
         code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.npz", 16)),
-                    "--dataset", str(data_dir / "data.manifest.json")])
+                    "--dataset", str(data_dir / "data.npz")])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"ltgcd: error: {npz}: cannot read as npz (BadZipFile: ")
 
-    def test_non_npz_data_entry_exits_2_naming_the_manifest(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"data": "d.csv", "C": 2, "d": 16, "known_classes": [0]}))
+    def test_more_classes_than_rows_exits_2_naming_the_file(self, tmp_path, capsys):
+        # bounded as it loads, before any table is sized by the class count
+        npz = tmp_path / "d.npz"
+        np.savez(npz, points=np.zeros((3, 16)), labels=np.array([0, 0, 1]),
+                 is_labeled=np.array([True, False, False]), num_classes=np.int64(5))
+        code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.npz", 16)),
+                    "--dataset", str(npz)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ltgcd: error: {npz}: num_classes must be in [1, 3], got 5"]
+
+    def test_non_npz_data_entry_exits_2_naming_the_manifest(self, tmp_path, config_file, capsys):
+        # a JSON manifest of the old two-file layout, beside the npz it names
+        data_dir = tmp_path / "data"
+        assert cli(["gen", "--config", str(config_file), "--out", str(data_dir)]) == 0
+        manifest = data_dir / "data.manifest.json"
+        manifest.write_text(json.dumps(
+            {"data": "data.npz", "C": 6, "d": 16, "known_classes": [0, 1, 2]}, indent=2) + "\n")
+        capsys.readouterr()
         code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "c.npz", 16)),
                     "--dataset", str(manifest)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"ltgcd: error: {manifest}: data must name an .npz file, got 'd.csv'"]
+        assert captured.err.splitlines() == [f"ltgcd: error: {manifest}: not an npz archive"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -287,7 +305,7 @@ class TestHugeFeature:
     overflow."""
 
     @pytest.fixture(params=["npz"])
-    def manifest(self, tmp_path, request):
+    def dataset(self, tmp_path, request):
         data_dir = tmp_path / "data"
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
         assert cli(["gen", "--config", str(desk), "--out", str(data_dir)]) == 0
@@ -296,11 +314,11 @@ class TestHugeFeature:
             arrays = dict(archive)
         arrays["points"][5, 0] = 1e200
         np.savez(data_file, **arrays)
-        return data_dir / "data.manifest.json"
+        return data_file
 
-    def test_eval_exits_2_naming_the_row(self, tmp_path, manifest, capsys):
+    def test_eval_exits_2_naming_the_row(self, tmp_path, dataset, capsys):
         code = cli(["eval", "--checkpoint", str(untrained_checkpoint(tmp_path / "ckpt.npz", 64)),
-                    "--dataset", str(manifest)])
+                    "--dataset", str(dataset)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -308,9 +326,9 @@ class TestHugeFeature:
         assert line.startswith("ltgcd: error: degenerate pre-normalization feature at row 5 "
                                "(norm inf")
 
-    def test_train_records_failed(self, tmp_path, config_file, manifest, capsys):
+    def test_train_records_failed(self, tmp_path, config_file, dataset, capsys):
         out = tmp_path / "run"
-        code = cli(["train", "--config", str(config_file), "--dataset", str(manifest),
+        code = cli(["train", "--config", str(config_file), "--dataset", str(dataset),
                     "--out", str(out)])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
@@ -455,7 +473,7 @@ class TestConfigFile:
         argv = {"train": ["--out", str(out)],
                 "eval": ["--checkpoint", str(tmp_path / "missing.npz")]}[command]
         code = cli([command, "--config", str(bad),
-                    "--dataset", str(data_dir / "data.manifest.json"), *argv])
+                    "--dataset", str(data_dir / "data.npz"), *argv])
         assert code == 1
         assert "labeled_fraction must be in (0, 1), got 1.5" in capsys.readouterr().err
         assert not out.exists()

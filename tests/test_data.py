@@ -16,6 +16,7 @@ from ltgcd.config import Hyperparams, SplitSpec, round_half_up
 from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
+from support import replace_member
 
 
 def small_dataset(seed=0, **kwargs):
@@ -140,17 +141,15 @@ class TestMakeViews:
                        derive_stream(0, "aug"))
 
 
-def write_npz(tmp_path, manifest=None, **arrays):
-    """``d.npz`` holding a valid three-row, d = 2 dataset, with each array of
-    ``arrays`` added or put in place of the one of its name (None drops it),
-    plus a manifest ``m.json`` with the entries of ``manifest`` put in."""
+def write_npz(tmp_path, **arrays):
+    """``d.npz`` holding a valid three-row, d = 2, C = 2 dataset, with each
+    array of ``arrays`` added or put in place of the one of its name (None
+    drops it)."""
     valid = {"points": np.arange(6.0).reshape(3, 2), "labels": np.array([0, 0, 1]),
-             "is_labeled": np.array([True, False, False])}
+             "is_labeled": np.array([True, False, False]), "num_classes": np.int64(2)}
     np.savez(tmp_path / "d.npz",
              **{name: arr for name, arr in {**valid, **arrays}.items() if arr is not None})
-    entries = {"data": "d.npz", "C": 2, "d": 2, "known_classes": [0], **(manifest or {})}
-    (tmp_path / "m.json").write_text(json.dumps(entries))
-    return tmp_path / "m.json"
+    return tmp_path / "d.npz"
 
 
 # features whose bits a round trip is most likely to lose
@@ -166,10 +165,11 @@ FEATURES = arrays(
 class TestFileRoundTrip:
     def test_write_then_load_reproduces_dataset(self, tmp_path):
         data, _ = small_dataset(samples_per_known=400, dim=64)
-        manifest = write_dataset(data, tmp_path)
-        loaded = load_embeddings(manifest)
+        loaded = load_embeddings(write_dataset(data, tmp_path))
         assert loaded.num_classes == data.num_classes
-        assert loaded.known_classes == data.known_classes
+        assert loaded.known_classes == data.known_classes == frozenset({0, 1, 2})
+        assert loaded.unknown_classes == frozenset({3, 4, 5})
+        assert loaded.dim == 64
         assert np.array_equal(loaded.labels, data.labels)
         assert np.array_equal(loaded.is_labeled, data.is_labeled)
         assert np.array_equal(loaded.points.view(np.uint64), data.points.view(np.uint64))
@@ -181,8 +181,7 @@ class TestFileRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_embeddings(write_npz(
                 Path(tmp), points=points, labels=np.array([0, 0, 1, 1]),
-                is_labeled=np.array([True, False, False, False]),
-                manifest={"d": points.shape[1]}))
+                is_labeled=np.array([True, False, False, False])))
         assert np.array_equal(loaded.points.view(np.uint64), points.view(np.uint64))
 
     @given(points=FEATURES)
@@ -190,9 +189,7 @@ class TestFileRoundTrip:
     def test_features_round_trip_bit_for_bit_through_npz(self, points):
         data = EmbeddingDataset(
             points=points, labels=np.array([0, 0, 1, 1]),
-            is_labeled=np.array([True, False, False, False]),
-            known_classes=frozenset({0}), unknown_classes=frozenset({1}),
-            num_classes=2, dim=points.shape[1],
+            is_labeled=np.array([True, False, False, False]), num_classes=2,
         )
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_embeddings(write_dataset(data, tmp))
@@ -202,50 +199,46 @@ class TestFileRoundTrip:
         data = EmbeddingDataset(
             points=np.array([[0.5, -1.0], [0.25, 2.0]], dtype=np.float32),
             labels=np.array([0, 1], dtype=np.int32), is_labeled=np.array([True, False]),
-            known_classes=frozenset({0}), unknown_classes=frozenset({1}),
-            num_classes=2, dim=2,
+            num_classes=np.int32(2),
         )
         loaded = load_embeddings(write_dataset(data, tmp_path))
         assert (loaded.points.dtype, loaded.labels.dtype) == (np.float64, np.int64)
         assert loaded.points.tolist() == [[0.5, -1.0], [0.25, 2.0]]
         assert loaded.labels.tolist() == [0, 1]
+        assert type(loaded.num_classes) is int and loaded.num_classes == 2
 
     def test_write_dataset_gives_the_same_npz_bytes_every_time(self, tmp_path):
         data, _ = small_dataset()
-        first, second = (write_dataset(data, tmp_path / name).parent / "data.npz"
-                         for name in ("a", "b"))
+        first, second = (write_dataset(data, tmp_path / name) for name in ("a", "b"))
         assert first.read_bytes() == second.read_bytes()
-        assert json.loads((tmp_path / "a" / "data.manifest.json").read_text())["data"] == "data.npz"
+        # the npz is the whole dataset: no file is written beside it
+        assert list((tmp_path / "a").iterdir()) == [tmp_path / "a" / "data.npz"] == [first]
         # the zip members carry a fixed date, not the time of the save
         with zipfile.ZipFile(first) as archive:
             assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+            assert archive.namelist() == ["points.npy", "labels.npy", "is_labeled.npy",
+                                          "num_classes.npy"]
 
     def test_small_valid_file(self, tmp_path):
-        manifest = write_npz(tmp_path, points=np.array([[0.5, 1.0], [0.25, -1.0],
-                                                        [2.0, 3.5], [-1.0, 0.0]]),
-                             labels=np.array([0, 0, 1, 1]),
-                             is_labeled=np.array([True, False, False, False]))
-        loaded = load_embeddings(manifest)
+        loaded = load_embeddings(write_npz(tmp_path, points=np.array([[0.5, 1.0], [0.25, -1.0],
+                                                                      [2.0, 3.5], [-1.0, 0.0]]),
+                                           labels=np.array([0, 0, 1, 1]),
+                                           is_labeled=np.array([True, False, False, False])))
         assert loaded.n == 4
         assert loaded.unknown_classes == frozenset({1})
 
-    def test_labeled_unknown_class_rejected(self, tmp_path):
-        manifest = write_npz(tmp_path, is_labeled=np.array([True, False, True]))
-        with pytest.raises(DataFormatError, match=r"m\.json: labeled unknown class: \[1\]"):
-            load_embeddings(manifest)
-
     def test_class_id_out_of_range_rejected(self, tmp_path):
-        manifest = write_npz(tmp_path, labels=np.array([0, 0, -1]))
-        with pytest.raises(DataFormatError, match=r"m\.json: labels must lie in \[0, C\)"):
-            load_embeddings(manifest)
+        npz = write_npz(tmp_path, labels=np.array([0, 0, -1]))
+        with pytest.raises(DataFormatError, match=r"d\.npz: labels must lie in \[0, C\)"):
+            load_embeddings(npz)
 
     def test_malformed_row_rejected(self, tmp_path):
         # features saved as the text they were read from, not as numbers
-        manifest = write_npz(tmp_path, points=np.array([["0.5", "1.0"], ["0.25", "-1.0"],
-                                                        ["2.0", "not_a_number"]]))
+        npz = write_npz(tmp_path, points=np.array([["0.5", "1.0"], ["0.25", "-1.0"],
+                                                   ["2.0", "not_a_number"]]))
         with pytest.raises(DataFormatError, match=r"d\.npz: points must be native float64, "
                                                   r"got <U12$"):
-            load_embeddings(manifest)
+            load_embeddings(npz)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
@@ -255,13 +248,8 @@ class TestFileRoundTrip:
             load_embeddings(write_npz(tmp_path, points=points))
 
     def test_missing_files_raise(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_embeddings(tmp_path / "absent.json")
-        (tmp_path / "m.json").write_text(
-            '{"data": "gone.npz", "C": 2, "d": 1, "known_classes": [0]}'
-        )
-        with pytest.raises(FileNotFoundError):
-            load_embeddings(tmp_path / "m.json")
+        with pytest.raises(FileNotFoundError, match=r"dataset not found: .*absent\.npz$"):
+            load_embeddings(tmp_path / "absent.npz")
 
 
 class TestLoaderErrors:
@@ -272,6 +260,8 @@ class TestLoaderErrors:
         assert loaded.points.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         assert loaded.labels.tolist() == [0, 0, 1]
         assert loaded.is_labeled.tolist() == [True, False, False]
+        assert (loaded.num_classes, loaded.dim) == (2, 2)
+        assert (loaded.known_classes, loaded.unknown_classes) == ({0}, {1})
 
     @pytest.mark.parametrize("edit, message", [
         (lambda good: good[:len(good) // 2], r"cannot read as npz \(BadZipFile"),
@@ -279,33 +269,56 @@ class TestLoaderErrors:
         (lambda good: b"garbage, not an archive", "not an npz archive$"),
     ], ids=["truncated", "empty", "garbage"])
     def test_unreadable_npz(self, tmp_path, edit, message):
-        manifest = write_npz(tmp_path)
-        npz = tmp_path / "d.npz"
+        npz = write_npz(tmp_path)
         npz.write_bytes(edit(npz.read_bytes()))
         with pytest.raises(DataFormatError, match=rf"d\.npz: {message}"):
-            load_embeddings(manifest)
+            load_embeddings(npz)
 
     def test_npz_object_array_is_not_unpickled(self, tmp_path):
-        manifest = write_npz(tmp_path, labels=np.array([0, 0, 1], dtype=object))
+        npz = write_npz(tmp_path, labels=np.array([0, 0, 1], dtype=object))
         with pytest.raises(DataFormatError, match=r"d\.npz: cannot read as npz \(ValueError: "
                                                   r"Object arrays cannot be loaded"):
-            load_embeddings(manifest)
+            load_embeddings(npz)
 
     def test_npy_file_under_an_npz_name(self, tmp_path):
-        manifest = write_npz(tmp_path)
-        with open(tmp_path / "d.npz", "wb") as fh:
+        npz = write_npz(tmp_path)
+        with open(npz, "wb") as fh:
             np.save(fh, np.arange(6.0).reshape(3, 2))
         with pytest.raises(DataFormatError,
                            match=r"d\.npz: not an npz archive \(a single \.npy array\)"):
-            load_embeddings(manifest)
+            load_embeddings(npz)
+
+    @pytest.mark.parametrize("name, write, kind", [
+        ("d.csv", lambda path: path.write_text("x0,x1,label,is_labeled\n0.5,1.0,0,1\n"), ""),
+        ("d.npy", lambda path: np.save(path, np.arange(6.0).reshape(3, 2)),
+         r" \(a single \.npy array\)"),
+        # an old-style JSON manifest, which named the npz beside it
+        ("d.npz.bak", lambda path: path.write_text(json.dumps(
+            {"data": "d.npz", "C": 2, "d": 2, "known_classes": [0]})), ""),
+    ], ids=["d.csv", "d.npy", "d.npz.bak"])
+    def test_data_must_name_an_npz_file(self, tmp_path, name, write, kind):
+        # the contents decide, not the name: none of these is an npz archive
+        write_npz(tmp_path)
+        write(tmp_path / name)
+        with pytest.raises(DataFormatError, match=rf"{name}: not an npz archive{kind}$"):
+            load_embeddings(tmp_path / name)
+
+    def test_member_that_is_not_a_npy_array(self, tmp_path):
+        # np.load hands back the raw bytes of a member without the .npy magic
+        npz = write_npz(tmp_path)
+        npz.write_bytes(replace_member(npz.read_bytes(), "labels.npy", b"0,0,1\n"))
+        with pytest.raises(DataFormatError, match=r"d\.npz: labels is not a \.npy array$"):
+            load_embeddings(npz)
 
     @pytest.mark.parametrize("arrays, got", [
-        (dict(is_labeled=None), r"\['points', 'labels'\]"),
-        (dict(ids=np.arange(3)), r"\['points', 'labels', 'is_labeled', 'ids'\]"),
-    ], ids=["missing", "extra"])
-    def test_npz_must_hold_exactly_the_three_arrays(self, tmp_path, arrays, got):
-        with pytest.raises(DataFormatError, match=r"d\.npz: expected the arrays "
-                                                  r"\['points', 'labels', 'is_labeled'\], got " + got):
+        (dict(is_labeled=None), r"\['points', 'labels', 'num_classes'\]"),
+        (dict(ids=np.arange(3)), r"\['points', 'labels', 'is_labeled', 'num_classes', 'ids'\]"),
+        (dict(num_classes=None), r"\['points', 'labels', 'is_labeled'\]"),
+    ], ids=["missing", "extra", "missing-num_classes"])
+    def test_npz_must_hold_exactly_the_four_arrays(self, tmp_path, arrays, got):
+        with pytest.raises(DataFormatError, match=r"d\.npz: expected the arrays \['points', "
+                                                  r"'labels', 'is_labeled', 'num_classes'\], "
+                                                  r"got " + got):
             load_embeddings(write_npz(tmp_path, **arrays))
 
     @pytest.mark.parametrize("name, arr, message", [
@@ -313,22 +326,28 @@ class TestLoaderErrors:
         ("labels", np.array([0, 0, 1], dtype=np.int32), "native int64, got int32"),
         ("is_labeled", np.array([1, 0, 0], dtype=np.uint8), "native bool, got uint8"),
         ("points", np.zeros((3, 2), dtype=">f8"), "native float64, got >f8"),
-    ], ids=["float32-points", "int32-labels", "uint8-flags", "big-endian-points"])
+        ("num_classes", np.float64(2.0), "native int64, got float64"),
+        ("num_classes", np.uint64(2), "native int64, got uint64"),
+    ], ids=["float32-points", "int32-labels", "uint8-flags", "big-endian-points",
+            "float64-num_classes", "uint64-num_classes"])
     def test_npz_dtypes(self, tmp_path, name, arr, message):
         with pytest.raises(DataFormatError, match=rf"d\.npz: {name} must be {message}$"):
             load_embeddings(write_npz(tmp_path, **{name: arr}))
 
     @pytest.mark.parametrize("arrays, got", [
-        (dict(points=np.zeros((3, 3))), r"\(3, 3\), \(3,\), \(3,\)"),
-        (dict(points=np.zeros(6)), r"\(6,\), \(3,\), \(3,\)"),
-        (dict(labels=np.array([0, 1])), r"\(3, 2\), \(2,\), \(3,\)"),
-        (dict(is_labeled=np.array([True, False, False, False])), r"\(3, 2\), \(3,\), \(4,\)"),
+        (dict(points=np.zeros((3, 0))), r"\(3, 0\), \(3,\), \(3,\), \(\)"),
+        (dict(points=np.zeros(6)), r"\(6,\), \(3,\), \(3,\), \(\)"),
+        (dict(labels=np.array([0, 1])), r"\(3, 2\), \(2,\), \(3,\), \(\)"),
+        (dict(is_labeled=np.array([True, False, False, False])),
+         r"\(3, 2\), \(3,\), \(4,\), \(\)"),
         (dict(points=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64),
-              is_labeled=np.zeros(0, dtype=bool)), r"\(0, 2\), \(0,\), \(0,\)"),
-    ], ids=["width", "one-dimensional", "short-labels", "long-flags", "zero-rows"])
+              is_labeled=np.zeros(0, dtype=bool)), r"\(0, 2\), \(0,\), \(0,\), \(\)"),
+        (dict(num_classes=np.array([2])), r"\(3, 2\), \(3,\), \(3,\), \(1,\)"),
+    ], ids=["width", "one-dimensional", "short-labels", "long-flags", "zero-rows",
+            "one-dimensional-num_classes"])
     def test_npz_shapes(self, tmp_path, arrays, got):
-        with pytest.raises(DataFormatError, match=r"d\.npz: expected shapes \(n, 2\), \(n,\), "
-                                                  r"\(n,\) with n >= 1, got " + got):
+        with pytest.raises(DataFormatError, match=r"d\.npz: expected shapes \(n, d\), \(n,\), "
+                                                  r"\(n,\), \(\) with n, d >= 1, got " + got):
             load_embeddings(write_npz(tmp_path, **arrays))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -340,85 +359,54 @@ class TestLoaderErrors:
             load_embeddings(write_npz(tmp_path, points=points))
 
     def test_npz_labels_get_the_dataset_checks(self, tmp_path):
-        manifest = write_npz(tmp_path, labels=np.array([0, 0, 2]))
-        with pytest.raises(DataFormatError, match=r"m\.json: labels must lie in \[0, C\)"):
-            load_embeddings(manifest)
+        npz = write_npz(tmp_path, labels=np.array([0, 0, 2]))
+        with pytest.raises(DataFormatError, match=r"d\.npz: labels must lie in \[0, C\)"):
+            load_embeddings(npz)
 
-    def test_invalid_manifest_json(self, tmp_path):
-        (tmp_path / "m.json").write_text('{"data": "d.npz", "C": 2,')
-        with pytest.raises(DataFormatError, match=r"m\.json: invalid JSON"):
-            load_embeddings(tmp_path / "m.json")
+    @pytest.mark.parametrize("value", [0, -1, 4, 2**62, -2**63],
+                             ids=["zero", "negative", "rows-plus-one", "2**62", "int64-min"])
+    def test_num_classes_must_be_between_one_and_the_row_count(self, tmp_path, value):
+        # a class may have no rows, but never more classes than rows: an
+        # unbounded count would size every per-class table by it
+        with pytest.raises(DataFormatError,
+                           match=rf"d\.npz: num_classes must be in \[1, 3\], got {value}$"):
+            load_embeddings(write_npz(tmp_path, num_classes=np.int64(value)))
 
-    def test_missing_manifest_key(self, tmp_path):
-        (tmp_path / "m.json").write_text('{"data": "d.npz", "d": 1, "known_classes": [0]}')
-        with pytest.raises(DataFormatError, match=r"m\.json: manifest missing key 'C'"):
-            load_embeddings(tmp_path / "m.json")
-
-    @pytest.mark.parametrize("text, message", [
-        ("null", "expected a JSON object, got NoneType"),
-        ('"data C d known_classes"', "expected a JSON object, got str"),
-        ("[1, 2]", "expected a JSON object, got list"),
-        ('{"data": 5, "C": 2, "d": 1, "known_classes": [0]}', "data must be a string, got 5"),
-        ('{"data": null, "C": 2, "d": 1, "known_classes": [0]}',
-         "data must be a string, got None"),
-    ], ids=["null", "string", "list", "data-int", "data-null"])
-    def test_manifest_must_be_an_object_naming_a_data_string(self, tmp_path, text, message):
-        (tmp_path / "m.json").write_text(text)
-        with pytest.raises(DataFormatError, match=rf"m\.json: {message}$"):
-            load_embeddings(tmp_path / "m.json")
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("C", 2.7, r"C must be an integer, got 2\.7"),
-        ("d", True, r"d must be an integer, got True"),
-        ("C", "3", r"C must be an integer, got '3'"),
-        ("known_classes", [0.6], r"known_classes must be a list of integers, got \[0\.6\]"),
-        ("known_classes", "01", r"known_classes must be a list of integers, got '01'"),
-    ], ids=["C-float", "d-bool", "C-string", "known-float", "known-string"])
-    def test_manifest_numbers_must_be_json_integers(self, tmp_path, key, value, message):
-        manifest = write_npz(tmp_path, manifest={key: value})
-        with pytest.raises(DataFormatError, match=r"m\.json: " + message):
-            load_embeddings(manifest)
+    def test_classes_without_rows_are_unknown(self, tmp_path):
+        loaded = load_embeddings(write_npz(tmp_path, num_classes=np.int64(3)))
+        assert (loaded.known_classes, loaded.unknown_classes) == ({0}, {1, 2})
 
     @pytest.mark.parametrize("known", [[2], [-1], []])
     def test_known_classes_out_of_range(self, tmp_path, known):
-        manifest = write_npz(tmp_path, manifest={"known_classes": known})
-        with pytest.raises(DataFormatError,
-                           match=r"m\.json: known_classes must be a nonempty subset of 0\.\.C-1"):
-            load_embeddings(manifest)
+        # the known classes are the labeled rows' classes: each must lie in
+        # [0, C), and there must be at least one
+        labels = np.array([*known, 0, 1])
+        npz = write_npz(tmp_path, points=np.zeros((len(labels), 2)), labels=labels,
+                        is_labeled=np.arange(len(labels)) < len(known))
+        message = r"labels must lie in \[0, C\)" if known else "no labeled row, so no known class"
+        with pytest.raises(DataFormatError, match=rf"d\.npz: {message}$"):
+            load_embeddings(npz)
 
     def test_dimension_must_be_positive(self, tmp_path):
-        manifest = write_npz(tmp_path, manifest={"d": 0})
-        with pytest.raises(DataFormatError, match=r"m\.json: d must be >= 1, got 0"):
-            load_embeddings(manifest)
-
-    @pytest.mark.parametrize("name", ["d.csv", "d.npy", "d.npz.bak"])
-    def test_data_must_name_an_npz_file(self, tmp_path, name):
-        # checked before the file is looked for: none of these files exists
-        (tmp_path / "m.json").write_text(json.dumps(
-            {"data": name, "C": 2, "d": 2, "known_classes": [0]}))
-        with pytest.raises(DataFormatError,
-                           match=rf"m\.json: data must name an \.npz file, got '{name}'$"):
-            load_embeddings(tmp_path / "m.json")
-
-    def test_known_class_without_labeled_row_names_the_manifest(self, tmp_path):
-        manifest = write_npz(tmp_path, manifest={"C": 3, "known_classes": [0, 1]})
-        with pytest.raises(DataFormatError,
-                           match=r"m\.json: known classes with no labeled row: \[1\]"):
-            load_embeddings(manifest)
+        # d is the width of points, whatever it is, as long as it is >= 1
+        assert load_embeddings(write_npz(tmp_path, points=np.zeros((3, 5)))).dim == 5
+        with pytest.raises(DataFormatError, match=r"d\.npz: expected shapes .* with n, d >= 1, "
+                                                  r"got \(3, 0\)"):
+            load_embeddings(write_npz(tmp_path, points=np.zeros((3, 0))))
 
 
 class TestDatasetInvariants:
     def test_known_unknown_must_partition(self):
-        with pytest.raises(DataFormatError):
-            EmbeddingDataset(
-                points=np.zeros((2, 2)),
-                labels=np.array([0, 1]),
-                is_labeled=np.array([True, False]),
-                known_classes=frozenset({0}),
-                unknown_classes=frozenset({0, 1}),
-                num_classes=2,
-                dim=2,
-            )
+        # both are derived from the labeled rows, so they partition 0..C-1 by
+        # construction; class 4 has no row at all and is unknown
+        data = EmbeddingDataset(
+            points=np.zeros((5, 2)),
+            labels=np.array([0, 3, 1, 2, 3]),
+            is_labeled=np.array([True, True, False, False, False]),
+            num_classes=5,
+        )
+        assert data.known_classes == frozenset({0, 3})
+        assert data.unknown_classes == frozenset({1, 2, 4})
 
     def test_every_known_class_needs_a_labeled_row(self):
         with pytest.raises(DataFormatError, match="no labeled row"):
@@ -426,8 +414,5 @@ class TestDatasetInvariants:
                 points=np.zeros((2, 2)),
                 labels=np.array([0, 1]),
                 is_labeled=np.array([False, False]),
-                known_classes=frozenset({0}),
-                unknown_classes=frozenset({1}),
                 num_classes=2,
-                dim=2,
             )

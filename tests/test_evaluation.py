@@ -184,10 +184,7 @@ class TestEvaluate:
             points=data.points[keep].copy(),
             labels=data.labels[keep].copy(),
             is_labeled=data.is_labeled[keep].copy(),
-            known_classes=data.known_classes,
-            unknown_classes=data.unknown_classes,
             num_classes=data.num_classes,
-            dim=data.dim,
         )
         report = evaluate(head, trimmed, seed=0)
         assert report.un1_acc is None

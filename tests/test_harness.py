@@ -125,11 +125,9 @@ class TestTrainOne:
             points=data.points.copy(),
             labels=(data.labels + 3) % 6,
             is_labeled=data.is_labeled.copy(),
-            known_classes=frozenset({3, 4, 5}),
-            unknown_classes=frozenset({0, 1, 2}),
             num_classes=6,
-            dim=data.dim,
         )
+        assert relabeled.known_classes == frozenset({3, 4, 5})
         record = train_one(relabeled, small_hp(epochs=2))
         assert record.status == "ok", record.error
         assert record.metrics.n_all == len(relabeled.unlabeled_indices)

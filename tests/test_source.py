@@ -1,15 +1,19 @@
 """Source checks that need no linter: every import in the package is read,
 every function, class, method and property it defines is read somewhere, one
-function loads npz files and one starts a process pool, and importing the CLI
-loads no scipy module."""
+function loads npz files and one starts a process pool, a dataset holds its
+known/unknown split only in its arrays, and importing the CLI loads no scipy
+module."""
 
 import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from ltgcd.data import EmbeddingDataset
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ltgcd"
@@ -123,6 +127,18 @@ def test_one_npz_reader_and_one_pool():
     found = {(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
              for use in readers_of(path.read_text(), {"np.load", "ProcessPoolExecutor"})}
     assert found == {("data", "np.load", "read_npz"), ("harness", "ProcessPoolExecutor", "sweep")}
+
+
+def test_one_copy_of_the_split():
+    # the dataset npz is the whole dataset and the known classes are the
+    # labeled rows' classes, so no manifest is parsed and no field repeats them
+    tree = ast.parse((PACKAGE / "data.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "json" not in modules
+    assert [f.name for f in fields(EmbeddingDataset)] == [
+        "points", "labels", "is_labeled", "num_classes"]
 
 
 def test_cli_import_loads_no_scipy():
