@@ -25,18 +25,23 @@ def normalized_group_means(
     group with no row, or whose mean has norm below ``NORM_FLOOR``, keeps its
     ``fallback`` row.
 
-    A stable sort keeps each group's rows in their original order, so every
-    mean has the bits of ``points[groups == g].mean(axis=0)``.
+    A stable sort keeps each group's rows in their original order, and a
+    reduce along axis 0 adds them row by row, so every mean has the bits of
+    ``points[groups == g].mean(axis=0)`` and its norm those of
+    ``np.linalg.norm`` (the same dot product).
     """
-    order = np.argsort(groups, kind="stable")
-    bounds = np.searchsorted(groups[order], np.arange(k + 1))
-    counts = np.diff(bounds)
+    inside = np.flatnonzero((groups >= 0) & (groups < k))
+    # ids of the smallest type that holds k - 1 sort by radix sort
+    order = inside[np.argsort(groups[inside].astype(np.min_scalar_type(k - 1)), kind="stable")]
+    counts = np.bincount(groups[order], minlength=k)
+    filled = np.flatnonzero(counts)
+    rows, bounds = points[order], [0, *np.cumsum(counts[filled]).tolist()]
+    sums = [np.add.reduce(rows[a:b], axis=0) for a, b in zip(bounds, bounds[1:])]
+    mean = np.reshape(sums, (len(filled), points.shape[1])) / counts[filled, None]
+    norm = np.sqrt([m @ m for m in mean])
+    ok = norm >= NORM_FLOOR
     means = np.array(fallback, dtype=np.float64)
-    for g in np.flatnonzero(counts):
-        mean = points[order[bounds[g]:bounds[g + 1]]].mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm >= NORM_FLOOR:
-            means[g] = mean / norm
+    means[filled[ok]] = mean[ok] / norm[ok, None]
     return means, counts
 
 
@@ -55,21 +60,20 @@ def kmeans_pp_extend(
     if k_new > n:
         raise ValidationError(f"cannot seed {k_new} centroids from {n} points")
     chosen: list[int] = []
+    best_sim = None
     if existing is not None and len(existing):
         best_sim = (points @ existing.T).max(axis=1)
-    else:
-        best_sim = None
 
     for _ in range(k_new):
-        if best_sim is None:
+        weights = np.zeros(n) if best_sim is None else np.maximum(1.0 - best_sim, 0.0)
+        total = weights.sum()
+        if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            weights = np.clip(1.0 - best_sim, 0.0, None)
-            total = weights.sum()
-            if total <= 0.0:
-                idx = int(rng.integers(n))
-            else:
-                idx = int(rng.choice(n, p=weights / total))
+            # ``rng.choice(n, p=weights / total)`` without its checks
+            cdf = np.cumsum(weights / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
         sim = points @ points[idx]
         best_sim = sim if best_sim is None else np.maximum(best_sim, sim)
@@ -91,6 +95,10 @@ def seeded_kmeans(
     assignments repeat or after ``_MAX_ITER`` rounds.
     An emptied cluster is re-seeded from the point farthest from its own
     centroid.
+
+    A round re-averages only the groups that gained or lost a row or were
+    re-seeded: any other group has the rows, in the same order, that its
+    centroid was averaged from, so it already has a full recompute's bits.
 
     Returns ``(assignments, centroids)``.
     """
@@ -122,6 +130,7 @@ def seeded_kmeans(
         new_assign[free] = np.argmax(sims, axis=1)
 
         counts = np.bincount(new_assign, minlength=k)
+        changed = np.zeros(k + 1, dtype=bool)  # slot k takes the first round's -1
         for empty in np.flatnonzero(counts == 0):
             candidates = np.flatnonzero(counts[new_assign[free]] > 1)
             if not len(candidates):
@@ -132,10 +141,14 @@ def seeded_kmeans(
             new_assign[thief] = empty
             counts[empty] = 1
             centroids[empty] = points[thief]
+            changed[empty] = True  # the raw row is not its normalized mean
 
-        if np.array_equal(new_assign, assign):
+        moved = new_assign != assign
+        if not moved.any():
             break
+        changed[assign[moved]] = changed[new_assign[moved]] = True
         assign = new_assign
-        centroids = normalized_group_means(points, assign, k, centroids)[0]
+        centroids = normalized_group_means(
+            points, np.where(changed[assign], assign, -1), k, centroids)[0]
 
     return assign, centroids

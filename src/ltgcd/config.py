@@ -102,6 +102,9 @@ class SplitSpec:
             raise ValidationError(
                 f"num_known must be < num_classes ({self.num_known} >= {self.num_classes})"
             )
+        if self.samples_per_known >= 2**63 * self.rho:  # their float quotient may overflow
+            raise ValidationError(
+                f"samples_per_known/rho is 2**63 or more ({self.samples_per_known}/{self.rho})")
         if self.samples_per_unknown < 1:
             raise ValidationError(
                 f"samples_per_known/rho rounds to 0 samples per unknown class "

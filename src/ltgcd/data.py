@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SplitSpec, check_setting
-from .errors import DataFormatError
+from .errors import DataFormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ def generate_mixture(spec: SplitSpec, sep: float, rng: np.random.Generator) -> E
     n_u = spec.samples_per_unknown
 
     raw = rng.standard_normal((C, d))
-    means = sep * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        means = sep * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if not np.isfinite(means).all():
+        raise ValidationError(f"sep is too large: the class means overflow, got {sep}")
 
     blocks, labels, flags = [], [], []
     for c in range(C):

@@ -72,8 +72,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     reduced -= u[:, None]
     for i in range(n):
         tight = (reduced[i] == 0.0) & (row4col < 0)
-        if tight.any():
-            j = int(np.argmax(tight))
+        j = int(tight.argmax())
+        if tight[j]:
             col4row[i], row4col[j] = j, i
     for i in np.flatnonzero(col4row < 0):
         _augment(cost, u, v, col4row, row4col, int(i))
@@ -88,25 +88,26 @@ def _augment(cost: np.ndarray, u: np.ndarray, v: np.ndarray, col4row: np.ndarray
     n = cost.shape[0]
     shortest = np.full(n, np.inf)     # path cost from ``start`` to each column
     path = np.full(n, -1, dtype=np.int64)   # the row before each column on it
-    scanned = np.zeros(n, dtype=bool)
+    unscanned = np.ones(n, dtype=bool)
+    free = row4col < 0
     min_val, i = 0.0, start
     while True:
         r = min_val + cost[i] - u[i] - v
-        better = ~scanned & (r < shortest)
-        shortest[better] = r[better]
-        path[better] = i
-        open_cost = np.where(scanned, np.inf, shortest)
-        min_val = open_cost.min()
+        better = unscanned & (r < shortest)
+        np.copyto(shortest, r, where=better)
+        np.copyto(path, i, where=better)
+        open_cost = np.where(unscanned, shortest, np.inf)
+        min_val = np.minimum.reduce(open_cost)
         ties = open_cost == min_val
-        free = ties & (row4col < 0)
         # among equally short columns a free one ends the search soonest
-        j = int(np.argmax(free if free.any() else ties))
-        scanned[j] = True
-        if row4col[j] < 0:
+        free_ties = ties & free
+        j = int((free_ties if free_ties.any() else ties).argmax())
+        unscanned[j] = False
+        if free[j]:
             break
         i = int(row4col[j])
 
-    cols = np.flatnonzero(scanned)
+    cols = np.flatnonzero(~unscanned)
     delta = min_val - shortest[cols]
     v[cols] -= delta
     rows = row4col[cols]

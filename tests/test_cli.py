@@ -368,6 +368,19 @@ class TestNumericSettings:
         assert line.startswith(f"ltgcd: invalid input: {key} must be finite, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--rho", "5e-320", "samples_per_known/rho is 2**63 or more (60/5e-320)"),
+        ("--rho", "1e-300", "samples_per_known/rho is 2**63 or more (60/1e-300)"),
+        ("--sep", "1e308", "sep is too large: the class means overflow, got 1e+308"),
+    ])
+    def test_overflowing_split_flag_exits_1(self, tmp_path, config_file, capsys, flag, value,
+                                            shown):
+        out = tmp_path / "out"
+        assert cli(["gen", flag, value, "--config", str(config_file), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ltgcd: invalid input: {shown}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("lr0", "1e300"), ("tau", "1e-300"),
                                             ("beta", "1e308"), ("lr0", "1e20"),
                                             ("lr0", "1e100"), ("noise_sigma", "1e200"),

@@ -1,4 +1,5 @@
-"""Seeded cosine k-means behavior."""
+"""Seeded cosine k-means behavior, and its exactness against the plain
+full-recompute Lloyd loop."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,88 @@ from support import unit_rows
 from ltgcd.clustering import kmeans_pp_extend, normalized_group_means, seeded_kmeans
 from ltgcd.errors import ValidationError
 from ltgcd.rng import derive_stream
+
+
+def reference_group_means(points, groups, k, fallback):
+    """The masked-mean loop: each group's ``.mean(axis=0)`` normalized by
+    ``np.linalg.norm``, or its fallback row."""
+    means = np.array(fallback, dtype=np.float64)
+    for g in range(k):
+        members = points[groups == g]
+        if len(members):
+            mean = members.mean(axis=0)
+            norm = np.linalg.norm(mean)
+            if norm >= 1e-12:
+                means[g] = mean / norm
+    return means
+
+
+def reference_pp_extend(points, existing, k_new, rng):
+    """k-means++ picks drawn with ``rng.choice``."""
+    n = points.shape[0]
+    best_sim = (points @ existing.T).max(axis=1) if existing is not None else None
+    chosen = []
+    for _ in range(k_new):
+        weights = None if best_sim is None else np.clip(1.0 - best_sim, 0.0, None)
+        if weights is None or weights.sum() <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=weights / weights.sum()))
+        chosen.append(idx)
+        sim = points @ points[idx]
+        best_sim = sim if best_sim is None else np.maximum(best_sim, sim)
+    return points[chosen].copy()
+
+
+def reference_kmeans(points, k, rng, seed_centroids, anchors):
+    """The Lloyd loop that re-averages every group in every round."""
+    n, n_seeds = len(points), len(seed_centroids)
+    centroids = np.vstack([seed_centroids,
+                           reference_pp_extend(points, seed_centroids if n_seeds else None,
+                                               k - n_seeds, rng)])
+    free = np.flatnonzero(anchors == -1)
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(300):
+        sims = points[free] @ centroids.T
+        new_assign = anchors.copy()
+        new_assign[free] = np.argmax(sims, axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            candidates = np.flatnonzero(counts[new_assign[free]] > 1)
+            if not len(candidates):
+                continue
+            own_sim = sims[candidates, new_assign[free[candidates]]]
+            thief = free[candidates[int(np.argmin(own_sim))]]
+            counts[new_assign[thief]] -= 1
+            new_assign[thief] = empty
+            counts[empty] = 1
+            centroids[empty] = points[thief]
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centroids = reference_group_means(points, assign, k, centroids)
+    return assign, centroids
+
+
+def kmeans_case(rng):
+    """A small seeded k-means input. Points repeat a few rows (ties, emptied
+    clusters), are unit-norm or not, and may hold a pair x, -x anchored to one
+    cluster, whose mean cancels to zero."""
+    d = int(rng.choice([1, 2, 3, 5]))
+    n = int(rng.integers(2, 30))
+    base = rng.standard_normal((int(rng.integers(1, n + 1)), d))
+    points = base[rng.integers(len(base), size=n)]
+    if rng.random() < 0.5:
+        points = points / np.linalg.norm(points, axis=1, keepdims=True)
+    k = n if rng.random() < 0.1 else int(rng.integers(1, min(n, 8) + 1))
+    anchors = np.where(rng.random(n) < rng.random() * 0.6, rng.integers(k, size=n), -1)
+    if n >= 3 and rng.random() < 0.3:
+        points[1] = -points[0]
+        anchors[:2] = rng.integers(k)
+    n_seeds = int(rng.integers(k + 1))
+    seeds = rng.standard_normal((n_seeds, d))
+    seeds /= np.linalg.norm(seeds, axis=1, keepdims=True)
+    return points, k, seeds, anchors
 
 
 def two_blobs(rng, n_per=20, p=6):
@@ -38,6 +121,23 @@ class TestKmeansPpExtend:
         picked = kmeans_pp_extend(pts, existing, 1, rng)
         # the far blob is overwhelmingly preferred under D^2 weights
         assert picked[0] @ existing[0] < 0.0
+
+    def test_draws_as_rng_choice_does(self):
+        # d = 1 against the center [1]: a row x has weight max(1 - x, 0), so
+        # rows of 1.0 weigh exactly 0
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            n = int(rng.integers(1, 40))
+            x = np.where(rng.random(n) < rng.random(), 1.0, rng.uniform(-1.0, 1.0, n))
+            if case % 3 == 0:
+                x[:] = 1.0
+                x[rng.integers(n)] = rng.uniform(-1.0, 1.0)
+            points, center = x[:, None], np.ones((1, 1))
+            k_new = int(rng.integers(1, min(n, 3) + 1))
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            expected = reference_pp_extend(points, center, k_new, theirs)
+            assert np.array_equal(kmeans_pp_extend(points, center, k_new, ours), expected)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_too_many_requested_rejected(self):
         rng = derive_stream(2, "test")
@@ -109,6 +209,14 @@ class TestSeededKmeans:
         assign, _ = seeded_kmeans(pts, 3, rng, seed_centroids=seeds)
         assert set(assign.tolist()) == {0, 1, 2}
 
+    def test_matches_full_recompute_loop_bit_for_bit(self):
+        for case in range(400):
+            points, k, seeds, anchors = kmeans_case(np.random.default_rng(case))
+            expected = reference_kmeans(points, k, np.random.default_rng(case), seeds, anchors)
+            got = seeded_kmeans(points, k, np.random.default_rng(case), seeds, anchors)
+            assert np.array_equal(got[0], expected[0]), f"case {case}: assignments"
+            assert np.array_equal(got[1], expected[1]), f"case {case}: centroids"
+
     def test_invalid_k_rejected(self):
         rng = derive_stream(10, "test")
         pts = unit_rows(rng, 5, 4)
@@ -141,13 +249,5 @@ class TestNormalizedGroupMeans:
         means, counts = normalized_group_means(points, groups, k, fallback)
 
         assert np.array_equal(means[cancel], fallback[cancel])
-        for g in range(k):
-            members = points[groups == g]
-            assert counts[g] == len(members)
-            expected = fallback[g]
-            if len(members):
-                mean = members.mean(axis=0)
-                norm = np.linalg.norm(mean)
-                if norm >= 1e-12:
-                    expected = mean / norm
-            assert np.array_equal(means[g], expected)
+        assert np.array_equal(counts, [np.sum(groups == g) for g in range(k)])
+        assert np.array_equal(means, reference_group_means(points, groups, k, fallback))

@@ -134,6 +134,8 @@ class TestSplitSpec:
         dict(samples_per_known=1, rho=10.0),  # rounds to zero unknowns
         dict(samples_per_known=3, labeled_fraction=0.1),  # rounds to zero labeled
         *(kwargs for kwargs, _ in non_finite_cases(SplitSpec)),
+        dict(rho=5e-320),                     # 2**63 or more unknowns
+        dict(samples_per_known=10**400),      # too large for a float
     ])
     def test_rejects_invalid(self, kwargs):
         # the message names the first key of the case

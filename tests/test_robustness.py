@@ -3,19 +3,23 @@ and of a valid checkpoint either load cleanly or fail with a
 ``DataFormatError`` that names the file, with every warning an error. Edits
 of the whole file mostly stop at the zip checksums, so the dataset is also
 fuzzed one ``.npy`` member at a time inside a valid zip, which reaches
-numpy's array header parser and the loader's own checks. A failure names its
-seed and case, so it reproduces."""
+numpy's array header parser and the loader's own checks. Line edits of the
+desk config give valid settings or a ``ValidationError`` that names a key or
+a line. A failure names its seed and case, so it reproduces."""
 
 import io
+import re
+import string
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltgcd.config import SplitSpec
+from ltgcd.config import CONFIG_KEYS, SplitSpec, build_params, file_key, parse_config_text
 from ltgcd.data import generate_mixture, load_embeddings, write_dataset
-from ltgcd.errors import DataFormatError
+from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.model import Prototypes, init_head, load_checkpoint, save_checkpoint
 from ltgcd.rng import derive_stream
 from support import replace_member, unit_rows
@@ -97,3 +101,52 @@ def test_edited_checkpoint_npz(tmp_path):
     save_checkpoint(ckpt, init_head(3, 4, 2, rng), Prototypes(M=unit_rows(rng, 3, 2)))
     outcomes = fuzz(ckpt, lambda: load_checkpoint(ckpt), seed=23)
     assert outcomes["rejected"] > CASES // 2
+
+
+DESK_INI = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+# a value that underflows, overflows, is not finite, is signed zero, or is
+# spelled as Python's int() or float() may or may not accept it
+FUZZ_VALUES = ("5e-320", "1e308", "1e400", "inf", "nan", "-0.0", "0x10", "1_000", "", "text")
+CONFIG_CASES = 3000
+NAMED = re.compile(rf"^desk\.ini:\d+: |\b({'|'.join(map(file_key, CONFIG_KEYS))})\b")
+
+
+def config_edited(lines: list[str], rng: np.random.Generator) -> list[str]:
+    """``lines`` after 1-3 edits, each deleting, duplicating or corrupting a
+    line (at one place, a character inserted, deleted, overwritten or left),
+    or replacing a line's value with one of ``FUZZ_VALUES``."""
+    lines = list(lines)
+    for _ in range(rng.integers(1, 4)):
+        pos, kind = int(rng.integers(len(lines))), rng.integers(4)
+        line = lines[pos]
+        if kind == 0:
+            del lines[pos]
+        elif kind == 1:
+            lines.insert(pos, line)
+        elif kind == 2:
+            at, char = int(rng.integers(len(line) + 1)), rng.choice(list(string.printable[:95]))
+            lines[pos] = line[:at] + char * int(rng.integers(2)) + line[at + rng.integers(2):]
+        else:
+            lines[pos] = line.partition("=")[0] + "= " + FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        if not lines:
+            break
+    return lines
+
+
+def test_edited_desk_config():
+    lines = DESK_INI.read_text().splitlines()
+    rng = np.random.default_rng(25)
+    outcomes = {"valid": 0, "rejected": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in range(CONFIG_CASES):
+            text = "\n".join(config_edited(lines, rng))
+            try:
+                build_params(parse_config_text(text, source="desk.ini"))
+                outcomes["valid"] += 1
+            except ValidationError as exc:
+                assert NAMED.search(str(exc)), f"case {case}: names no key or line: {exc}"
+                outcomes["rejected"] += 1
+            except Exception as exc:
+                pytest.fail(f"case {case}: {type(exc).__name__}: {exc}\n{text}")
+    assert outcomes["valid"] > CONFIG_CASES // 10 and outcomes["rejected"] > CONFIG_CASES // 10
