@@ -120,7 +120,10 @@ def _cmd_train(args) -> int:
         sep = DEFAULT_SEP if args.sep is None else args.sep
         data = generate_mixture(split, sep, derive_stream(hp.seed, "split"))
 
-    record = train_one(data, hp)
+    try:
+        record = train_one(data, hp)
+    except ValidationError as exc:   # only a loaded dataset breaks train_one's rules
+        raise ValidationError(f"{args.dataset}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
     write_train_log(args.out / "train_log.csv", record)

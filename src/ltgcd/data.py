@@ -49,6 +49,8 @@ class EmbeddingDataset:
             raise DataFormatError("labels must lie in [0, C)")
         if not self.known_classes:
             raise DataFormatError("no labeled row, so no known class")
+        if self.is_labeled.all():
+            raise DataFormatError("no unlabeled row, so nothing to train on or score")
         for arr in (self.points, self.labels, self.is_labeled):
             arr.setflags(write=False)
 
@@ -119,8 +121,9 @@ def make_views(
 ) -> np.ndarray:
     """Augment the selected rows twice: additive Gaussian noise, then each
     coordinate independently zeroed with probability ``drop_prob``. The two
-    views use independent draws and come back interleaved as in
-    ``BatchViews``: rows 2i and 2i+1 are the two views of instance i.
+    views use independent draws and come back interleaved: rows 2i and 2i+1
+    are the two views of instance i. ``forward_cached`` maps them row for row
+    to the unit-norm features that ``overall_loss`` takes in this layout.
     ``Hyperparams`` validates both settings."""
     base = data.points[np.asarray(batch_indices, dtype=np.int64)]
     views = np.empty((2 * base.shape[0], base.shape[1]))

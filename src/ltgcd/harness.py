@@ -21,7 +21,7 @@ from .config import Hyperparams, SplitSpec, check_setting, file_key
 from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, write_csv
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
-from .losses import BatchViews, overall_loss
+from .losses import overall_loss
 from .model import (
     ProjectionHead,
     Prototypes,
@@ -138,6 +138,10 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     """
     if data.num_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {data.num_classes}")
+    unlab = data.unlabeled_indices
+    if len(data.unknown_classes) > len(unlab):
+        raise ValidationError(f"{len(data.unknown_classes)} unknown classes but only "
+                              f"{len(unlab)} unlabeled rows to seed their prototypes")
     config_echo = {
         **{file_key(k): v for k, v in asdict(hp).items()},
         "n": data.n,
@@ -156,7 +160,6 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM, init_rng)
     r = np.full(data.num_classes, 1.0 / data.num_classes)
     velocity = {name: np.zeros_like(arr) for name, arr in head.params().items()}
-    unlab = data.unlabeled_indices
 
     logs: list[EpochLog] = []
     protos = None
@@ -174,12 +177,8 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 where = f" at epoch {epoch}, batch {n_batches}"
                 X = make_views(data, batch, hp.noise_sigma, hp.drop_prob, aug_rng)
                 Z, acts = forward_cached(head, X)
-                bv = BatchViews(
-                    Z=Z.astype(np.float32),
-                    labeled_mask=data.is_labeled[batch],
-                    labels=data.labels[batch],
-                )
-                breakdown = overall_loss(bv, protos, r, hp)
+                breakdown = overall_loss(Z.astype(np.float32), data.is_labeled[batch],
+                                         data.labels[batch], protos, r, hp)
                 if not math.isfinite(breakdown.l_overall):
                     raise TrainingDiverged("non-finite loss")
                 grads = backward(head, X, breakdown.grad_Z, acts)

@@ -19,29 +19,6 @@ _LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class BatchViews:
-    """Interleaved two-view features: rows 2i and 2i+1 belong to instance i.
-
-    ``Z`` may be float32 or float64. The contrastive losses compute in its
-    dtype, the regularizers in float64; ``train_one`` passes a float32 copy.
-    """
-
-    Z: np.ndarray             # (2B, p) unit-norm rows
-    labeled_mask: np.ndarray  # (B,) bool
-    labels: np.ndarray        # (B,) int, meaningful where labeled
-
-    def __post_init__(self) -> None:
-        B2 = self.Z.shape[0]
-        if B2 % 2 != 0 or B2 // 2 != self.labeled_mask.shape[0]:
-            raise ValidationError("Z must hold two views per instance")
-        if self.labels.shape != self.labeled_mask.shape:
-            raise ValidationError("labels and labeled_mask must align")
-        norms = np.linalg.norm(self.Z, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-4):
-            raise ValidationError("feature rows must be unit-norm")
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     l_ins: float
     l_sup: float
@@ -155,24 +132,36 @@ def target_cross_entropy(q_bar: np.ndarray, target: np.ndarray) -> tuple[float, 
 
 
 def overall_loss(
-    batch: BatchViews,
+    Z: np.ndarray,
+    labeled_mask: np.ndarray,
+    labels: np.ndarray,
     protos: Prototypes,
     prior_r: np.ndarray,
     hp: Hyperparams,
 ) -> LossBreakdown:
     """Full objective on one batch: instance contrast on unlabeled views,
     supervised contrast on labeled views, plus cross-entropy of the mean
-    unlabeled prediction against the estimated prior and against uniform."""
-    labeled_idx = np.flatnonzero(batch.labeled_mask)
-    unlabeled_idx = np.flatnonzero(~batch.labeled_mask)
+    unlabeled prediction against the estimated prior and against uniform.
+
+    ``Z`` holds two views per instance, interleaved as ``make_views`` makes
+    them (rows 2i and 2i+1 are the views of instance i), in unit-norm rows as
+    ``forward_cached`` makes them; no norm is checked here. The contrastive
+    losses compute in the dtype of ``Z``, the regularizers in float64.
+    """
+    if Z.shape[0] != 2 * labeled_mask.shape[0]:
+        raise ValidationError("Z must hold two views per instance")
+    if labels.shape != labeled_mask.shape:
+        raise ValidationError("labels and labeled_mask must align")
+    labeled_idx = np.flatnonzero(labeled_mask)
+    unlabeled_idx = np.flatnonzero(~labeled_mask)
     if len(unlabeled_idx) < 2:
         raise ValidationError("overall_loss needs at least 2 unlabeled instances")
 
     unlab_rows = _view_rows(unlabeled_idx)
     lab_rows = _view_rows(labeled_idx)
-    Z_unlab = batch.Z[unlab_rows]
+    Z_unlab = Z[unlab_rows]
     # the unlabeled and labeled rows partition Z, so each block is set once
-    grad_Z = np.zeros_like(batch.Z)
+    grad_Z = np.zeros_like(Z)
 
     l_ins, g_ins = info_nce(Z_unlab, hp.tau)
 
@@ -180,7 +169,7 @@ def overall_loss(
     l_sup = 0.0
     if len(lab_rows) >= 2:
         l_sup, g_sup, sup_warning = sup_con(
-            batch.Z[lab_rows], np.repeat(batch.labels[labeled_idx], 2), hp.tau
+            Z[lab_rows], np.repeat(labels[labeled_idx], 2), hp.tau
         )
         grad_Z[lab_rows] = hp.lambda_ * g_sup
 

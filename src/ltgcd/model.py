@@ -101,22 +101,17 @@ def forward(head: ProjectionHead, X: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    head: ProjectionHead,
-    X: np.ndarray,
-    grad_out: np.ndarray,
-    acts: tuple | None = None,
+    head: ProjectionHead, X: np.ndarray, grad_out: np.ndarray, acts: tuple
 ) -> dict[str, np.ndarray]:
     """Exact parameter gradients for ``grad_out`` = dL/d(normalized features).
 
     ``acts`` is the cache ``forward_cached(head, X)`` returned for these
-    parameters; without it the forward pass is run again. A float32
-    ``grad_out`` is upcast, so the pass runs in float64. The
-    row-normalization Jacobian is (I - z z^T) / ||y|| at pre-normalized y.
+    parameters. A float32 ``grad_out`` is upcast, so the pass runs in
+    float64. The row-normalization Jacobian is (I - z z^T) / ||y|| at
+    pre-normalized y.
     """
     X = np.asarray(X, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if acts is None:
-        _, acts = forward_cached(head, X)
     mask, H, norms, Z = acts
 
     gY = np.sum(grad_out * Z, axis=1, keepdims=True) * Z

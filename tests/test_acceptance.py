@@ -18,8 +18,16 @@ from ltgcd.config import Hyperparams, SplitSpec
 from ltgcd.data import generate_mixture
 from ltgcd.evaluation import evaluate, hungarian, matched_accuracy
 from ltgcd.harness import train_one
-from ltgcd.losses import BatchViews, overall_loss
-from ltgcd.model import ProjectionHead, Prototypes, backward, forward, init_head, predict_probs
+from ltgcd.losses import overall_loss
+from ltgcd.model import (
+    ProjectionHead,
+    Prototypes,
+    backward,
+    forward,
+    forward_cached,
+    init_head,
+    predict_probs,
+)
 from ltgcd.prior import ema_update, hard_histogram
 from ltgcd.rng import derive_stream
 
@@ -92,10 +100,7 @@ def test_criterion_1_gradient_correctness():
         unlab_rows = _view_rows(np.flatnonzero(~labeled_mask))
         lab_rows = _view_rows(np.flatnonzero(labeled_mask))
         view_labels = np.repeat(labels[labeled_mask], 2)
-        base = overall_loss(
-            BatchViews(Z=Z, labeled_mask=labeled_mask, labels=labels),
-            protos, prior, hp,
-        )
+        base = overall_loss(Z, labeled_mask, labels, protos, prior, hp)
 
         # instance contrast
         _, g_ins = info_nce(Z[unlab_rows], hp.tau)
@@ -120,18 +125,14 @@ def test_criterion_1_gradient_correctness():
 
         # full objective, end to end through the projection head
         def overall_value(z):
-            bv = BatchViews(Z=z, labeled_mask=labeled_mask, labels=labels)
-            return overall_loss(bv, protos, prior, hp).l_overall
+            return overall_loss(z, labeled_mask, labels, protos, prior, hp).l_overall
 
         rng2 = derive_stream(2000 + trial, "grad-check")
         head = init_head(16, 16, 16, rng2)
         X = rng2.standard_normal((2 * B, 16))
-        Zh = forward(head, X)
-        bd = overall_loss(
-            BatchViews(Z=Zh, labeled_mask=labeled_mask, labels=labels),
-            protos, prior, hp,
-        )
-        analytic_params = backward(head, X, bd.grad_Z)
+        Zh, acts = forward_cached(head, X)
+        bd = overall_loss(Zh, labeled_mask, labels, protos, prior, hp)
+        analytic_params = backward(head, X, bd.grad_Z, acts)
 
         for name, value in head.params().items():
             # fd_sweep mutates the parameter array the head holds, so the

@@ -144,6 +144,23 @@ class TestTrainCommand:
         assert code == 1
         assert "need at least 2 classes, got 1" in capsys.readouterr().err
 
+    def test_more_unknown_classes_than_unlabeled_rows_exits_1_naming_the_file(
+        self, tmp_path, config_file, capsys
+    ):
+        # class 0 is known; classes 1-4 are unknown, with 3 unlabeled rows
+        # for the k-means++ seeds of their 4 prototypes
+        npz = tmp_path / "d.npz"
+        np.savez(npz, points=derive_stream(0, "test").standard_normal((5, 16)),
+                 labels=np.array([0, 0, 1, 2, 3]), is_labeled=np.arange(5) < 2,
+                 num_classes=np.int64(5))
+        code = cli(["train", "--config", str(config_file), "--dataset", str(npz),
+                    "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ltgcd: invalid input: {npz}: 4 unknown classes but only 3 unlabeled rows "
+            "to seed their prototypes\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvalCommand:
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, config_file, capsys):

@@ -394,6 +394,11 @@ class TestLoaderErrors:
                                                   r"got \(3, 0\)"):
             load_embeddings(write_npz(tmp_path, points=np.zeros((3, 0))))
 
+    def test_every_row_labeled_is_rejected_naming_the_file(self, tmp_path):
+        # nothing is left to train on or to score
+        with pytest.raises(DataFormatError, match=r"d\.npz: no unlabeled row, so nothing"):
+            load_embeddings(write_npz(tmp_path, is_labeled=np.ones(3, dtype=bool)))
+
 
 class TestDatasetInvariants:
     def test_known_unknown_must_partition(self):

@@ -12,14 +12,13 @@ from support import finite_diff, random_orthogonal, random_simplex, rel_error, u
 from ltgcd.config import Hyperparams
 from ltgcd.errors import ValidationError
 from ltgcd.losses import (
-    BatchViews,
     combine_overall,
     info_nce,
     overall_loss,
     sup_con,
     target_cross_entropy,
 )
-from ltgcd.model import Prototypes, forward, init_head
+from ltgcd.model import Prototypes, forward, forward_cached, init_head
 from ltgcd.rng import derive_stream
 
 
@@ -121,10 +120,10 @@ class TestSharedContrastCore:
         sup_con(Z, rng.integers(0, 3, size=12), 0.3)
         assert Z.tobytes() == before
 
-        batch, protos, prior = _random_batch(rng)
-        before = batch.Z.tobytes()
-        overall_loss(batch, protos, prior, Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5))
-        assert batch.Z.tobytes() == before
+        (Z, *batch), protos, prior = _random_batch(rng)
+        before = Z.tobytes()
+        overall_loss(Z, *batch, protos, prior, Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5))
+        assert Z.tobytes() == before
 
 
 class TestSupCon:
@@ -214,13 +213,11 @@ class TestFloat32:
         assert grad.dtype == np.float32 and np.all(grad == 0.0)
 
     def test_overall_loss_on_float32_batch_matches_float64(self):
-        batch, protos, prior = _random_batch(derive_stream(34, "test"), B=64, p=32, C=6)
+        (Z, *batch), protos, prior = _random_batch(derive_stream(34, "test"), B=64, p=32, C=6)
         hp = Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5)
-        Z32 = batch.Z.astype(np.float32)
-        lb32 = overall_loss(BatchViews(Z=Z32, labeled_mask=batch.labeled_mask,
-                                       labels=batch.labels), protos, prior, hp)
-        lb64 = overall_loss(BatchViews(Z=Z32.astype(np.float64), labeled_mask=batch.labeled_mask,
-                                       labels=batch.labels), protos, prior, hp)
+        Z32 = Z.astype(np.float32)
+        lb32 = overall_loss(Z32, *batch, protos, prior, hp)
+        lb64 = overall_loss(Z32.astype(np.float64), *batch, protos, prior, hp)
         assert lb32.l_overall == pytest.approx(lb64.l_overall, rel=1e-5)
         assert rel_error(lb32.grad_Z, lb64.grad_Z) <= 1e-5
 
@@ -277,13 +274,14 @@ class TestTargetCrossEntropy:
 
 
 def _random_batch(rng, B=8, p=16, C=4, n_labeled=3):
+    """``(Z, labeled_mask, labels)`` of a random batch, its prototypes and prior."""
     Z = unit_rows(rng, 2 * B, p)
     labeled_mask = np.zeros(B, dtype=bool)
     labeled_mask[:n_labeled] = True
     labels = rng.integers(0, 2, size=B)   # labeled rows get known ids {0, 1}
     protos = Prototypes(M=unit_rows(rng, C, p))
     prior = random_simplex(rng, C)
-    return BatchViews(Z=Z, labeled_mask=labeled_mask, labels=labels), protos, prior
+    return (Z, labeled_mask, labels), protos, prior
 
 
 class TestOverallLoss:
@@ -291,7 +289,7 @@ class TestOverallLoss:
         rng = derive_stream(12, "test")
         batch, protos, prior = _random_batch(rng)
         hp = Hyperparams(alpha=0.0, beta=0.0, lambda_=1.0)
-        lb = overall_loss(batch, protos, prior, hp)
+        lb = overall_loss(*batch, protos, prior, hp)
         assert lb.l_overall == lb.l_ins + lb.l_sup
 
     def test_weighted_sum_arithmetic(self):
@@ -311,22 +309,21 @@ class TestOverallLoss:
         rng = derive_stream(14, "test")
         batch, protos, prior = _random_batch(rng)
         hp = Hyperparams(lambda_=0.7, alpha=0.4, beta=1.3)
-        lb = overall_loss(batch, protos, prior, hp)
+        lb = overall_loss(*batch, protos, prior, hp)
         assert abs(lb.l_overall - combine_overall(
             lb.l_ins, lb.l_sup, lb.h_prior, lb.h_uniform, hp)) <= 1e-12
 
     def test_grad_matches_finite_differences_through_composite(self):
         for trial in range(5):
             rng = derive_stream(700 + trial, "test")
-            batch, protos, prior = _random_batch(rng)
+            (Z, *batch), protos, prior = _random_batch(rng)
             hp = Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5)
-            lb = overall_loss(batch, protos, prior, hp)
+            lb = overall_loss(Z, *batch, protos, prior, hp)
 
-            def scalar(Z):
-                bv = BatchViews(Z=Z, labeled_mask=batch.labeled_mask, labels=batch.labels)
-                return overall_loss(bv, protos, prior, hp).l_overall
+            def scalar(z):
+                return overall_loss(z, *batch, protos, prior, hp).l_overall
 
-            fd = finite_diff(scalar, np.array(batch.Z), h=1e-5)
+            fd = finite_diff(scalar, np.array(Z), h=1e-5)
             assert rel_error(lb.grad_Z, fd) <= 1e-4
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -334,12 +331,11 @@ class TestOverallLoss:
     def test_rotation_keeps_value_and_rotates_gradient(self, seed):
         # every term depends on Z and the prototypes only through dot products
         rng = np.random.default_rng(seed)
-        batch, protos, prior = _random_batch(rng)
+        (Z, *batch), protos, prior = _random_batch(rng)
         hp = Hyperparams(lambda_=0.8, alpha=0.6, beta=1.5)
-        Q = random_orthogonal(rng, batch.Z.shape[1])
-        rotated = BatchViews(Z=batch.Z @ Q, labeled_mask=batch.labeled_mask, labels=batch.labels)
-        lb = overall_loss(batch, protos, prior, hp)
-        lr = overall_loss(rotated, Prototypes(M=protos.M @ Q), prior, hp)
+        Q = random_orthogonal(rng, Z.shape[1])
+        lb = overall_loss(Z, *batch, protos, prior, hp)
+        lr = overall_loss(Z @ Q, *batch, Prototypes(M=protos.M @ Q), prior, hp)
         assert lr.l_overall == pytest.approx(lb.l_overall, rel=1e-12)
         assert rel_error(lr.grad_Z, lb.grad_Z @ Q) <= 1e-10
 
@@ -347,19 +343,40 @@ class TestOverallLoss:
         rng = derive_stream(15, "test")
         Z = unit_rows(rng, 8, 6)
         labeled_mask = np.array([True, True, True, False])
-        batch = BatchViews(Z=Z, labeled_mask=labeled_mask,
-                           labels=np.array([0, 1, 0, 0]))
         protos = Prototypes(M=unit_rows(rng, 3, 6))
         with pytest.raises(ValidationError, match="unlabeled"):
-            overall_loss(batch, protos, np.full(3, 1 / 3), Hyperparams())
+            overall_loss(Z, labeled_mask, np.array([0, 1, 0, 0]), protos, np.full(3, 1 / 3),
+                         Hyperparams())
+
+    def test_rejects_odd_row_count(self):
+        Z = unit_rows(derive_stream(17, "test"), 3, 4)
+        protos = Prototypes(M=unit_rows(derive_stream(18, "test"), 2, 4))
+        with pytest.raises(ValidationError, match="two views per instance"):
+            overall_loss(Z, np.array([False]), np.array([0]), protos, np.full(2, 0.5),
+                         Hyperparams())
+
+    def test_rejects_labels_that_do_not_align_with_the_mask(self):
+        Z = unit_rows(derive_stream(19, "test"), 8, 4)
+        protos = Prototypes(M=unit_rows(derive_stream(20, "test"), 2, 4))
+        with pytest.raises(ValidationError, match="labels and labeled_mask must align"):
+            overall_loss(Z, np.zeros(4, dtype=bool), np.zeros(3, dtype=np.int64), protos,
+                         np.full(2, 0.5), Hyperparams())
+
+    @given(st.integers(min_value=2, max_value=6))
+    @settings(max_examples=20, deadline=None)
+    def test_accepts_any_two_view_layout(self, b):
+        rng = np.random.default_rng(b)
+        Z = unit_rows(rng, 2 * b, 5)
+        lb = overall_loss(Z, np.zeros(b, dtype=bool), np.zeros(b, dtype=np.int64),
+                          Prototypes(M=unit_rows(rng, 3, 5)), np.full(3, 1 / 3), Hyperparams())
+        assert lb.grad_Z.shape == Z.shape
 
     def test_all_unlabeled_batch_has_zero_supervised_term(self):
         rng = derive_stream(16, "test")
         Z = unit_rows(rng, 12, 6)
-        batch = BatchViews(Z=Z, labeled_mask=np.zeros(6, dtype=bool),
-                           labels=np.zeros(6, dtype=np.int64))
         protos = Prototypes(M=unit_rows(rng, 4, 6))
-        lb = overall_loss(batch, protos, np.full(4, 0.25), Hyperparams())
+        lb = overall_loss(Z, np.zeros(6, dtype=bool), np.zeros(6, dtype=np.int64), protos,
+                          np.full(4, 0.25), Hyperparams())
         assert lb.l_sup == 0.0
 
     def test_end_to_end_gradient_through_projection_head(self):
@@ -376,10 +393,9 @@ class TestOverallLoss:
             prior = random_simplex(rng, 4)
             hp = Hyperparams(lambda_=1.0, alpha=0.7, beta=1.2)
 
-            Z = forward(head, X)
-            lb = overall_loss(BatchViews(Z=Z, labeled_mask=labeled_mask, labels=labels),
-                              protos, prior, hp)
-            analytic = backward(head, X, lb.grad_Z)
+            Z, acts = forward_cached(head, X)
+            lb = overall_loss(Z, labeled_mask, labels, protos, prior, hp)
+            analytic = backward(head, X, lb.grad_Z, acts)
 
             for name in ("W1", "b1", "W2", "b2"):
                 def scalar(param, name=name):
@@ -388,26 +404,8 @@ class TestOverallLoss:
                         for k, v in head.params().items()
                     })
                     z = forward(trial_head, X)
-                    bv = BatchViews(Z=z, labeled_mask=labeled_mask, labels=labels)
-                    return overall_loss(bv, protos, prior, hp).l_overall
+                    return overall_loss(z, labeled_mask, labels, protos, prior, hp).l_overall
                 fd = finite_diff(scalar, np.array(getattr(head, name)), h=1e-5)
                 assert rel_error(analytic[name], fd) <= 1e-4
 
 
-class TestBatchViews:
-    def test_rejects_non_unit_rows(self):
-        with pytest.raises(ValidationError):
-            BatchViews(Z=np.ones((4, 3)), labeled_mask=np.array([True, False]),
-                       labels=np.array([0, 0]))
-
-    def test_rejects_odd_row_count(self):
-        Z = unit_rows(derive_stream(17, "test"), 3, 4)
-        with pytest.raises(ValidationError):
-            BatchViews(Z=Z, labeled_mask=np.array([True]), labels=np.array([0]))
-
-    @given(st.integers(min_value=2, max_value=6))
-    @settings(max_examples=20, deadline=None)
-    def test_accepts_any_two_view_layout(self, b):
-        rng = np.random.default_rng(b)
-        Z = unit_rows(rng, 2 * b, 5)
-        BatchViews(Z=Z, labeled_mask=np.zeros(b, dtype=bool), labels=np.zeros(b, dtype=np.int64))

@@ -74,7 +74,7 @@ class TestBackward:
         rng = derive_stream(2, "test")
         head = random_head(rng)
         X = rng.standard_normal((8, 16))
-        grads = backward(head, X, np.zeros((8, 16)))
+        grads = backward(head, X, np.zeros((8, 16)), forward_cached(head, X)[1])
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_matches_finite_differences_on_20_configs(self):
@@ -84,7 +84,7 @@ class TestBackward:
             head = random_head(rng)
             X = rng.standard_normal((8, 16))
             G = rng.standard_normal((8, 16))
-            analytic = backward(head, X, G)
+            analytic = backward(head, X, G, forward_cached(head, X)[1])
             for name in ("W1", "b1", "W2", "b2"):
                 def scalar(param, name=name):
                     trial_head = ProjectionHead(**{
@@ -103,7 +103,7 @@ class TestBackward:
         pre = X @ head.W1.T + head.b1
         dead = 2
         head.b1[dead] = -np.abs(pre[:, dead]).max() - head.b1[dead] - 1.0
-        grads = backward(head, X, rng.standard_normal((7, 5)))
+        grads = backward(head, X, rng.standard_normal((7, 5)), forward_cached(head, X)[1])
         assert np.all(grads["W1"][dead] == 0.0)
         assert grads["b1"][dead] == 0.0
 
@@ -115,17 +115,27 @@ class TestForwardCache:
         X = rng.standard_normal((30, 12))
         assert forward_cached(head, X)[0].tobytes() == forward(head, X).tobytes()
 
-    def test_backward_with_cache_matches_recomputed_byte_for_byte(self):
-        for trial in range(5):
-            rng = derive_stream(150 + trial, "test")
-            head = random_head(rng, d=12, h=24, p=8)
-            X = rng.standard_normal((30, 12))
-            G = rng.standard_normal((30, 8))
-            _, acts = forward_cached(head, X)
-            cached = backward(head, X, G, acts)
-            fresh = backward(head, X, G)
-            for name in ("W1", "b1", "W2", "b2"):
-                assert cached[name].tobytes() == fresh[name].tobytes()
+    @np.errstate(all="ignore")   # as train_one runs it; the row check names an overflow
+    def test_accepted_rows_are_unit_norm_in_float32(self):
+        # overall_loss does not check row norms: it relies on every row that
+        # forward_cached accepts being unit-norm after train_one's float32 cast
+        rng = derive_stream(5, "test")
+        accepted = 0
+        for _ in range(1500):
+            d, h, p, n = rng.integers(1, 6, size=4)
+            head = random_head(rng, d=d, h=h, p=p)
+            for param in head.params().values():
+                param += rng.standard_normal(param.shape)   # nonzero biases too
+                param *= 10.0 ** rng.uniform(-20, 20)
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150)
+            try:
+                Z = forward_cached(head, X)[0]
+            except TrainingDiverged:
+                continue
+            norms = np.linalg.norm(Z.astype(np.float32).astype(np.float64), axis=1)
+            assert np.all(np.abs(norms - 1.0) <= 1e-6), (accepted, norms)
+            accepted += 1
+        assert accepted >= 1000
 
 
 class TestPredictProbs:
