@@ -34,9 +34,9 @@ def file_key(name: str) -> str:
 # gives and the test a value must pass. A float setting must also be finite.
 SETTING_RULES = {
     **dict.fromkeys(("tau", "tau_p", "lr0", "rho"), ("> 0", lambda v: v > 0)),
-    **dict.fromkeys(("lambda_", "alpha", "beta", "weight_decay", "noise_sigma", "epochs", "sep"),
+    **dict.fromkeys(("lambda_", "alpha", "beta", "weight_decay", "noise_sigma", "sep"),
                     (">= 0", lambda v: v >= 0)),
-    **dict.fromkeys(("batch_size", "num_known", "samples_per_known", "dim", "workers"),
+    **dict.fromkeys(("epochs", "batch_size", "num_known", "samples_per_known", "dim", "workers"),
                     (">= 1", lambda v: v >= 1)),
     "num_classes": (">= 2", lambda v: v >= 2),
     "mu": ("in [0, 1]", lambda v: 0 <= v <= 1),

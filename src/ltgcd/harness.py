@@ -127,8 +127,12 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
     then prior refresh from the unlabeled hard histogram and the prototype
-    EMA update. A ``TrainingDiverged`` ends the run with a ``failed`` record;
-    any other exception propagates. numpy's floating-point warnings are off
+    EMA update. Each step's forward and backward and the refresh's forward
+    run on float32 copies of the head, the views and the points; the master
+    head, its momentum and the SGD step stay float64, as do the views' random
+    draws, the initial forward that seeds the prototypes, the prototypes, the
+    prior and the final ``evaluate``. A ``TrainingDiverged`` ends the run
+    with a ``failed`` record; any other exception propagates. numpy's floating-point warnings are off
     for the whole run: a non-finite value is named by the detector that meets
     it (the row-norm check of ``forward_cached``, the loss check, or
     ``sgd_step``'s gradient check), and the record's error appends where the
@@ -164,6 +168,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
     logs: list[EpochLog] = []
     protos = None
     where = ""   # appended to a divergence's message
+    points32 = data.points.astype(np.float32)
     try:
         feats = forward(head, data.points)
         protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes, proto_rng)
@@ -175,13 +180,15 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 if int((~data.is_labeled[batch]).sum()) < 2:
                     continue
                 where = f" at epoch {epoch}, batch {n_batches}"
-                X = make_views(data, batch, hp.noise_sigma, hp.drop_prob, aug_rng)
-                Z, acts = forward_cached(head, X)
-                breakdown = overall_loss(Z.astype(np.float32), data.is_labeled[batch],
-                                         data.labels[batch], protos, r, hp)
+                X = make_views(data, batch, hp.noise_sigma, hp.drop_prob,
+                               aug_rng).astype(np.float32)
+                step_head = head.astype(np.float32)
+                Z, acts = forward_cached(step_head, X)
+                breakdown = overall_loss(Z, data.is_labeled[batch], data.labels[batch],
+                                         protos, r, hp)
                 if not math.isfinite(breakdown.l_overall):
                     raise TrainingDiverged("non-finite loss")
-                grads = backward(head, X, breakdown.grad_Z, acts)
+                grads = backward(step_head, X, breakdown.grad_Z, acts)
                 sgd_step(head, grads, velocity, lr, hp)
                 sums += [getattr(breakdown, name) for name in LOSS_NAMES]
                 n_batches += 1
@@ -193,7 +200,7 @@ def train_one(data: EmbeddingDataset, hp: Hyperparams) -> RunRecord:
                 )
 
             where = f" at the end of epoch {epoch}"
-            feats = forward(head, data.points)
+            feats = forward(head.astype(np.float32), points32)
             assignments = np.argmax(predict_probs(feats, protos, hp.tau_p), axis=1)
             r = ema_update(r, hard_histogram(assignments[unlab], data.num_classes), hp.mu)
             protos = update_prototypes(

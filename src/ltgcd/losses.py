@@ -58,8 +58,10 @@ def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.nda
     pos_counts = np.bincount(anchors, minlength=m)
     n_anchors = int(np.count_nonzero(pos_counts))
 
-    # row-shifted similarities with a -inf diagonal, which exponentiates to 0
-    S = Z @ Z.T
+    # row-shifted similarities with a -inf diagonal, which exponentiates to
+    # 0; the copy makes the Gram matrix a plain GEMM, which OpenBLAS runs
+    # faster at desk batch shapes than the syrk path numpy takes for Z @ Z.T
+    S = Z @ Z.T.copy()
     S /= tau
     S.ravel()[::m + 1] = -np.inf
     S -= S.max(axis=1, keepdims=True)
@@ -145,8 +147,10 @@ def overall_loss(
 
     ``Z`` holds two views per instance, interleaved as ``make_views`` makes
     them (rows 2i and 2i+1 are the views of instance i), in unit-norm rows as
-    ``forward_cached`` makes them; no norm is checked here. The contrastive
-    losses compute in the dtype of ``Z``, the regularizers in float64.
+    ``forward_cached`` makes them; no norm is checked here. ``train_one``
+    passes the float32 rows of its float32 step. The contrastive losses and
+    ``grad_Z`` take the dtype of ``Z``; the regularizers compute in float64,
+    against the float64 prototypes.
     """
     if Z.shape[0] != 2 * labeled_mask.shape[0]:
         raise ValidationError("Z must hold two views per instance")

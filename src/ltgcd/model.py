@@ -37,6 +37,10 @@ class ProjectionHead:
     def in_dim(self) -> int:
         return self.W1.shape[1]
 
+    def astype(self, dtype) -> ProjectionHead:
+        """A copy of the head with every parameter in ``dtype``."""
+        return ProjectionHead(**{name: p.astype(dtype) for name, p in self.params().items()})
+
 
 @dataclass(frozen=True)
 class Prototypes:
@@ -71,13 +75,16 @@ def forward_cached(head: ProjectionHead, X: np.ndarray) -> tuple[np.ndarray, tup
     """``forward`` plus the activations ``backward`` reuses:
     ``(relu mask, hidden H, row norms of Y, Z)``.
 
-    A row whose pre-normalization norm is inf, NaN or below ``NORM_FLOOR``
-    raises ``TrainingDiverged`` naming the first such row of ``X``. A norm
-    that overflows is inf; ``train_one`` and ``evaluate`` turn off numpy's
+    The pass computes in the dtype of ``head``, and ``X`` is cast to it: a
+    float64 head keeps every bit, and a float32 head gives float32 features
+    and cache. A row whose pre-normalization norm is inf, NaN or below
+    ``NORM_FLOOR`` raises ``TrainingDiverged`` naming the first such row of
+    ``X``. A norm that overflows is inf, which in float32 happens once it
+    passes about 1.8e19; ``train_one`` and ``evaluate`` turn off numpy's
     warning about it, since this check names the row, but a direct call
     still warns.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=head.W1.dtype)
     A = X @ head.W1.T
     A += head.b1
     mask = A > 0.0
@@ -106,13 +113,15 @@ def backward(
     """Exact parameter gradients for ``grad_out`` = dL/d(normalized features).
 
     ``acts`` is the cache ``forward_cached(head, X)`` returned for these
-    parameters. A float32 ``grad_out`` is upcast, so the pass runs in
-    float64. The row-normalization Jacobian is (I - z z^T) / ||y|| at
-    pre-normalized y.
+    parameters. The pass computes in the dtype of that cache, which is the
+    head's: ``X`` and ``grad_out`` are cast to it, so a float32 ``grad_out``
+    is upcast for a float64 head, and the gradients come back in that dtype.
+    The row-normalization Jacobian is (I - z z^T) / ||y|| at pre-normalized
+    y.
     """
-    X = np.asarray(X, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
     mask, H, norms, Z = acts
+    X = np.asarray(X, dtype=Z.dtype)
+    grad_out = np.asarray(grad_out, dtype=Z.dtype)
 
     gY = np.sum(grad_out * Z, axis=1, keepdims=True) * Z
     np.subtract(grad_out, gY, out=gY)

@@ -353,6 +353,36 @@ class TestHugeFeature:
         assert (out / "train_log.csv").exists() and not (out / "checkpoint.npz").exists()
 
 
+@pytest.mark.filterwarnings("error")
+class TestScaledPoints:
+    """Training steps run in float32, so a row's pre-normalization norm must
+    stay below the square root of float32's largest value (about 1.8e19).
+    Desk points scaled by 1e18 train; scaled by 1e19 the first step's norms
+    overflow, the run fails naming its first row and step, and numpy warns
+    of nothing."""
+
+    def scaled_desk(self, tmp_path, scale):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+        assert cli(["gen", "--config", str(desk), "--out", str(tmp_path / "data")]) == 0
+        data_file = tmp_path / "data" / "data.npz"
+        with np.load(data_file) as archive:
+            arrays = dict(archive)
+        arrays["points"] *= scale
+        np.savez(data_file, **arrays)
+        return ["train", "--config", str(desk), "--dataset", str(data_file), "--epochs", "1",
+                "--out", str(tmp_path / "run")]
+
+    def test_points_scaled_by_1e18_train(self, tmp_path, capsys):
+        assert cli(self.scaled_desk(tmp_path, 1e18)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_points_scaled_by_1e19_fail_at_the_first_step(self, tmp_path, capsys):
+        assert cli(self.scaled_desk(tmp_path, 1e19)) == 2
+        assert re.fullmatch(r"training failed: degenerate pre-normalization feature at row 0 "
+                            r"\(norm inf, [^)]*\) at epoch 0, batch 0\n",
+                            capsys.readouterr().err)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNumericSettings:
     """A non-finite setting exits 1 before any output, naming its key; a

@@ -115,12 +115,34 @@ class TestForwardCache:
         X = rng.standard_normal((30, 12))
         assert forward_cached(head, X)[0].tobytes() == forward(head, X).tobytes()
 
+    def test_float32_head_agrees_with_the_float64_pass(self):
+        # train_one steps on a float32 copy of its float64 head
+        for trial in range(20):
+            rng = derive_stream(200 + trial, "test")
+            head = random_head(rng, d=12, h=24, p=8)
+            X = rng.standard_normal((30, 12))
+            G = rng.standard_normal((30, 8))
+            passes = {}
+            for dtype, h in ((np.float64, head), (np.float32, head.astype(np.float32))):
+                Z, acts = forward_cached(h, X)
+                grads = backward(h, X, G, acts)
+                assert [a.dtype for a in (Z, *acts)] == [dtype, bool, dtype, dtype, dtype]
+                assert all(g.dtype == dtype for g in grads.values())
+                passes[dtype] = Z, grads
+            assert np.max(np.abs(passes[np.float32][0] - passes[np.float64][0])) <= 1e-6
+            for name, g in passes[np.float32][1].items():
+                assert rel_error(g, passes[np.float64][1][name]) <= 1e-5, (trial, name)
+            # a float32 upstream gradient is upcast for a float64 head
+            g64 = backward(head, X, G.astype(np.float32), forward_cached(head, X)[1])
+            assert all(g.dtype == np.float64 for g in g64.values())
+
     @np.errstate(all="ignore")   # as train_one runs it; the row check names an overflow
     def test_accepted_rows_are_unit_norm_in_float32(self):
         # overall_loss does not check row norms: it relies on every row that
-        # forward_cached accepts being unit-norm after train_one's float32 cast
+        # forward_cached accepts being unit-norm in float32, whether a float64
+        # head's rows are cast or a float32 head (as train_one steps) makes them
         rng = derive_stream(5, "test")
-        accepted = 0
+        accepted = dict.fromkeys((np.float64, np.float32), 0)
         for _ in range(1500):
             d, h, p, n = rng.integers(1, 6, size=4)
             head = random_head(rng, d=d, h=h, p=p)
@@ -128,14 +150,15 @@ class TestForwardCache:
                 param += rng.standard_normal(param.shape)   # nonzero biases too
                 param *= 10.0 ** rng.uniform(-20, 20)
             X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150)
-            try:
-                Z = forward_cached(head, X)[0]
-            except TrainingDiverged:
-                continue
-            norms = np.linalg.norm(Z.astype(np.float32).astype(np.float64), axis=1)
-            assert np.all(np.abs(norms - 1.0) <= 1e-6), (accepted, norms)
-            accepted += 1
-        assert accepted >= 1000
+            for dtype in accepted:
+                try:
+                    Z = forward_cached(head.astype(dtype), X)[0]
+                except TrainingDiverged:
+                    continue
+                norms = np.linalg.norm(Z.astype(np.float32).astype(np.float64), axis=1)
+                assert np.all(np.abs(norms - 1.0) <= 1e-6), (dtype, accepted, norms)
+                accepted[dtype] += 1
+        assert accepted[np.float64] >= 1000 and accepted[np.float32] >= 500, accepted
 
 
 class TestPredictProbs:

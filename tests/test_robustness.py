@@ -5,11 +5,14 @@ of the whole file mostly stop at the zip checksums, so the dataset is also
 fuzzed one ``.npy`` member at a time inside a valid zip, which reaches
 numpy's array header parser and the loader's own checks. Line edits of the
 desk config give valid settings or a ``ValidationError`` that names a key or
-a line. Edits of one ``ltgcd`` flag exit 0 with an empty stderr, or 1 or 2
-with one line that names the edited flag or file. A failure names its seed
-and case, so it reproduces."""
+a line. Edits of one ``ltgcd`` flag exit 0 with an empty stderr and the
+outputs of a real run, or 1 or 2 with one line that names the edited flag or
+file. A failure names its seed and case, so it reproduces."""
 
+import csv
 import io
+import json
+import math
 import re
 import string
 import warnings
@@ -165,7 +168,7 @@ TRAIN_FLAGS = ("--seed", "--sep", "--epochs", "--batch", "--noise-sigma", "--dro
 # sweep takes --seeds in place of --seed
 VALUE_FLAGS = {"gen": ("--seed", "--sep", "--rho"), "train": TRAIN_FLAGS,
                "sweep": (*TRAIN_FLAGS[1:], "--seeds", "--workers")}
-FLAG_CASES = 28
+FLAG_CASES = 27
 USAGE_ERROR = re.compile(r"usage: ltgcd \w+ .*\nltgcd \w+: error: [^\n]*\n", re.DOTALL)
 
 
@@ -195,9 +198,10 @@ def cli_edge_files(tmp_path):
 
 def cli_cases(tmp_path):
     """``(command, flag pairs, edited flag, defect)`` for every edge file at
-    every dataset or checkpoint flag, then ``FLAG_CASES`` seeded edits of one
-    flag: set to an edge value, dropped or repeated (defect None). An
-    ``--out`` of ``OUT`` stands for the case's own output directory."""
+    every dataset or checkpoint flag, then ``train --epochs 0``, then
+    ``FLAG_CASES`` seeded edits of one flag: set to an edge value, dropped or
+    repeated (defect None). An ``--out`` of ``OUT`` stands for the case's own
+    output directory."""
     data, ckpt, edge_files = cli_edge_files(tmp_path)
     config = ("--config", str(tmp_path / "tiny.ini"))
     # --seeds 0 is one sweep cell, so no edit starts a worker pool
@@ -213,6 +217,8 @@ def cli_cases(tmp_path):
              for name, flag in (("train --dataset", "--dataset"), ("eval", "--dataset"),
                                 ("eval", "--checkpoint"))
              for base in [bases[name]] for edge, defect in edge_files.items()]
+    # a run that would train nothing, pinned so no seed decides whether it runs
+    cases.append(("train", [*bases["train"], ("--epochs", "0")], "--epochs", None))
     rng = np.random.default_rng(26)
     for _ in range(FLAG_CASES):
         name = ("gen", "train", "sweep")[rng.integers(3)]
@@ -228,6 +234,25 @@ def cli_cases(tmp_path):
             base[at:at + 1] = [] if kind == 1 else [base[at]] * 2
         cases.append((name, base, flag, None))
     return cases
+
+
+def check_written(name, pairs, out):
+    """What an exit-0 command wrote to ``out``: ``gen`` a dataset that loads,
+    ``train`` one ``train_log.csv`` row per epoch of a run of at least one
+    epoch, ``sweep`` one ``results.csv`` row per planned cell."""
+    if name == "gen":
+        load_embeddings(out / "data.npz")
+    elif name.startswith("train"):
+        epochs = json.loads((out / "run_config.json").read_text())["epochs"]
+        with open(out / "train_log.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) - 1 == epochs >= 1
+    elif name == "sweep":   # an exit 0 wrote no failures.csv
+        # sweep's default seeds, then the flags; a repeated flag holds its last value
+        flags = {"--seeds": "0,1,2", **dict(pairs)}
+        cells = math.prod(len(flags[flag].split(",")) for flag in ("--rho", "--alpha", "--beta",
+                                                                   "--seeds") if flag in flags)
+        with open(out / "results.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) - 1 == cells
 
 
 def test_cli_edits(tmp_path, capsys):
@@ -246,6 +271,10 @@ def test_cli_edits(tmp_path, capsys):
             outcomes[code] += 1
             if code == 0:
                 assert err == "", where
+                try:
+                    check_written(name, pairs, tmp_path / f"out{case}")
+                except (AssertionError, OSError, DataFormatError) as exc:
+                    pytest.fail(f"{where}\nwrote the wrong outputs: {exc!r}")
                 continue
             assert err.count("\n") == 1 or USAGE_ERROR.fullmatch(err), where
             if defect is not None:   # the file and its defect, or a dataset given as a
