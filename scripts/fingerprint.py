@@ -2,11 +2,11 @@
 
 Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
 
-- five sweeps: the criterion-8 plan, a rho x alpha x beta grid, a plan whose
+- seven sweeps: the criterion-8 plan, a rho x alpha x beta grid, a plan whose
   known rows are all labeled (so Known is absent), a plan whose every run
-  steps no batch and one whose every run diverges; each sweep file is one
-  output, and a sweep that raises is one ``raised`` line hashing
-  ``Type: message``;
+  steps no batch, one whose every run diverges, and a 3-beta x 2-seed plan on
+  2 and on 3 worker processes; each sweep file is one output, and a sweep
+  that raises is one ``raised`` line hashing ``Type: message``;
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
   ``configs/desk.ini``, every file they write plus what they print; ``eval``
   scores whichever ``checkpoint.*`` file ``train`` wrote on the dataset
@@ -58,7 +58,7 @@ from pathlib import Path  # noqa: E402
 
 DESK_SEEDS = tuple(range(8))
 EMBED_SEEDS = tuple(range(8))
-# (name, split overrides, hyperparameter overrides, plan axes)
+# (name, split overrides, hyperparameter overrides, plan axes and workers)
 PLANS = (
     ("criterion8", {}, {},
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
@@ -71,6 +71,11 @@ PLANS = (
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0,)}),
     ("diverged", {}, {"lr0": 1e100},
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
+    # 6 cells on 2 and on 3 workers: chunks that hold whole seeds and that split one
+    ("chunked_w2", {}, {},
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 1.0, 2.0), "seeds": (0, 1), "workers": 2}),
+    ("chunked_w3", {}, {},
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 1.0, 2.0), "seeds": (0, 1), "workers": 3}),
 )
 
 USAGE_ERRORS = {

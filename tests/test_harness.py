@@ -11,7 +11,15 @@ import pytest
 from ltgcd.config import Hyperparams, SplitSpec, build_params, read_config_file
 from ltgcd.data import EmbeddingDataset, generate_mixture
 from ltgcd.errors import ValidationError
-from ltgcd.harness import ExperimentPlan, sweep, train_one, write_train_log
+from ltgcd.harness import (
+    GROUP_SETTINGS,
+    ExperimentPlan,
+    _chunks,
+    sweep,
+    train_group,
+    train_one,
+    write_train_log,
+)
 from ltgcd.rng import derive_stream
 from ltgcd.svg import _SERIES_COLORS as SERIES_COLORS
 
@@ -131,6 +139,66 @@ class TestTrainOne:
         assert "lambda_" not in record.config
 
 
+def assert_same_record(a, b):
+    """Status, error, config, metrics, head, prototypes and epoch logs equal
+    bit for bit."""
+    assert (a.status, a.error, a.config, a.metrics) == (b.status, b.error, b.config, b.metrics)
+    for name, value in a.head.params().items():
+        assert value.tobytes() == b.head.params()[name].tobytes(), name
+    assert (a.protos is None) == (b.protos is None)
+    if a.protos is not None:
+        assert a.protos.M.tobytes() == b.protos.M.tobytes()
+    assert len(a.epoch_logs) == len(b.epoch_logs)
+    for la, lb in zip(a.epoch_logs, b.epoch_logs):
+        assert la.prior_r.tobytes() == lb.prior_r.tobytes()
+        assert ({k: v for k, v in vars(la).items() if k != "prior_r"}
+                == {k: v for k, v in vars(lb).items() if k != "prior_r"})
+
+
+class TestTrainGroup:
+    def test_members_equal_their_solo_runs(self):
+        data = small_data(seed=2)
+        hps = [small_hp(seed=2, alpha=1.0, beta=0.0, lambda_=1.0),
+               small_hp(seed=2, alpha=0.0, beta=2.0, lambda_=0.5),
+               small_hp(seed=2, alpha=2.0, beta=5.0, lambda_=0.0)]
+        records = train_group(data, hps)
+        assert [r.status for r in records] == ["ok"] * 3
+        for hp, record in zip(hps, records):
+            assert_same_record(record, train_one(data, hp))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a detector speaks, not numpy
+    def test_a_diverging_member_fails_alone(self):
+        data = small_data()
+        hps = [small_hp(beta=0.0), small_hp(lr0=1e200), small_hp(beta=2.0)]
+        records = train_group(data, hps)
+        assert [r.status for r in records] == ["ok", "failed", "ok"]
+        assert re.search(r" at epoch \d+, batch \d+$", records[1].error)
+        for hp, record in zip(hps, records):
+            assert_same_record(record, train_one(data, hp))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1), ("epochs", 3), ("batch_size", 32), ("noise_sigma", 0.2), ("drop_prob", 0.2),
+    ])
+    def test_members_must_share_the_batch_and_view_settings(self, field, value):
+        assert field in GROUP_SETTINGS
+        hps = [small_hp(), small_hp(beta=0.0, **{field: value})]
+        with pytest.raises(ValidationError, match=rf"^the runs of a group must share {field}, "):
+            train_group(small_data(), hps)
+
+    def test_an_empty_group_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^a training group needs at least one run$"):
+            train_group(small_data(), [])
+
+    def test_an_epoch_that_steps_no_batch_fails_every_member(self):
+        data = small_data()
+        hps = [small_hp(batch_size=1, epochs=2, beta=beta) for beta in (0.0, 2.0)]
+        records = train_group(data, hps)
+        for hp, record in zip(hps, records):
+            assert record.status == "failed"
+            assert record.epoch_logs == []
+            assert_same_record(record, train_one(data, hp))
+
+
 def small_plan(out_dir, **overrides):
     kwargs = dict(
         hp=Hyperparams(epochs=2, batch_size=64, seed=0),
@@ -242,6 +310,40 @@ class TestSweep:
         assert [(j.split.rho, j.hp.seed) for j in jobs] == [
             (1.0, 0), (1.0, 1), (3.0, 0), (3.0, 1)
         ]
+
+
+def run_key(cell):
+    return cell.split.rho, cell.hp.seed
+
+
+class TestSweepChunks:
+    @pytest.mark.parametrize("lr0", [0.02, 1e100], ids=["ok", "diverged"])
+    def test_outputs_are_byte_identical_at_any_worker_count(self, tmp_path, lr0):
+        outputs = []
+        for workers in (1, 2, 3, 8):
+            plan = small_plan(tmp_path / f"w{workers}", workers=workers, betas=(0.0, 1.0, 2.0),
+                              hp=Hyperparams(epochs=2, batch_size=64, seed=0, lr0=lr0))
+            sweep(plan)
+            outputs.append({p.name: p.read_bytes() for p in sorted(plan.out_dir.iterdir())})
+        assert ("failures.csv" in outputs[0]) == (lr0 == 1e100)
+        assert {"results.csv", "summary.csv"} <= set(outputs[0])
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    def test_chunks_cut_rho_seed_runs_in_plan_order(self, tmp_path):
+        cells = small_plan(tmp_path, rhos=(1.0, 3.0), betas=(0.0, 1.0, 2.0)).jobs()
+        for workers in range(1, len(cells) + 3):
+            chunks = _chunks(cells, workers)
+            assert len(chunks) == min(workers, len(cells))
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) - min(sizes) <= 1
+            flat = [cell for chunk in chunks for cell in chunk]
+            assert sorted(cell.run_id for cell in flat) == [cell.run_id for cell in cells]
+            # each (rho, seed) run is one contiguous stretch, in plan order
+            keys = [run_key(cell) for cell in flat]
+            assert keys == sorted(keys)
+            for k in set(keys):
+                ids = [cell.run_id for cell in flat if run_key(cell) == k]
+                assert ids == [cell.run_id for cell in cells if run_key(cell) == k]
 
 
 class TestTrainLog:

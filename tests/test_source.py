@@ -1,6 +1,7 @@
 """Source checks that need no linter: every import in the package is read,
 every function, class, method and property it defines is read somewhere, one
-function loads npz files and one starts a process pool, a dataset holds its
+function loads npz files and one starts a process pool, one training loop
+draws the views and ``train_one`` wraps it, a dataset holds its
 known/unknown split only in its arrays, and importing the CLI loads no scipy
 module."""
 
@@ -127,6 +128,16 @@ def test_one_npz_reader_and_one_pool():
     found = {(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
              for use in readers_of(path.read_text(), {"np.load", "ProcessPoolExecutor"})}
     assert found == {("data", "np.load", "read_npz"), ("harness", "ProcessPoolExecutor", "sweep")}
+
+
+def test_one_training_loop():
+    # train_one is a group of one, so only train_group draws views and steps
+    source = (PACKAGE / "harness.py").read_text()
+    assert readers_of(source, {"make_views"}) == {("make_views", "train_group")}
+    (train_one,) = [node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.FunctionDef) and node.name == "train_one"]
+    assert [ast.unparse(node) for node in train_one.body[1:]] == [
+        "return train_group(data, [hp])[0]"]
 
 
 def test_one_copy_of_the_split():
