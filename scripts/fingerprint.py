@@ -9,16 +9,14 @@ Prints one ``<output> <sha256>`` line per output of a fixed set of runs:
   that raises is one ``raised`` line hashing ``Type: message``;
 - the desk CLI: ``ltgcd gen``, ``ltgcd train --seed 0`` and ``ltgcd eval`` at
   ``configs/desk.ini``, every file they write plus what they print; ``eval``
-  scores whichever ``checkpoint.*`` file ``train`` wrote on the dataset
-  ``gen`` wrote (``data.npz``, or ``data.manifest.json`` in a checkout that
-  writes a manifest beside it);
+  scores the ``checkpoint.npz`` that ``train`` wrote on the ``data.npz`` that
+  ``gen`` wrote;
 - desk ``train_one`` at seeds 0-7: the ``MetricsReport``, the head and
-  prototype bytes and the epoch logs of each run;
+  prototype bytes and the epoch logs of each run, each log's fields sorted
+  by name so that their declaration order does not matter;
 - a dataset at the benchmark's embedding shape (4,500 x 256, 100 classes,
-  seed 0): the data file that ``write_dataset`` writes, named by the path it
-  returns (``data.npz``) or, in a checkout where that path is a manifest, by
-  the manifest's ``data`` entry, and the arrays ``load_embeddings`` reads
-  back;
+  seed 0): the ``data.npz`` that ``write_dataset`` writes and the arrays
+  ``load_embeddings`` reads back;
 - ``evaluate`` at that shape for seeds 0-7, as the benchmark's embed_score
   runs it (an untrained 256-64-32 head): the ``MetricsReport`` of each seed,
   which rests on a 50 x 50 optimal assignment;
@@ -35,7 +33,7 @@ to its parent:
     python3 scripts/fingerprint.py --root <parent checkout> > parent.txt
     diff parent.txt change.txt
 
-It takes about half a minute on one core.
+It takes about 15 seconds on one core.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
-import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -123,23 +120,17 @@ def desk_cli(root: Path, work: Path) -> list[tuple[str, str]]:
 
     config = str(root / "configs" / "desk.ini")
     data, run = work / "data", work / "run"
-    manifest = data / "data.manifest.json"
-    # eval reads the checkpoint train wrote (checkpoint.npz, or checkpoint.json
-    # in a checkout that writes JSON checkpoints) and the dataset gen wrote
-    # (data.npz, or data.manifest.json in a checkout that writes a manifest)
     commands = {
-        "gen": lambda: ["gen", "--config", config, "--out", str(data)],
-        "train": lambda: ["train", "--config", config, "--seed", "0", "--out", str(run)],
-        "eval": lambda: ["eval", "--config", config,
-                         "--checkpoint", str(next(run.glob("checkpoint.*"))),
-                         "--dataset", str(manifest if manifest.exists() else data / "data.npz"),
-                         "--out", str(run / "eval")],
+        "gen": ["gen", "--config", config, "--out", str(data)],
+        "train": ["train", "--config", config, "--seed", "0", "--out", str(run)],
+        "eval": ["eval", "--config", config, "--checkpoint", str(run / "checkpoint.npz"),
+                 "--dataset", str(data / "data.npz"), "--out", str(run / "eval")],
     }
     lines = []
     for name, argv in commands.items():
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            code = cli(argv())
+            code = cli(argv)
         lines.append((f"cli/{name}/exit={code}/stdout",
                       sha256(printed.getvalue().replace(str(work), "<work>").encode())))
     return lines + files("cli/gen", data) + files("cli/train", run)
@@ -171,8 +162,8 @@ def desk_train_one(root: Path) -> list[tuple[str, str]]:
         data = generate_mixture(split, 5.0, derive_stream(seed, "split"))
         record = train_one(data, replace(hp, seed=seed))
         arrays = [*record.head.params().values(), record.protos.M]
-        logs = [({k: v for k, v in vars(log).items() if k != "prior_r"}, log.prior_r.tobytes())
-                for log in record.epoch_logs]
+        logs = [(sorted((k, v) for k, v in vars(log).items() if k != "prior_r"),
+                 log.prior_r.tobytes()) for log in record.epoch_logs]
         lines += [
             (f"train_one/seed{seed}/status", sha256(repr((record.status, record.error)).encode())),
             (f"train_one/seed{seed}/metrics", sha256(repr(record.metrics).encode())),
@@ -193,9 +184,7 @@ def embed(work: Path) -> list[tuple[str, str]]:
     written = write_dataset(generate_mixture(split, 5.0, derive_stream(0, "split")), work)
     loaded = load_embeddings(written)
     arrays = (loaded.points, loaded.labels, loaded.is_labeled)
-    data_file = (written.name if written.suffix == ".npz"
-                 else json.loads(written.read_text())["data"])
-    lines = [(f"embed/{data_file}", sha256((work / data_file).read_bytes())),
+    lines = [(f"embed/{written.name}", sha256(written.read_bytes())),
              ("embed/loaded", sha256(b"".join(a.tobytes() for a in arrays)))]
     for seed in EMBED_SEEDS:
         data = generate_mixture(split, 5.0, derive_stream(seed, "split"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ from .config import Hyperparams, SplitSpec, check_setting, file_key
 from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, write_csv
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
-from .losses import overall_loss
+from .losses import Losses, overall_loss
 from .model import (
     ProjectionHead,
     Prototypes,
@@ -50,20 +50,14 @@ RESULTS_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "lambda", *METRIC_NA
 FAILURES_HEADER = ["run_id", "seed", "rho", "alpha", "beta", "status", "error"]
 METRICS_HEADER = ["seed", "rho", "alpha", "beta", *METRIC_NAMES]
 SUMMARY_HEADER = ["rho", "alpha", "beta", "lambda", "metric", "mean", "std", "n"]
-# the epoch-mean losses: fields of LossBreakdown and EpochLog, train_log.csv columns
-LOSS_NAMES = ("l_ins", "l_sup", "h_prior", "h_uniform", "l_overall")
+LOSS_NAMES = tuple(f.name for f in fields(Losses))
 # the settings that fix a run's batch order and views; a train_group's runs share them
 GROUP_SETTINGS = ("seed", "epochs", "batch_size", "noise_sigma", "drop_prob")
 
 
-@dataclass
-class EpochLog:
+@dataclass(frozen=True)
+class EpochLog(Losses):
     epoch: int
-    l_ins: float
-    l_sup: float
-    h_prior: float
-    h_uniform: float
-    l_overall: float
     lr: float
     prior_r: np.ndarray
 
@@ -73,10 +67,13 @@ class RunRecord:
     config: dict
     epoch_logs: list[EpochLog]
     metrics: MetricsReport | None
-    status: str = "ok"
-    error: str | None = None
-    head: ProjectionHead | None = None
-    protos: Prototypes | None = None
+    error: str | None
+    head: ProjectionHead
+    protos: Prototypes | None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "failed"
 
 
 class SweepCell(NamedTuple):
@@ -121,27 +118,21 @@ class ExperimentPlan:
         ]
 
 
-def _batch_iter(perm: np.ndarray, batch_size: int):
-    for start in range(0, len(perm), batch_size):
-        yield perm[start:start + batch_size]
-
-
 class _Run:
-    """One member of a ``train_group``: its float64 master head and momentum,
-    prototypes, prior, the epoch's learning rate and loss sums, its logs, and
-    its error once it diverges."""
+    """One member of a ``train_group``: its float64 master head (a copy of the
+    group's starting head), momentum, prototypes (the group's starting ones
+    until the first refresh), prior, the epoch's learning rate and loss sums,
+    its logs, and its error once it diverges."""
 
-    def __init__(self, data: EmbeddingDataset, hp: Hyperparams) -> None:
+    def __init__(self, hp: Hyperparams, head: ProjectionHead, protos: Prototypes | None,
+                 error: str | None, num_classes: int) -> None:
         self.hp = hp
-        self.head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM,
-                              derive_stream(hp.seed, "init"))
+        self.head = head.astype(np.float64)   # a copy: sgd_step updates it in place
         self.velocity = {name: np.zeros_like(arr) for name, arr in self.head.params().items()}
-        self.r = np.full(data.num_classes, 1.0 / data.num_classes)
-        self.protos: Prototypes | None = None
+        self.r = np.full(num_classes, 1.0 / num_classes)
+        self.protos = protos
         self.logs: list[EpochLog] = []
-        self.lr = 0.0
-        self.sums = np.zeros(len(LOSS_NAMES))
-        self.error: str | None = None
+        self.error = error
 
     def step(self, X: np.ndarray, labeled: np.ndarray, labels: np.ndarray) -> None:
         """Forward, loss, backward and SGD step on one batch's float32 views."""
@@ -181,13 +172,9 @@ class _Run:
             "hidden": DEFAULT_HIDDEN,
             "out_dim": DEFAULT_OUT_DIM,
         }
-        if self.error is not None:
-            return RunRecord(config=config_echo, epoch_logs=self.logs, metrics=None,
-                             status="failed", error=self.error, head=self.head,
-                             protos=self.protos)
-        return RunRecord(config=config_echo, epoch_logs=self.logs,
-                         metrics=evaluate(self.head, data, self.hp.seed),
-                         head=self.head, protos=self.protos)
+        metrics = evaluate(self.head, data, self.hp.seed) if self.error is None else None
+        return RunRecord(config=config_echo, epoch_logs=self.logs, metrics=metrics,
+                         error=self.error, head=self.head, protos=self.protos)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -197,9 +184,12 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
 
     The runs must share every setting of ``GROUP_SETTINGS``, so they share
     the batch order and the views: each stepped batch's views are drawn once
-    and every live run steps on them. Everything else is the run's own: its
-    float64 master head, momentum, prototypes, prior, losses and logs. A run
-    that a group trains is bit for bit the run that ``train_one`` trains.
+    and every live run steps on them. Their shared seed also fixes their
+    start, so the starting head and the prototypes seeded from its forward
+    are built once for the group. Everything else is the run's own: its
+    float64 master head (a copy of the start), momentum, prototypes after the
+    first refresh, prior, losses and logs. A run that a group trains is bit
+    for bit the run that ``train_one`` trains.
 
     Per epoch: shuffled batches of (augment, forward, loss, backward, step),
     then, run by run, the prior refresh from the unlabeled hard histogram and
@@ -215,8 +205,8 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
     ``forward_cached``, the loss check, or ``sgd_step``'s gradient check),
     and the record's error appends where the run stopped: ``at epoch E,
     batch B`` for a step, ``at the end of epoch E`` for the refresh. Before
-    epoch 0 the norm check names a dataset row, and an epoch that steps no
-    batch names itself, so neither gets a suffix.
+    epoch 0 the norm check names a dataset row and fails every run, and an
+    epoch that steps no batch names itself, so neither gets a suffix.
     """
     if not hps:
         raise ValidationError("a training group needs at least one run")
@@ -232,17 +222,17 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
                               f"{n_unlabeled} unlabeled rows to seed their prototypes")
 
     shared = hps[0]
+    head = init_head(data.dim, DEFAULT_HIDDEN, DEFAULT_OUT_DIM, derive_stream(shared.seed, "init"))
+    protos, error = None, None
+    try:
+        protos = init_prototypes(forward(head, data.points), data.labels, data.is_labeled,
+                                 data.num_classes, derive_stream(shared.seed, "proto-seed"))
+    except TrainingDiverged as exc:
+        error = str(exc)
+    runs = [_Run(hp, head, protos, error, data.num_classes) for hp in hps]
     batch_rng = derive_stream(shared.seed, "batch")
     aug_rng = derive_stream(shared.seed, "aug")
-    runs = [_Run(data, hp) for hp in hps]
     points32 = data.points.astype(np.float32)
-    for run in runs:
-        try:
-            feats = forward(run.head, data.points)
-            run.protos = init_prototypes(feats, data.labels, data.is_labeled, data.num_classes,
-                                         derive_stream(run.hp.seed, "proto-seed"))
-        except TrainingDiverged as exc:
-            run.error = str(exc)
 
     for epoch in range(shared.epochs):
         live = [run for run in runs if run.error is None]
@@ -252,7 +242,9 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
             run.lr = learning_rate(run.hp.lr0, epoch, run.hp.epochs)
             run.sums = np.zeros(len(LOSS_NAMES))
         n_batches = 0
-        for batch in _batch_iter(batch_rng.permutation(data.n), shared.batch_size):
+        perm = batch_rng.permutation(data.n)
+        for start in range(0, data.n, shared.batch_size):
+            batch = perm[start:start + shared.batch_size]
             if int((~data.is_labeled[batch]).sum()) < 2:
                 continue
             X = make_views(data, batch, shared.noise_sigma, shared.drop_prob,
@@ -343,7 +335,8 @@ def _metric_stats(rows: list[dict]) -> dict[str, tuple[float, float, int]]:
 def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     """Run the plan cross product and write results.csv, summary.csv, and one
     trend SVG per swept axis. Failed runs land in failures.csv and the sweep
-    continues.
+    continues. An earlier sweep's failures.csv or trend SVG that this sweep
+    does not write is deleted, so ``out_dir`` describes this sweep alone.
 
     The cells, in stable ``(rho, seed)`` order, are cut into ``min(workers,
     cells)`` contiguous chunks of near-equal size, and the cells of one chunk
@@ -377,6 +370,8 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
             out_dir / "failures.csv", FAILURES_HEADER,
             [[r[k] for k in FAILURES_HEADER] for r in failed],
         )
+    else:
+        (out_dir / "failures.csv").unlink(missing_ok=True)
 
     groups: dict[tuple, list[dict]] = {}   # first-seen order is plan order
     for r in ok_rows:
@@ -389,6 +384,7 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     from .svg import line_plot
     for axis, values in {"rho": plan.rhos, "alpha": plan.alphas, "beta": plan.betas}.items():
         if len(values) < 2:
+            (out_dir / f"sweep_{axis}.svg").unlink(missing_ok=True)
             continue
         xs = sorted(float(v) for v in values)
         stats = [_metric_stats([r for r in ok_rows if r[axis] == x]) for x in xs]

@@ -19,12 +19,19 @@ _LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class LossBreakdown:
+class Losses:
+    """The objective's terms and their weighted sum, the one declaration that
+    a batch's breakdown and an epoch's log extend."""
+
     l_ins: float
     l_sup: float
     h_prior: float
     h_uniform: float
     l_overall: float
+
+
+@dataclass(frozen=True)
+class LossBreakdown(Losses):
     grad_Z: np.ndarray        # (2B, p)
     sup_warning: bool = False
 

@@ -133,6 +133,18 @@ class TestTrainCommand:
         assert not (out / "checkpoint.npz").exists()
         assert not (out / "metrics.csv").exists()
 
+    def test_failed_run_deletes_an_earlier_runs_model_and_metrics(
+        self, tmp_path, config_file, capsys
+    ):
+        # a later eval of the directory must not score the earlier run's model
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(config_file), "--out", str(out)]) == 0
+        assert (out / "checkpoint.npz").exists() and (out / "metrics.csv").exists()
+        code = cli(["train", "--config", str(config_file), "--batch", "1", "--out", str(out)])
+        assert code == 2
+        assert "training failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json", "train_log.csv"]
+
     def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
         rng = derive_stream(0, "test")
         data = EmbeddingDataset(
@@ -503,6 +515,18 @@ class TestSweepCommand:
         assert code == 2
         assert "failures.csv" in capsys.readouterr().err
         assert len(read_csv(out / "failures.csv")) == 1 + 1
+
+    def test_an_earlier_sweeps_failures_and_plots_are_deleted(self, tmp_path, config_file):
+        out = tmp_path / "s"
+        code = cli(["sweep", "--config", str(config_file), "--rho", "3,5", "--batch", "1",
+                    "--seeds", "0", "--out", str(out)])
+        assert code == 2
+        assert (out / "failures.csv").exists() and (out / "sweep_rho.svg").exists()
+        code = cli(["sweep", "--config", str(config_file), "--alpha", "0,1",
+                    "--seeds", "0", "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "results.csv", "summary.csv", "sweep_alpha.svg"]
 
 
 class TestSplitRule:

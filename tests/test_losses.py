@@ -371,6 +371,18 @@ class TestOverallLoss:
                           Prototypes(M=unit_rows(rng, 3, 5)), np.full(3, 1 / 3), Hyperparams())
         assert lb.grad_Z.shape == Z.shape
 
+    def test_labeled_views_always_have_a_positive(self):
+        # the labeled views come in sibling pairs and a sibling is a positive,
+        # so sup_warning stays unset even when every instance has its own class
+        rng = derive_stream(21, "test")
+        for _ in range(50):
+            B = int(rng.integers(3, 12))
+            labeled_mask = rng.permutation(np.arange(B) < rng.integers(1, B - 1))
+            lb = overall_loss(unit_rows(rng, 2 * B, 8), labeled_mask, rng.permutation(B),
+                              Prototypes(M=unit_rows(rng, 4, 8)), random_simplex(rng, 4),
+                              Hyperparams())
+            assert labeled_mask.any() and not lb.sup_warning
+
     def test_all_unlabeled_batch_has_zero_supervised_term(self):
         rng = derive_stream(16, "test")
         Z = unit_rows(rng, 12, 6)

@@ -1,9 +1,9 @@
 """Source checks that need no linter: every import in the package is read,
 every function, class, method and property it defines is read somewhere, one
 function loads npz files and one starts a process pool, one training loop
-draws the views and ``train_one`` wraps it, a dataset holds its
-known/unknown split only in its arrays, and importing the CLI loads no scipy
-module."""
+draws the views and ``train_one`` wraps it, one class declares the loss
+terms, a dataset holds its known/unknown split only in its arrays, and
+importing the CLI loads no scipy module."""
 
 import ast
 import os
@@ -138,6 +138,19 @@ def test_one_training_loop():
                     if isinstance(node, ast.FunctionDef) and node.name == "train_one"]
     assert [ast.unparse(node) for node in train_one.body[1:]] == [
         "return train_group(data, [hp])[0]"]
+
+
+def test_loss_terms_are_declared_once():
+    # a batch's breakdown and an epoch's log extend one declaration of the terms
+    declared = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        declared.setdefault(stmt.target.id, []).append(node.name)
+    terms = ("l_ins", "l_sup", "h_prior", "h_uniform", "l_overall")
+    assert {term: declared.get(term) for term in terms} == dict.fromkeys(terms, ["Losses"])
 
 
 def test_one_copy_of_the_split():
