@@ -137,6 +137,14 @@ def make_views(
     return views
 
 
+def view_draws(rows: int, dim: int) -> tuple[int, int]:
+    """At most how many random draws ``make_views`` makes for a batch of
+    ``rows`` rows of ``dim`` values, and how many values they hold: per view
+    a ``standard_normal`` noise array and a ``random`` dropout array, each
+    ``(rows, dim)``."""
+    return 4, 4 * rows * dim
+
+
 def format_cell(value) -> str:
     """The cell format of every CSV the package writes: a float is its
     shortest round-trip ``repr`` (``float.__repr__`` also prints a numpy

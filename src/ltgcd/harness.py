@@ -3,16 +3,25 @@
 A run owns its model, and its seed names all of its random streams. Runs
 that share a seed and the batch and augmentation settings draw the same
 batches and views, so ``train_group`` trains them in one loop that draws each
-batch's views once; ``train_one`` is a group of one. A sweep trains each
-``(rho, seed)``'s cells as such a group, optionally in worker processes, and
+batch's views once; ``train_one`` is a group of one. Where a CPU would
+otherwise idle, a forked draw process draws each batch's augmentation noise
+one batch ahead of the loop, into a shared ring that the loop's views replay
+bit for bit. A sweep trains each ``(rho, seed)``'s cells as such a group,
+in this process or in worker processes but never with a draw process, and
 merges results in plan order, which keeps every output file byte-stable for
 a fixed plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import mmap
+import os
+import signal
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -21,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Hyperparams, SplitSpec, check_setting, file_key
-from .data import EmbeddingDataset, format_cell, generate_mixture, make_views, write_csv
+from .data import (EmbeddingDataset, format_cell, generate_mixture, make_views, view_draws,
+                   write_csv)
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
 from .losses import Losses, overall_loss
@@ -177,8 +187,160 @@ class _Run:
                          error=self.error, head=self.head, protos=self.protos)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, by its affinity mask (a cgroup CPU
+    quota is not counted); 1 where the OS cannot say, which keeps training
+    in one process."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
+    """Per epoch, the list of batches that step, in order: the seed's
+    ``batch`` shuffle cut into ``batch_size`` slices, less each slice with
+    fewer than the 2 unlabeled rows a step needs. The training loop and the
+    draw process both walk it, so they cannot disagree on the batches."""
+    batch_rng = derive_stream(shared.seed, "batch")
+    for _ in range(shared.epochs):
+        perm = batch_rng.permutation(data.n)
+        slices = (perm[start:start + shared.batch_size]
+                  for start in range(0, data.n, shared.batch_size))
+        yield [batch for batch in slices if int((~data.is_labeled[batch]).sum()) >= 2]
+
+
+class _SlotDraws:
+    """The random source of one ``make_views`` call, backed by one ring
+    slot: a ``(kind, rows, cols)`` header row per draw and the draws' float64
+    values back to back. Given a Generator, it draws each array, stores a
+    copy and returns the array (the draw process). Without one, it returns
+    the stored arrays in order, as views of the slot (the training loop),
+    and raises on a draw whose kind or shape is not the stored one. A kind
+    is its index in ``KINDS`` plus one, so a 0 row ends the slot's draws."""
+
+    KINDS = ("standard_normal", "random")
+
+    def __init__(self, header: np.ndarray, values: np.ndarray,
+                 rng: np.random.Generator | None = None) -> None:
+        self.header, self.values, self.rng = header, values, rng
+        self.count = self.offset = 0
+        if rng is not None:
+            header[:] = 0
+
+    def standard_normal(self, size) -> np.ndarray:
+        return self._draw(1, size)
+
+    def random(self, size) -> np.ndarray:
+        return self._draw(2, size)
+
+    def _draw(self, kind: int, size) -> np.ndarray:
+        rows, cols = size
+        stored = self.values[self.offset:self.offset + rows * cols].reshape(rows, cols)
+        if self.rng is None:
+            held = (tuple(self.header[self.count].tolist())
+                    if self.count < len(self.header) else None)
+            if held != (kind, rows, cols):
+                raise RuntimeError(f"make_views asked for draw {self.count} as "
+                                   f"{self.KINDS[kind - 1]}({rows}, {cols}); the ring slot "
+                                   f"holds {held}")
+            drawn = stored
+        else:
+            drawn = getattr(self.rng, self.KINDS[kind - 1])(size)
+            stored[...] = drawn   # a copy: make_views updates its draws in place
+            self.header[self.count] = (kind, rows, cols)
+        self.count += 1
+        self.offset += rows * cols
+        return drawn
+
+
+class _DrawAhead:
+    """A forked draw process that draws each stepped batch's augmentation
+    noise one batch ahead of the training loop.
+
+    For each batch of ``_stepped_batches`` it calls ``make_views`` with a
+    ``_SlotDraws`` over its own ``aug`` stream, which stores the exact draws
+    the loop's ``make_views`` asks for in one slot of a 2-slot ring in a
+    shared anonymous mmap. Slot numbers pass as one-byte tokens over two
+    pipes: ``free`` slots to the draw process and ``full`` ones back.
+    ``take`` hands back the slot the loop held and replays the next full
+    one, so each slot is refilled while the loop steps on the other. The
+    draw process exits at EOF of its ``free`` pipe, so it ends with a killed
+    trainer; ``close`` also kills and reaps it. A slot holds
+    ``data.view_draws`` of the largest batch."""
+
+    SLOTS = 2
+
+    def __init__(self, data: EmbeddingDataset, shared: Hyperparams) -> None:
+        draws, values = view_draws(min(shared.batch_size, data.n), data.dim)
+        ring = mmap.mmap(-1, self.SLOTS * 8 * (3 * draws + values))
+        slots = np.frombuffer(ring, np.float64).reshape(self.SLOTS, -1)
+        self.headers = slots[:, :3 * draws].view(np.int64).reshape(self.SLOTS, draws, 3)
+        self.values = slots[:, 3 * draws:]
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:   # no process or descriptor to spare: the caller draws in-process
+            for fd in fds:
+                os.close(fd)
+            raise
+        free_r, self.free_w, self.full_r, full_w = fds
+        if self.pid == 0:   # the draw process, which never returns into its caller
+            code = 0
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)   # ^C is for the trainer to answer
+                os.close(self.free_w)
+                os.close(self.full_r)
+                self._draw(data, shared, free_r, full_w)
+            except BrokenPipeError:   # the trainer is gone
+                pass
+            except BaseException:
+                traceback.print_exc()
+                sys.stderr.flush()
+                code = 1
+            finally:
+                os._exit(code)
+        os.close(free_r)
+        os.close(full_w)
+        os.write(self.free_w, bytes(range(self.SLOTS)))
+        self.held = None
+
+    def _draw(self, data: EmbeddingDataset, shared: Hyperparams, free_r: int,
+              full_w: int) -> None:
+        """The draw process: fill each free slot with the next batch's draws
+        until the schedule ends, then wait for EOF."""
+        aug_rng = derive_stream(shared.seed, "aug")
+        batches = itertools.chain.from_iterable(_stepped_batches(data, shared))
+        while token := os.read(free_r, 1):
+            batch = next(batches, None)
+            if batch is not None:
+                make_views(data, batch, shared.noise_sigma, shared.drop_prob,
+                           _SlotDraws(self.headers[token[0]], self.values[token[0]], aug_rng))
+                os.write(full_w, token)
+
+    def take(self) -> _SlotDraws:
+        """Hand back the slot taken last, and replay the next full one."""
+        if self.held is not None:
+            with contextlib.suppress(BrokenPipeError):   # a dead draw process is named below
+                os.write(self.free_w, bytes([self.held]))
+        token = os.read(self.full_r, 1)
+        if not token:
+            raise RuntimeError("the draw process ended before the training loop's last batch")
+        self.held = token[0]
+        return _SlotDraws(self.headers[self.held], self.values[self.held])
+
+    def close(self) -> None:
+        """Close the pipes, kill and reap the draw process, and drop the ring."""
+        os.close(self.free_w)
+        os.close(self.full_r)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        # unmapped once no replay holds a view of it, so evaluation's arrays do not stack on it
+        self.headers = self.values = None
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecord]:
+def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
+                draw_ahead: bool | None = None) -> list[RunRecord]:
     """Train one run per ``hps`` entry on one dataset, in lockstep, and
     evaluate each final snapshot; the records come back in ``hps`` order.
 
@@ -207,6 +369,14 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
     batch B`` for a step, ``at the end of epoch E`` for the refresh. Before
     epoch 0 the norm check names a dataset row and fails every run, and an
     epoch that steps no batch names itself, so neither gets a suffix.
+
+    ``draw_ahead`` picks where the views' random draws are made: in this
+    process (False), or one batch ahead in a ``_DrawAhead`` process (True),
+    which is started only if the runs survive their start and is killed and
+    reaped on every way out of the loop; if it cannot be started (a failed
+    pipe, mmap or fork), the draws are made in this process. None picks the
+    draw process when this process may run on 2 or more CPUs. Both give the
+    same bits; if the draw process dies, the group raises ``RuntimeError``.
     """
     if not hps:
         raise ValidationError("a training group needs at least one run")
@@ -230,46 +400,49 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
     except TrainingDiverged as exc:
         error = str(exc)
     runs = [_Run(hp, head, protos, error, data.num_classes) for hp in hps]
-    batch_rng = derive_stream(shared.seed, "batch")
     aug_rng = derive_stream(shared.seed, "aug")
     points32 = data.points.astype(np.float32)
+    if draw_ahead is None:
+        draw_ahead = _cpus() >= 2
+    draws = None
+    if draw_ahead and error is None:
+        with contextlib.suppress(OSError):   # no draw process: draw in this process
+            draws = _DrawAhead(data, shared)
 
-    for epoch in range(shared.epochs):
-        live = [run for run in runs if run.error is None]
-        if not live:
-            break
-        for run in live:
-            run.lr = learning_rate(run.hp.lr0, epoch, run.hp.epochs)
-            run.sums = np.zeros(len(LOSS_NAMES))
-        n_batches = 0
-        perm = batch_rng.permutation(data.n)
-        for start in range(0, data.n, shared.batch_size):
-            batch = perm[start:start + shared.batch_size]
-            if int((~data.is_labeled[batch]).sum()) < 2:
-                continue
-            X = make_views(data, batch, shared.noise_sigma, shared.drop_prob,
-                           aug_rng).astype(np.float32)
-            labeled, labels = data.is_labeled[batch], data.labels[batch]
-            for run in live:
-                try:
-                    run.step(X, labeled, labels)
-                except TrainingDiverged as exc:
-                    run.error = f"{exc} at epoch {epoch}, batch {n_batches}"
-            live = [run for run in live if run.error is None]
-            n_batches += 1
+    try:
+        for epoch, batches in enumerate(_stepped_batches(data, shared)):
+            live = [run for run in runs if run.error is None]
             if not live:
                 break
-        if n_batches == 0:
+            if not batches:
+                for run in live:
+                    run.error = (f"epoch {epoch} stepped no batch: with batch_size="
+                                 f"{shared.batch_size} no batch holds the 2 unlabeled rows a "
+                                 "step needs")
+                break
             for run in live:
-                run.error = (f"epoch {epoch} stepped no batch: with batch_size="
-                             f"{shared.batch_size} no batch holds the 2 unlabeled rows a "
-                             "step needs")
-            break
-        for run in live:
-            try:
-                run.end_epoch(data, points32, epoch, n_batches)
-            except TrainingDiverged as exc:
-                run.error = f"{exc} at the end of epoch {epoch}"
+                run.lr = learning_rate(run.hp.lr0, epoch, run.hp.epochs)
+                run.sums = np.zeros(len(LOSS_NAMES))
+            for b, batch in enumerate(batches):
+                X = make_views(data, batch, shared.noise_sigma, shared.drop_prob,
+                               aug_rng if draws is None else draws.take()).astype(np.float32)
+                labeled, labels = data.is_labeled[batch], data.labels[batch]
+                for run in live:
+                    try:
+                        run.step(X, labeled, labels)
+                    except TrainingDiverged as exc:
+                        run.error = f"{exc} at epoch {epoch}, batch {b}"
+                live = [run for run in live if run.error is None]
+                if not live:
+                    break
+            for run in live:
+                try:
+                    run.end_epoch(data, points32, epoch, len(batches))
+                except TrainingDiverged as exc:
+                    run.error = f"{exc} at the end of epoch {epoch}"
+    finally:
+        if draws is not None:
+            draws.close()
     return [run.record(data) for run in runs]
 
 
@@ -291,14 +464,15 @@ def _chunks(cells: list[SweepCell], workers: int) -> list[list[SweepCell]]:
 def _run_chunk(plan: ExperimentPlan, cells: list[SweepCell]) -> list[dict]:
     """Sweep cells in ``(rho, seed)`` order: each run of cells that share
     ``(rho, seed)`` regenerates that split once and trains as one
-    ``train_group``. A failed run becomes a non-ok status so the sweep
-    continues. The plan validated every cell, so anything raised here is a
-    bug and propagates."""
+    ``train_group``, which draws its views in this process. A failed run
+    becomes a non-ok status so the sweep continues. The plan validated every
+    cell, so anything raised here is a bug and propagates."""
     rows = []
     for (_, seed), group in itertools.groupby(cells, key=lambda c: (c.split.rho, c.hp.seed)):
         group = list(group)
         data = generate_mixture(group[0].split, plan.sep, derive_stream(seed, "split"))
-        for cell, record in zip(group, train_group(data, [cell.hp for cell in group])):
+        records = train_group(data, [cell.hp for cell in group], draw_ahead=False)
+        for cell, record in zip(group, records):
             rows.append({
                 "run_id": cell.run_id,
                 "seed": cell.hp.seed,
@@ -343,8 +517,9 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     that share ``(rho, seed)`` train as one ``train_group``, which draws their
     batches' views once. One chunk runs in this process; more run on that
     many worker processes, one chunk each, so a chunk whose cells fail early
-    leaves its worker idle. Rows keep plan order either way, and every output
-    byte is the same at any ``workers``."""
+    leaves its worker idle. No chunk forks a draw process. Rows keep plan
+    order either way, and every output byte is the same at any
+    ``workers``."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()

@@ -209,8 +209,10 @@ def update_prototypes(
 
 
 def learning_rate(lr0: float, epoch: int, total_epochs: int) -> float:
-    """Step schedule: multiply by 0.1 at each passed milestone (50%, 75%)."""
-    milestones = (int(0.5 * total_epochs), int(0.75 * total_epochs))
+    """Step schedule: multiply by 0.1 at each passed milestone (50%, 75%).
+    A milestone is never before epoch 1, so epoch 0 trains at ``lr0`` even
+    in a run of one epoch."""
+    milestones = (max(1, int(0.5 * total_epochs)), max(1, int(0.75 * total_epochs)))
     passed = sum(1 for m in milestones if epoch >= m)
     return lr0 * (0.1 ** passed)
 

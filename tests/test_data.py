@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltgcd.config import Hyperparams, SplitSpec, round_half_up
-from ltgcd.data import EmbeddingDataset, generate_mixture, load_embeddings, make_views, write_dataset
+from ltgcd.data import (EmbeddingDataset, generate_mixture, load_embeddings, make_views,
+                        view_draws, write_dataset)
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
 from support import replace_member
@@ -128,6 +129,31 @@ class TestMakeViews:
                        rng=derive_stream(12, "aug"))
         zero_frac = (X[0::2] == 0.0).mean()
         assert 0.18 <= zero_frac <= 0.22
+
+    @pytest.mark.parametrize("rows", [1, 7, 10])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3])
+    def test_view_draws_bounds_the_draws_made(self, rows, drop_prob):
+        # the training loop's draw process sizes its ring slots by view_draws
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                sizes.append(size)
+                return self.rng.standard_normal(size)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+        data, _ = small_dataset()
+        make_views(data, np.arange(rows), 0.1, drop_prob, Recording(derive_stream(0, "aug")))
+        draws, values = view_draws(rows, data.dim)
+        made = sum(r * c for r, c in sizes)
+        assert len(sizes) <= draws and made <= values
+        if drop_prob:   # the bound is met exactly
+            assert (len(sizes), made) == (draws, values)
 
     @pytest.mark.parametrize("kwargs", [dict(noise_sigma=-0.1), dict(drop_prob=1.0),
                                         dict(drop_prob=-0.2)])

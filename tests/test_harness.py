@@ -1,7 +1,14 @@
 """Training runs, sweep artifacts, and end-to-end determinism."""
 
 import csv
+import errno
+import os
 import re
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +18,14 @@ import pytest
 from ltgcd.config import Hyperparams, SplitSpec, build_params, read_config_file
 from ltgcd.data import EmbeddingDataset, generate_mixture
 from ltgcd.errors import ValidationError
+from ltgcd.evaluation import evaluate
 from ltgcd.harness import (
     GROUP_SETTINGS,
     ExperimentPlan,
     _chunks,
+    _DrawAhead,
+    _SlotDraws,
+    _stepped_batches,
     sweep,
     train_group,
     train_one,
@@ -24,7 +35,8 @@ from ltgcd.rng import derive_stream
 from ltgcd.svg import _SERIES_COLORS as SERIES_COLORS
 
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+ROOT = Path(__file__).resolve().parents[1]
+DESK_CONFIG = ROOT / "configs" / "desk.ini"
 SMALL_SPEC = dict(num_classes=6, num_known=3, samples_per_known=60, rho=3.0, dim=16)
 
 
@@ -197,6 +209,148 @@ class TestTrainGroup:
             assert record.status == "failed"
             assert record.epoch_logs == []
             assert_same_record(record, train_one(data, hp))
+
+
+def assert_no_child_left():
+    # every process the group started has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDrawAhead:
+    """The draw process changes where the views' random numbers are drawn,
+    never which: both paths give the same records, and no process outlives
+    the group."""
+
+    def test_a_split_with_skipped_batches_and_a_short_last_batch(self):
+        # few unlabeled rows, so some batches of 9 are skipped; 240 % 9 = 6
+        data = small_data(labeled_fraction=0.9)
+        hp = small_hp(batch_size=9)
+        stepped = [batch for epoch in _stepped_batches(data, hp) for batch in epoch]
+        assert data.n % 9 == 6
+        assert len(stepped) < hp.epochs * -(-data.n // 9)
+        assert 6 in {len(batch) for batch in stepped}
+        ahead = train_group(data, [hp], draw_ahead=True)
+        assert_same_record(ahead[0], train_group(data, [hp], draw_ahead=False)[0])
+        assert ahead[0].status == "ok"
+
+    @pytest.mark.parametrize("hps, status", [
+        ([small_hp(beta=0.0), small_hp(beta=2.0, lambda_=0.5)], "ok"),
+        ([small_hp(lr0=1e100), small_hp(lr0=1e100, beta=0.0)], "failed"),
+        ([small_hp(batch_size=1, epochs=2)], "failed"),
+        ([small_hp(drop_prob=0.0)], "ok"),
+    ], ids=["two-runs", "all-diverge", "no-batch-steps", "no-dropout"])
+    def test_both_paths_give_the_same_records(self, hps, status):
+        data = small_data(seed=1)
+        ahead = train_group(data, hps, draw_ahead=True)
+        assert_no_child_left()
+        in_process = train_group(data, hps, draw_ahead=False)
+        assert [r.status for r in ahead] == [status] * len(hps)
+        for a, b in zip(ahead, in_process):
+            assert_same_record(a, b)
+
+    def test_the_ring_is_unmapped_before_evaluation(self, monkeypatch):
+        def shared_maps():   # a shared anonymous mapping shows as /dev/zero
+            with open("/proc/self/maps") as maps:
+                return sum("/dev/zero" in line for line in maps)
+
+        def evaluate_counting_maps(*args):
+            seen.append(shared_maps())
+            return evaluate(*args)
+        seen, before = [], shared_maps()
+        monkeypatch.setattr("ltgcd.harness.evaluate", evaluate_counting_maps)
+        train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert seen == [before]
+
+    def test_replay_raises_on_a_draw_it_does_not_hold(self):
+        header = np.zeros((2, 3), dtype=np.int64)
+        values = np.zeros(2 * 6)
+        rng = derive_stream(0, "test")
+        stored = _SlotDraws(header, values, rng).standard_normal((2, 3))
+        assert _SlotDraws(header, values).standard_normal((2, 3)).tobytes() == stored.tobytes()
+        with pytest.raises(RuntimeError, match=r"draw 0 as standard_normal\(3, 2\)"):
+            _SlotDraws(header, values).standard_normal((3, 2))
+        with pytest.raises(RuntimeError, match=r"draw 0 as random\(2, 3\)"):
+            _SlotDraws(header, values).random((2, 3))
+        replay = _SlotDraws(header, values)
+        replay.standard_normal((2, 3))
+        with pytest.raises(RuntimeError, match=r"draw 1 as random\(2, 3\); .* holds \(0, 0, 0\)"):
+            replay.random((2, 3))
+
+    def test_a_step_that_raises_leaves_no_process(self, monkeypatch):
+        def broken_loss(*args, **kwargs):
+            raise ValidationError("broken invariant")
+        monkeypatch.setattr("ltgcd.harness.overall_loss", broken_loss)
+        with pytest.raises(ValidationError, match="broken invariant"):
+            train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert_no_child_left()
+
+    def test_a_failed_fork_draws_in_process(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        data, hp = small_data(), small_hp()
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", no_fork)
+        (record,) = train_group(data, [hp], draw_ahead=True)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds   # both pipes closed
+        assert_same_record(record, train_group(data, [hp], draw_ahead=False)[0])
+
+    def test_a_draw_process_that_dies_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(_DrawAhead, "_draw", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="the draw process ended before"):
+            train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert_no_child_left()
+
+    def test_a_draw_process_killed_mid_run_is_a_runtime_error(self, monkeypatch):
+        take = _DrawAhead.take
+
+        def take_then_kill(ring):
+            draws = take(ring)
+            os.kill(ring.pid, signal.SIGKILL)
+            return draws
+        monkeypatch.setattr(_DrawAhead, "take", take_then_kill)
+        with pytest.raises(RuntimeError, match="the draw process ended before"):
+            train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert_no_child_left()
+
+    def test_a_killed_trainer_takes_its_draw_process_with_it(self):
+        # the draw process inherits the write end of a pipe, so the pipe
+        # reads EOF only once both the trainer and its draw process are gone
+        script = textwrap.dedent("""
+            import os
+            from ltgcd.config import Hyperparams, SplitSpec
+            from ltgcd.data import generate_mixture
+            from ltgcd.harness import train_group
+            from ltgcd.rng import derive_stream
+            spec = SplitSpec(num_classes=6, num_known=3, samples_per_known=60, rho=3.0, dim=16)
+            data = generate_mixture(spec, 5.0, derive_stream(0, "split"))
+            fork = os.fork
+            def announce():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+            os.fork = announce
+            train_group(data, [Hyperparams(epochs=100000, batch_size=64)], draw_ahead=True)
+        """)
+        read_end, write_end = os.pipe()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        trainer = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                   stdout=subprocess.PIPE, pass_fds=(write_end,))
+        os.close(write_end)
+        try:
+            assert select.select([trainer.stdout], [], [], 60)[0], "no draw process started"
+            assert int(trainer.stdout.readline()) > 0
+            assert trainer.poll() is None   # still training
+            trainer.kill()
+            trainer.wait(timeout=10)
+            assert select.select([read_end], [], [], 5)[0], "the draw process outlived its trainer"
+            assert os.read(read_end, 1) == b""
+        finally:
+            os.close(read_end)
+            trainer.kill()
+            trainer.wait(timeout=10)
+            trainer.stdout.close()
 
 
 def small_plan(out_dir, **overrides):

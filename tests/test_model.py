@@ -290,6 +290,11 @@ class TestSgdStep:
         assert learning_rate(0.02, 120, 200) == pytest.approx(0.002)
         assert learning_rate(0.02, 160, 200) == pytest.approx(0.0002)
 
+    @pytest.mark.parametrize("epochs", range(1, 9))
+    def test_the_first_epoch_trains_at_lr0(self, epochs):
+        # int(0.5 * 1) = 0 once put both milestones at epoch 0 of a 1-epoch run
+        assert learning_rate(0.02, 0, epochs) == 0.02
+
     def test_vanilla_step(self):
         rng = derive_stream(14, "test")
         head = random_head(rng, d=4, h=4, p=4)

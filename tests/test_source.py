@@ -1,9 +1,9 @@
 """Source checks that need no linter: every import in the package is read,
 every function, class, method and property it defines is read somewhere, one
-function loads npz files and one starts a process pool, one training loop
-draws the views and ``train_one`` wraps it, one class declares the loss
-terms, a dataset holds its known/unknown split only in its arrays, and
-importing the CLI loads no scipy module."""
+function loads npz files, one starts a process pool and one forks the draw
+process, one training loop draws the views and ``train_one`` wraps it, one
+class declares the loss terms, a dataset holds its known/unknown split only
+in its arrays, and importing the CLI loads no scipy module."""
 
 import ast
 import os
@@ -124,16 +124,22 @@ def test_detects_readers_of_a_dotted_name():
 
 
 def test_one_npz_reader_and_one_pool():
-    # the README promises one checked npz reader and one process pool
+    # the README promises one checked npz reader, one process pool and one
+    # other process: the draw process that _DrawAhead forks
+    starters = {"ProcessPoolExecutor", "os.fork", "os.forkpty", "Process", "Popen",
+                "subprocess.run", "os.system", "os.posix_spawn"}
     found = {(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
-             for use in readers_of(path.read_text(), {"np.load", "ProcessPoolExecutor"})}
-    assert found == {("data", "np.load", "read_npz"), ("harness", "ProcessPoolExecutor", "sweep")}
+             for use in readers_of(path.read_text(), {"np.load", *starters})}
+    assert found == {("data", "np.load", "read_npz"), ("harness", "ProcessPoolExecutor", "sweep"),
+                     ("harness", "os.fork", "__init__")}
 
 
 def test_one_training_loop():
-    # train_one is a group of one, so only train_group draws views and steps
+    # train_one is a group of one, so only train_group draws views and steps;
+    # the draw process calls make_views too, to store the draws it makes
     source = (PACKAGE / "harness.py").read_text()
-    assert readers_of(source, {"make_views"}) == {("make_views", "train_group")}
+    assert readers_of(source, {"make_views"}) == {("make_views", "train_group"),
+                                                  ("make_views", "_draw")}
     (train_one,) = [node for node in ast.walk(ast.parse(source))
                     if isinstance(node, ast.FunctionDef) and node.name == "train_one"]
     assert [ast.unparse(node) for node in train_one.body[1:]] == [
