@@ -2,7 +2,8 @@
 
 Subcommands: ``gen`` (write a synthetic dataset), ``train`` (single run),
 ``eval`` (score a checkpoint on a dataset), ``sweep`` (grid of runs).
-Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime failure,
+130 interrupted (^C).
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def cli(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures: IO, malformed data, divergence
         print(f"ltgcd: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:   # the training group has killed and reaped its helper
+        print("ltgcd: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -124,21 +124,30 @@ def make_views(
     views use independent draws and come back interleaved: rows 2i and 2i+1
     are the two views of instance i. ``forward_cached`` maps them row for row
     to the unit-norm features that ``overall_loss`` takes in this layout.
-    ``Hyperparams`` validates both settings."""
+    ``Hyperparams`` validates both settings. The random numbers come from
+    ``draw_views``, which updates them in place here."""
     base = data.points[np.asarray(batch_indices, dtype=np.int64)]
     views = np.empty((2 * base.shape[0], base.shape[1]))
-    for first_row in (0, 1):
-        view = rng.standard_normal(base.shape)
+    for first_row, (view, mask) in enumerate(draw_views(rng, base.shape, drop_prob)):
         view *= noise_sigma
         view += base
-        if drop_prob > 0.0:
-            np.putmask(view, rng.random(base.shape) < drop_prob, 0.0)
+        if mask is not None:
+            np.putmask(view, mask < drop_prob, 0.0)
         views[first_row::2] = view
     return views
 
 
+def draw_views(rng: np.random.Generator, shape: tuple[int, int],
+               drop_prob: float) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The random draws of ``make_views`` for a batch of ``shape``, in the
+    order it makes them: per view, a ``standard_normal`` noise array, then a
+    ``random`` dropout array if ``drop_prob > 0`` (else None)."""
+    return [(rng.standard_normal(shape), rng.random(shape) if drop_prob > 0.0 else None)
+            for _ in range(2)]
+
+
 def view_draws(rows: int, dim: int) -> tuple[int, int]:
-    """At most how many random draws ``make_views`` makes for a batch of
+    """At most how many random draws ``draw_views`` makes for a batch of
     ``rows`` rows of ``dim`` values, and how many values they hold: per view
     a ``standard_normal`` noise array and a ``random`` dropout array, each
     ``(rows, dim)``."""

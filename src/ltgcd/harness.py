@@ -3,13 +3,15 @@
 A run owns its model, and its seed names all of its random streams. Runs
 that share a seed and the batch and augmentation settings draw the same
 batches and views, so ``train_group`` trains them in one loop that draws each
-batch's views once; ``train_one`` is a group of one. Where a CPU would
-otherwise idle, a forked draw process draws each batch's augmentation noise
+batch's views once; ``train_one`` is a group of one. Where a second CPU
+would otherwise idle and this process runs one thread, a forked helper
+process is the step's second core: it draws each batch's augmentation noise
 one batch ahead of the loop, into a shared ring that the loop's views replay
-bit for bit. A sweep trains each ``(rho, seed)``'s cells as such a group,
-in this process or in worker processes but never with a draw process, and
-merges results in plan order, which keeps every output file byte-stable for
-a fixed plan.
+bit for bit, and runs each step's supervised contrast while the loop runs
+the rest of the objective. A sweep trains each ``(rho, seed)``'s cells as
+such a group, in this process or in worker processes but never with a
+helper, and merges results in plan order, which keeps every output file
+byte-stable for a fixed plan.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import math
 import mmap
 import os
+import select
 import signal
 import sys
 import traceback
@@ -30,11 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Hyperparams, SplitSpec, check_setting, file_key
-from .data import (EmbeddingDataset, format_cell, generate_mixture, make_views, view_draws,
-                   write_csv)
+from .data import (EmbeddingDataset, draw_views, format_cell, generate_mixture, make_views,
+                   view_draws, write_csv)
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
-from .losses import Losses, overall_loss
+from .losses import Losses, overall_loss, sup_con
 from .model import (
     ProjectionHead,
     Prototypes,
@@ -144,11 +147,12 @@ class _Run:
         self.logs: list[EpochLog] = []
         self.error = error
 
-    def step(self, X: np.ndarray, labeled: np.ndarray, labels: np.ndarray) -> None:
-        """Forward, loss, backward and SGD step on one batch's float32 views."""
+    def step(self, X: np.ndarray, labeled: np.ndarray, labels: np.ndarray, offload=None) -> None:
+        """Forward, loss, backward and SGD step on one batch's float32 views;
+        ``offload`` is ``overall_loss``'s hook for ``sup_con``."""
         step_head = self.head.astype(np.float32)
         Z, acts = forward_cached(step_head, X)
-        breakdown = overall_loss(Z, labeled, labels, self.protos, self.r, self.hp)
+        breakdown = overall_loss(Z, labeled, labels, self.protos, self.r, self.hp, offload)
         if not math.isfinite(breakdown.l_overall):
             raise TrainingDiverged("non-finite loss")
         grads = backward(step_head, X, breakdown.grad_Z, acts)
@@ -187,11 +191,33 @@ class _Run:
                          error=self.error, head=self.head, protos=self.protos)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, by its affinity mask (a cgroup CPU
-    quota is not counted); 1 where the OS cannot say, which keeps training
-    in one process."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
+    """The whole CPUs this process may use: its affinity count, capped by
+    the CPU quota of the cgroup mounted at ``cgroup`` (v2 ``cpu.max``, else
+    v1 ``cpu/cpu.cfs_quota_us`` over ``cpu/cpu.cfs_period_us``; "max" or -1
+    is no quota), and at least 1. 1 where the OS cannot say, which keeps
+    training in one process."""
+    count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = " ".join((cgroup / name).read_text() for name in names).split()
+            if quota not in ("max", "-1"):
+                count = min(count, max(1, int(quota) // int(period)))
+            break
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return count
+
+
+def _threads() -> int | None:
+    """The OS threads of this process, from ``/proc/self/stat``; None where
+    it cannot be read."""
+    try:
+        with open("/proc/self/stat") as stat:
+            # the fields after the parenthesized command name start at field 3
+            return int(stat.read().rpartition(")")[2].split()[20 - 3])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
@@ -208,13 +234,14 @@ def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
 
 
 class _SlotDraws:
-    """The random source of one ``make_views`` call, backed by one ring
+    """The random source of one ``draw_views`` call, backed by one ring
     slot: a ``(kind, rows, cols)`` header row per draw and the draws' float64
-    values back to back. Given a Generator, it draws each array, stores a
-    copy and returns the array (the draw process). Without one, it returns
-    the stored arrays in order, as views of the slot (the training loop),
-    and raises on a draw whose kind or shape is not the stored one. A kind
-    is its index in ``KINDS`` plus one, so a 0 row ends the slot's draws."""
+    values back to back. Given a Generator, it draws each array straight into
+    the slot and returns that view of it (the helper). Without one, it
+    returns the stored arrays in order, as views of the slot (the training
+    loop's ``make_views``), and raises on a draw whose kind or shape is not
+    the stored one. A kind is its index in ``KINDS`` plus one, so a 0 row
+    ends the slot's draws."""
 
     KINDS = ("standard_normal", "random")
 
@@ -241,56 +268,79 @@ class _SlotDraws:
                 raise RuntimeError(f"make_views asked for draw {self.count} as "
                                    f"{self.KINDS[kind - 1]}({rows}, {cols}); the ring slot "
                                    f"holds {held}")
-            drawn = stored
         else:
-            drawn = getattr(self.rng, self.KINDS[kind - 1])(size)
-            stored[...] = drawn   # a copy: make_views updates its draws in place
+            getattr(self.rng, self.KINDS[kind - 1])(out=stored)
             self.header[self.count] = (kind, rows, cols)
         self.count += 1
         self.offset += rows * cols
-        return drawn
+        return stored
 
 
 class _DrawAhead:
-    """A forked draw process that draws each stepped batch's augmentation
-    noise one batch ahead of the training loop.
+    """A forked helper process, the training step's second core: it draws
+    each stepped batch's augmentation noise one batch ahead of the training
+    loop, and runs the steps' supervised contrast while the loop runs the
+    rest of the objective.
 
-    For each batch of ``_stepped_batches`` it calls ``make_views`` with a
-    ``_SlotDraws`` over its own ``aug`` stream, which stores the exact draws
-    the loop's ``make_views`` asks for in one slot of a 2-slot ring in a
+    For each batch of ``_stepped_batches`` it calls ``draw_views`` with a
+    ``_SlotDraws`` over its own ``aug`` stream, which draws exactly what the
+    loop's ``make_views`` asks for into one slot of a 2-slot ring in a
     shared anonymous mmap. Slot numbers pass as one-byte tokens over two
-    pipes: ``free`` slots to the draw process and ``full`` ones back.
-    ``take`` hands back the slot the loop held and replays the next full
-    one, so each slot is refilled while the loop steps on the other. The
-    draw process exits at EOF of its ``free`` pipe, so it ends with a killed
-    trainer; ``close`` also kills and reaps it. A slot holds
-    ``data.view_draws`` of the largest batch."""
+    pipes: ``free`` slots to the helper and ``full`` ones back. ``take``
+    replays the next full slot, and the slot the loop held goes back by
+    ``release``, so each slot is refilled while the loop steps on the other.
+
+    ``offload`` is ``overall_loss``'s hook for ``sup_con``: it copies the
+    labeled view rows, their labels and tau into a job buffer beside the
+    ring, queues a job token on a ``job`` pipe whose read end both processes
+    hold, and then releases the held slot, so the helper runs the job before
+    the refill. The helper answers with ``losses.sup_con``'s result in the
+    buffer and a token on a ``done`` pipe. If the loop reads the job token
+    back first, because the helper is still refilling, the job is the loop's
+    to run. Either way it is the same function on the same float32 inputs,
+    so the bits are the same.
+
+    The helper exits at EOF of its ``free`` or ``job`` pipe, so it ends with
+    a killed trainer; ``close`` also kills and reaps it and drops the ring
+    and the job buffer. A slot holds ``data.view_draws`` of the largest
+    batch, and the job buffer the labeled view rows of the largest batch."""
 
     SLOTS = 2
 
     def __init__(self, data: EmbeddingDataset, shared: Hyperparams) -> None:
-        draws, values = view_draws(min(shared.batch_size, data.n), data.dim)
-        ring = mmap.mmap(-1, self.SLOTS * 8 * (3 * draws + values))
-        slots = np.frombuffer(ring, np.float64).reshape(self.SLOTS, -1)
+        rows = min(shared.batch_size, data.n)
+        draws, values = view_draws(rows, data.dim)
+        ring_size = self.SLOTS * (3 * draws + values)
+        # the job buffer, in float64 words: tau, the row count, sup_con's
+        # value and flag, 2 * rows labels, and float32 inputs and gradient
+        job_size = 4 + 2 * rows + 2 * rows * DEFAULT_OUT_DIM
+        ring = mmap.mmap(-1, 8 * (ring_size + job_size))
+        words = np.frombuffer(ring, np.float64)
+        slots = words[:ring_size].reshape(self.SLOTS, -1)
         self.headers = slots[:, :3 * draws].view(np.int64).reshape(self.SLOTS, draws, 3)
         self.values = slots[:, 3 * draws:]
+        self.job = words[ring_size:ring_size + 4]
+        self.job_labels = words[ring_size + 4:ring_size + 4 + 2 * rows].view(np.int64)
+        self.job_rows = (words[ring_size + 4 + 2 * rows:].view(np.float32)
+                         .reshape(2, 2 * rows, DEFAULT_OUT_DIM))
         fds: list[int] = []
         try:
-            fds += os.pipe()
-            fds += os.pipe()
+            for _ in range(4):
+                fds += os.pipe()
+            os.set_blocking(fds[4], False)   # either process may read a job token
             self.pid = os.fork()
         except OSError:   # no process or descriptor to spare: the caller draws in-process
             for fd in fds:
                 os.close(fd)
             raise
-        free_r, self.free_w, self.full_r, full_w = fds
-        if self.pid == 0:   # the draw process, which never returns into its caller
+        free_r, self.free_w, self.full_r, full_w, self.job_r, self.job_w, self.done_r, done_w = fds
+        if self.pid == 0:   # the helper, which never returns into its caller
             code = 0
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # ^C is for the trainer to answer
-                os.close(self.free_w)
-                os.close(self.full_r)
-                self._draw(data, shared, free_r, full_w)
+                for fd in (self.free_w, self.full_r, self.job_w, self.done_r):
+                    os.close(fd)
+                self._draw(data, shared, free_r, full_w, done_w)
             except BrokenPipeError:   # the trainer is gone
                 pass
             except BaseException:
@@ -299,43 +349,98 @@ class _DrawAhead:
                 code = 1
             finally:
                 os._exit(code)
-        os.close(free_r)
-        os.close(full_w)
+        for fd in (free_r, full_w, done_w):
+            os.close(fd)
         os.write(self.free_w, bytes(range(self.SLOTS)))
         self.held = None
 
     def _draw(self, data: EmbeddingDataset, shared: Hyperparams, free_r: int,
-              full_w: int) -> None:
-        """The draw process: fill each free slot with the next batch's draws
-        until the schedule ends, then wait for EOF."""
+              full_w: int, done_w: int) -> None:
+        """The helper: run each job it claims, and fill each free slot with
+        the next batch's draws until the schedule ends, a job always first,
+        until EOF shows that the trainer is gone."""
         aug_rng = derive_stream(shared.seed, "aug")
         batches = itertools.chain.from_iterable(_stepped_batches(data, shared))
-        while token := os.read(free_r, 1):
-            batch = next(batches, None)
-            if batch is not None:
-                make_views(data, batch, shared.noise_sigma, shared.drop_prob,
-                           _SlotDraws(self.headers[token[0]], self.values[token[0]], aug_rng))
-                os.write(full_w, token)
+        while True:
+            ready = select.select([self.job_r, free_r], [], [])[0]
+            if self.job_r in ready and self._claim():
+                m = int(self.job[1])
+                value, grad, flag = sup_con(self.job_rows[0, :m], self.job_labels[:m],
+                                            float(self.job[0]))
+                self.job_rows[1, :m] = grad
+                self.job[2:] = value, flag
+                os.write(done_w, b"\0")
+            elif free_r in ready:
+                token = os.read(free_r, 1)
+                if not token:
+                    return
+                batch = next(batches, None)
+                if batch is not None:
+                    draw_views(_SlotDraws(self.headers[token[0]], self.values[token[0]], aug_rng),
+                               (len(batch), data.dim), shared.drop_prob)
+                    os.write(full_w, token)
+
+    def _claim(self) -> bool:
+        """Read the queued job token: True if this process got it, False if
+        the other one did. In the helper, EOF (a gone trainer) raises
+        ``BrokenPipeError``."""
+        try:
+            if not os.read(self.job_r, 1):
+                raise BrokenPipeError("the job pipe has no writer")
+        except BlockingIOError:
+            return False
+        return True
 
     def take(self) -> _SlotDraws:
-        """Hand back the slot taken last, and replay the next full one."""
-        if self.held is not None:
-            with contextlib.suppress(BrokenPipeError):   # a dead draw process is named below
-                os.write(self.free_w, bytes([self.held]))
-        token = os.read(self.full_r, 1)
-        if not token:
-            raise RuntimeError("the draw process ended before the training loop's last batch")
-        self.held = token[0]
+        """Release the slot taken last, if ``offload`` has not, and replay
+        the next full one."""
+        self.release()
+        self.held = self._read(self.full_r)
         return _SlotDraws(self.headers[self.held], self.values[self.held])
 
+    @staticmethod
+    def _read(fd: int) -> int:
+        """The next token on the helper's pipe ``fd``; EOF means it died."""
+        token = os.read(fd, 1)
+        if not token:
+            raise RuntimeError("the draw process ended before the training loop's last batch")
+        return token[0]
+
+    def release(self) -> None:
+        """Hand the held slot, if any, back to the helper for a refill."""
+        if self.held is not None:
+            with contextlib.suppress(BrokenPipeError):   # a dead helper is named by take
+                os.write(self.free_w, bytes([self.held]))
+            self.held = None
+
+    def offload(self, Z_lab: np.ndarray, view_labels: np.ndarray, tau: float):
+        """Queue ``sup_con(Z_lab, view_labels, tau)`` to the helper, release
+        the held slot, and return the job's collector: None if the loop
+        reads the job token back first, else the helper's result, whose
+        gradient is a view of the job buffer."""
+        m = len(Z_lab)
+        self.job[:2] = tau, m
+        self.job_labels[:m] = view_labels
+        self.job_rows[0, :m] = Z_lab
+        os.write(self.job_w, b"\0")
+        self.release()
+
+        def collect():
+            if self._claim():
+                return None
+            self._read(self.done_r)
+            return float(self.job[2]), self.job_rows[1, :m], bool(self.job[3])
+        return collect
+
     def close(self) -> None:
-        """Close the pipes, kill and reap the draw process, and drop the ring."""
-        os.close(self.free_w)
-        os.close(self.full_r)
+        """Close the pipes, kill and reap the helper, and drop the ring and
+        the job buffer."""
+        for fd in (self.free_w, self.full_r, self.job_r, self.job_w, self.done_r):
+            os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
         # unmapped once no replay holds a view of it, so evaluation's arrays do not stack on it
-        self.headers = self.values = None
+        self.headers = self.values = self.job = self.job_labels = self.job_rows = None
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -370,13 +475,16 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
     epoch 0 the norm check names a dataset row and fails every run, and an
     epoch that steps no batch names itself, so neither gets a suffix.
 
-    ``draw_ahead`` picks where the views' random draws are made: in this
-    process (False), or one batch ahead in a ``_DrawAhead`` process (True),
-    which is started only if the runs survive their start and is killed and
-    reaped on every way out of the loop; if it cannot be started (a failed
-    pipe, mmap or fork), the draws are made in this process. None picks the
-    draw process when this process may run on 2 or more CPUs. Both give the
-    same bits; if the draw process dies, the group raises ``RuntimeError``.
+    ``draw_ahead`` picks where the views' random draws and the steps'
+    ``sup_con`` run: all in this process (False), or on a ``_DrawAhead``
+    helper process (True), which draws one batch ahead and takes each step's
+    ``sup_con`` unless the loop takes it back first. The helper is started
+    only if the runs survive their start, and is killed and reaped on every
+    way out of the loop; if it cannot be started (a failed pipe, mmap or
+    fork), everything runs in this process. None picks the helper when this
+    process may use 2 or more CPUs and runs one OS thread: forked beside
+    BLAS worker threads, the helper's work slows the trainer's. Both give
+    the same bits; if the helper dies, the group raises ``RuntimeError``.
     """
     if not hps:
         raise ValidationError("a training group needs at least one run")
@@ -403,7 +511,7 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
     aug_rng = derive_stream(shared.seed, "aug")
     points32 = data.points.astype(np.float32)
     if draw_ahead is None:
-        draw_ahead = _cpus() >= 2
+        draw_ahead = _cpus() >= 2 and _threads() == 1
     draws = None
     if draw_ahead and error is None:
         with contextlib.suppress(OSError):   # no draw process: draw in this process
@@ -429,7 +537,7 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
                 labeled, labels = data.is_labeled[batch], data.labels[batch]
                 for run in live:
                     try:
-                        run.step(X, labeled, labels)
+                        run.step(X, labeled, labels, None if draws is None else draws.offload)
                     except TrainingDiverged as exc:
                         run.error = f"{exc} at epoch {epoch}, batch {b}"
                 live = [run for run in live if run.error is None]

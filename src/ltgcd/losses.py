@@ -147,6 +147,7 @@ def overall_loss(
     protos: Prototypes,
     prior_r: np.ndarray,
     hp: Hyperparams,
+    offload=None,
 ) -> LossBreakdown:
     """Full objective on one batch: instance contrast on unlabeled views,
     supervised contrast on labeled views, plus cross-entropy of the mean
@@ -158,6 +159,12 @@ def overall_loss(
     passes the float32 rows of its float32 step. The contrastive losses and
     ``grad_Z`` take the dtype of ``Z``; the regularizers compute in float64,
     against the float64 prototypes.
+
+    The supervised contrast comes last. ``offload``, if given, is called
+    with ``sup_con``'s arguments before the instance contrast starts, so
+    another process can run it meanwhile; it returns a callable that gives
+    that process's ``sup_con`` result, or None if the job is this process's
+    to run after all.
     """
     if Z.shape[0] != 2 * labeled_mask.shape[0]:
         raise ValidationError("Z must hold two views per instance")
@@ -174,15 +181,12 @@ def overall_loss(
     # the unlabeled and labeled rows partition Z, so each block is set once
     grad_Z = np.zeros_like(Z)
 
-    l_ins, g_ins = info_nce(Z_unlab, hp.tau)
-
-    sup_warning = False
-    l_sup = 0.0
+    sup_args = None
     if len(lab_rows) >= 2:
-        l_sup, g_sup, sup_warning = sup_con(
-            Z[lab_rows], np.repeat(labels[labeled_idx], 2), hp.tau
-        )
-        grad_Z[lab_rows] = hp.lambda_ * g_sup
+        sup_args = (Z[lab_rows], np.repeat(labels[labeled_idx], 2), hp.tau)
+    collect = offload(*sup_args) if offload is not None and sup_args is not None else None
+
+    l_ins, g_ins = info_nce(Z_unlab, hp.tau)
 
     Q = predict_probs(Z_unlab, protos, hp.tau_p)
     q_bar = Q.mean(axis=0)
@@ -195,6 +199,13 @@ def overall_loss(
     inner = Q * g_q[None, :]
     A = inner - Q * inner.sum(axis=1, keepdims=True)
     grad_Z[unlab_rows] = g_ins + (A @ protos.M) / hp.tau_p
+
+    sup_warning = False
+    l_sup = 0.0
+    if sup_args is not None:
+        offloaded = collect() if collect is not None else None
+        l_sup, g_sup, sup_warning = offloaded or sup_con(*sup_args)
+        grad_Z[lab_rows] = hp.lambda_ * g_sup
 
     l_overall = combine_overall(l_ins, l_sup, h_prior, h_uniform, hp)
     return LossBreakdown(

@@ -4,7 +4,12 @@ import base64
 import csv
 import io
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -605,3 +610,32 @@ class TestUsageErrors:
 
     def test_missing_out_is_validation_error(self, config_file):
         assert cli(["train", "--config", str(config_file)]) == 1
+
+
+def test_sigint_stops_train_with_exit_130_one_line_and_no_child(tmp_path, config_file):
+    # BLAS pinned to one thread, so on 2 CPUs train forks its helper process
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    trainer = subprocess.Popen(
+        [sys.executable, "-c", "from ltgcd.cli import main; main()", "train",
+         "--config", str(config_file), "--epochs", "100000", "--out", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    children = Path(f"/proc/{trainer.pid}/task/{trainer.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not children.read_text().split() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        helpers = [int(pid) for pid in children.read_text().split()]
+        if not helpers:   # a host without a second CPU trains in one process
+            time.sleep(2)
+        assert trainer.poll() is None   # still training
+        trainer.send_signal(signal.SIGINT)
+        stdout, stderr = trainer.communicate(timeout=30)
+    finally:
+        trainer.kill()
+        trainer.wait(timeout=10)
+    assert (trainer.returncode, stdout, stderr) == (130, "", "ltgcd: interrupted\n")
+    for pid in helpers:
+        assert not Path(f"/proc/{pid}").exists()
+    assert not out.exists()

@@ -23,9 +23,11 @@ from ltgcd.harness import (
     GROUP_SETTINGS,
     ExperimentPlan,
     _chunks,
+    _cpus,
     _DrawAhead,
     _SlotDraws,
     _stepped_batches,
+    _threads,
     sweep,
     train_group,
     train_one,
@@ -313,6 +315,15 @@ class TestDrawAhead:
             train_group(small_data(), [small_hp()], draw_ahead=True)
         assert_no_child_left()
 
+    def test_a_helper_that_dies_mid_job_is_a_runtime_error(self, monkeypatch):
+        claim = _DrawAhead._claim
+        # the helper claims every job, and its sup_con ends it
+        monkeypatch.setattr(_DrawAhead, "_claim", lambda ring: ring.pid == 0 and claim(ring))
+        monkeypatch.setattr("ltgcd.harness.sup_con", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="the draw process ended before"):
+            train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert_no_child_left()
+
     def test_a_killed_trainer_takes_its_draw_process_with_it(self):
         # the draw process inherits the write end of a pipe, so the pipe
         # reads EOF only once both the trainer and its draw process are gone
@@ -351,6 +362,119 @@ class TestDrawAhead:
             trainer.kill()
             trainer.wait(timeout=10)
             trainer.stdout.close()
+
+
+def agreement_case(rng):
+    """A random small split and a group of 1-3 runs on it. The split's
+    labeled rows are one row, several rows of one class, rows each of its
+    own class, or a random mix, so a batch's labeled views are 0, 2 of one
+    instance, all of one class, or each instance its own class."""
+    n, dim, num_classes = (int(rng.integers(8, 33)), int(rng.integers(2, 7)),
+                           int(rng.integers(2, 6)))
+    labels = rng.integers(0, num_classes, n)
+    kind = rng.choice(["one", "one class", "own class", "mix"])
+    n_labeled = 1 if kind == "one" else int(rng.integers(2, min(num_classes, n - 6) + 1))
+    labeled = rng.permutation(n)[:n_labeled]
+    if kind == "one class":
+        labels[labeled] = 0
+    elif kind == "own class":
+        labels[labeled] = np.arange(n_labeled)
+    is_labeled = np.zeros(n, dtype=bool)
+    is_labeled[labeled] = True
+    data = EmbeddingDataset(points=rng.standard_normal((n, dim)), labels=labels,
+                            is_labeled=is_labeled, num_classes=num_classes)
+    shared = dict(seed=int(rng.integers(0, 1000)), epochs=int(rng.integers(1, 4)),
+                  batch_size=int(rng.integers(1, n + 1)),
+                  drop_prob=float(rng.choice([0.0, 0.2])))
+    hps = [Hyperparams(**shared, alpha=float(rng.choice([0.0, 1.0, 2.0])),
+                       beta=float(rng.choice([0.0, 2.0, 5.0])),
+                       lambda_=float(rng.choice([0.0, 0.5, 1.0])))
+           for _ in range(int(rng.integers(1, 4)))]
+    if rng.random() < 0.3:
+        hps[int(rng.integers(len(hps)))] = replace(hps[0], lr0=1e100)
+    return data, hps
+
+
+def test_draw_ahead_agrees(monkeypatch):
+    # each case forces where the steps' sup_con runs: the helper claims every
+    # job, the training loop takes every job back, or the two race
+    claim, offload = _DrawAhead._claim, _DrawAhead.offload
+    routes = []
+
+    def offload_noting_route(ring, *args):
+        collect = offload(ring, *args)
+
+        def collect_noting_route():
+            result = collect()
+            routes.append("loop" if result is None else "helper")
+            return result
+        return collect_noting_route
+    monkeypatch.setattr(_DrawAhead, "offload", offload_noting_route)
+    rng = derive_stream(0, "draw-ahead-agrees")
+    for case in range(36):
+        data, hps = agreement_case(rng)
+        route = ["helper", "loop", "either"][case % 3]
+        if route != "either":
+            monkeypatch.setattr(_DrawAhead, "_claim", lambda ring, in_helper=route == "helper":
+                                claim(ring) if (ring.pid == 0) == in_helper else False)
+        routes.clear()
+        ahead = train_group(data, hps, draw_ahead=True)
+        assert_no_child_left()
+        monkeypatch.setattr(_DrawAhead, "_claim", claim)
+        in_process = train_group(data, hps, draw_ahead=False)
+        assert route == "either" or set(routes) <= {route}, (case, routes)
+        for a, b in zip(ahead, in_process):
+            assert_same_record(a, b)
+
+
+class TestHelperChoice:
+    """With ``draw_ahead`` None, the helper is forked only by a process that
+    may use 2 CPUs and runs one OS thread."""
+
+    @pytest.mark.parametrize("cpus, threads, forks", [
+        (2, 1, True), (1, 1, False), (2, 2, False), (2, None, False),
+    ])
+    def test_the_helper_needs_two_cpus_and_one_thread(self, monkeypatch, cpus, threads, forks):
+        forked = []
+        fork = os.fork
+
+        def noting_fork():
+            forked.append(True)
+            return fork()
+        monkeypatch.setattr("ltgcd.harness._cpus", lambda: cpus)
+        monkeypatch.setattr("ltgcd.harness._threads", lambda: threads)
+        monkeypatch.setattr(os, "fork", noting_fork)
+        data, hp = small_data(), small_hp(epochs=1)
+        assert_same_record(train_group(data, [hp])[0], train_group(data, [hp], False)[0])
+        assert forked == [True] * forks
+
+    def test_threads_reads_this_process(self, monkeypatch):
+        assert _threads() == len(os.listdir("/proc/self/task"))
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError("no /proc")
+        monkeypatch.setattr("ltgcd.harness.open", unreadable, raising=False)
+        assert _threads() is None
+
+    @pytest.mark.parametrize("files, cap", [
+        ({}, None),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "400000 100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu.max": "garbage\n", "cpu/cpu.cfs_quota_us": "100000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ], ids=["none", "v2-max", "v2-1.5", "v2-0.5", "v2-4", "v1-unlimited", "v1-1", "v1-3",
+            "v2-bad-v1-1"])
+    def test_cpus_counts_a_cgroup_quota(self, tmp_path, monkeypatch, files, cap):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert _cpus(tmp_path) == (3 if cap is None else min(3, cap))
 
 
 def small_plan(out_dir, **overrides):

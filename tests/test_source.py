@@ -135,11 +135,13 @@ def test_one_npz_reader_and_one_pool():
 
 
 def test_one_training_loop():
-    # train_one is a group of one, so only train_group draws views and steps;
-    # the draw process calls make_views too, to store the draws it makes
+    # train_one is a group of one, so only train_group makes views and steps;
+    # the helper process makes only their random draws, by make_views' own routine
     source = (PACKAGE / "harness.py").read_text()
-    assert readers_of(source, {"make_views"}) == {("make_views", "train_group"),
-                                                  ("make_views", "_draw")}
+    assert readers_of(source, {"make_views", "draw_views"}) == {
+        ("make_views", "train_group"), ("draw_views", "_draw")}
+    assert readers_of((PACKAGE / "data.py").read_text(), {"draw_views"}) == {
+        ("draw_views", "make_views")}
     (train_one,) = [node for node in ast.walk(ast.parse(source))
                     if isinstance(node, ast.FunctionDef) and node.name == "train_one"]
     assert [ast.unparse(node) for node in train_one.body[1:]] == [
