@@ -117,41 +117,39 @@ def make_views(
     batch_indices: np.ndarray,
     noise_sigma: float,
     drop_prob: float,
-    rng: np.random.Generator,
+    draws: np.ndarray,
 ) -> np.ndarray:
     """Augment the selected rows twice: additive Gaussian noise, then each
     coordinate independently zeroed with probability ``drop_prob``. The two
     views use independent draws and come back interleaved: rows 2i and 2i+1
     are the two views of instance i. ``forward_cached`` maps them row for row
     to the unit-norm features that ``overall_loss`` takes in this layout.
-    ``Hyperparams`` validates both settings. The random numbers come from
-    ``draw_views``, which updates them in place here."""
+    ``Hyperparams`` validates both settings. ``draws`` is the ``(2, 2, rows,
+    dim)`` float64 array that ``draw_views`` fills for this batch; it is
+    updated in place here."""
     base = data.points[np.asarray(batch_indices, dtype=np.int64)]
     views = np.empty((2 * base.shape[0], base.shape[1]))
-    for first_row, (view, mask) in enumerate(draw_views(rng, base.shape, drop_prob)):
+    for first_row, (view, mask) in enumerate(draws):
         view *= noise_sigma
         view += base
-        if mask is not None:
+        if drop_prob > 0.0:
             np.putmask(view, mask < drop_prob, 0.0)
         views[first_row::2] = view
     return views
 
 
-def draw_views(rng: np.random.Generator, shape: tuple[int, int],
-               drop_prob: float) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """The random draws of ``make_views`` for a batch of ``shape``, in the
-    order it makes them: per view, a ``standard_normal`` noise array, then a
-    ``random`` dropout array if ``drop_prob > 0`` (else None)."""
-    return [(rng.standard_normal(shape), rng.random(shape) if drop_prob > 0.0 else None)
-            for _ in range(2)]
-
-
-def view_draws(rows: int, dim: int) -> tuple[int, int]:
-    """At most how many random draws ``draw_views`` makes for a batch of
-    ``rows`` rows of ``dim`` values, and how many values they hold: per view
-    a ``standard_normal`` noise array and a ``random`` dropout array, each
-    ``(rows, dim)``."""
-    return 4, 4 * rows * dim
+def draw_views(rng: np.random.Generator, out: np.ndarray, drop_prob: float) -> np.ndarray:
+    """Fill ``out``, a ``(2, 2, rows, dim)`` float64 array, with the random
+    draws of ``make_views`` for a batch of ``rows`` rows, and return it: per
+    view ``v``, ``standard_normal`` noise into ``out[v, 0]``, then, if
+    ``drop_prob > 0``, ``random`` dropout draws into ``out[v, 1]``, which is
+    otherwise left unset. The stream order is that of drawing each array in
+    turn."""
+    for noise, mask in out:
+        rng.standard_normal(out=noise)
+        if drop_prob > 0.0:
+            rng.random(out=mask)
+    return out
 
 
 def format_cell(value) -> str:

@@ -6,8 +6,8 @@ batches and views, so ``train_group`` trains them in one loop that draws each
 batch's views once; ``train_one`` is a group of one. Where a second CPU
 would otherwise idle and this process runs one thread, a forked helper
 process is the step's second core: it draws each batch's augmentation noise
-one batch ahead of the loop, into a shared ring that the loop's views replay
-bit for bit, and runs each step's supervised contrast while the loop runs
+one batch ahead of the loop, into a shared ring that the loop's views are
+made from, and runs each step's supervised contrast while the loop runs
 the rest of the objective. A sweep trains each ``(rho, seed)``'s cells as
 such a group, in this process or in worker processes but never with a
 helper, and merges results in plan order, which keeps every output file
@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Hyperparams, SplitSpec, check_setting, file_key
 from .data import (EmbeddingDataset, draw_views, format_cell, generate_mixture, make_views,
-                   view_draws, write_csv)
+                   write_csv)
 from .errors import TrainingDiverged, ValidationError
 from .evaluation import METRIC_NAMES, MetricsReport, evaluate
 from .losses import Losses, overall_loss, sup_con
@@ -224,7 +224,7 @@ def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
     """Per epoch, the list of batches that step, in order: the seed's
     ``batch`` shuffle cut into ``batch_size`` slices, less each slice with
     fewer than the 2 unlabeled rows a step needs. The training loop and the
-    draw process both walk it, so they cannot disagree on the batches."""
+    helper both walk it, so they cannot disagree on the batches."""
     batch_rng = derive_stream(shared.seed, "batch")
     for _ in range(shared.epochs):
         perm = batch_rng.permutation(data.n)
@@ -233,96 +233,53 @@ def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
         yield [batch for batch in slices if int((~data.is_labeled[batch]).sum()) >= 2]
 
 
-class _SlotDraws:
-    """The random source of one ``draw_views`` call, backed by one ring
-    slot: a ``(kind, rows, cols)`` header row per draw and the draws' float64
-    values back to back. Given a Generator, it draws each array straight into
-    the slot and returns that view of it (the helper). Without one, it
-    returns the stored arrays in order, as views of the slot (the training
-    loop's ``make_views``), and raises on a draw whose kind or shape is not
-    the stored one. A kind is its index in ``KINDS`` plus one, so a 0 row
-    ends the slot's draws."""
-
-    KINDS = ("standard_normal", "random")
-
-    def __init__(self, header: np.ndarray, values: np.ndarray,
-                 rng: np.random.Generator | None = None) -> None:
-        self.header, self.values, self.rng = header, values, rng
-        self.count = self.offset = 0
-        if rng is not None:
-            header[:] = 0
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._draw(1, size)
-
-    def random(self, size) -> np.ndarray:
-        return self._draw(2, size)
-
-    def _draw(self, kind: int, size) -> np.ndarray:
-        rows, cols = size
-        stored = self.values[self.offset:self.offset + rows * cols].reshape(rows, cols)
-        if self.rng is None:
-            held = (tuple(self.header[self.count].tolist())
-                    if self.count < len(self.header) else None)
-            if held != (kind, rows, cols):
-                raise RuntimeError(f"make_views asked for draw {self.count} as "
-                                   f"{self.KINDS[kind - 1]}({rows}, {cols}); the ring slot "
-                                   f"holds {held}")
-        else:
-            getattr(self.rng, self.KINDS[kind - 1])(out=stored)
-            self.header[self.count] = (kind, rows, cols)
-        self.count += 1
-        self.offset += rows * cols
-        return stored
-
-
 class _DrawAhead:
     """A forked helper process, the training step's second core: it draws
     each stepped batch's augmentation noise one batch ahead of the training
     loop, and runs the steps' supervised contrast while the loop runs the
     rest of the objective.
 
-    For each batch of ``_stepped_batches`` it calls ``draw_views`` with a
-    ``_SlotDraws`` over its own ``aug`` stream, which draws exactly what the
-    loop's ``make_views`` asks for into one slot of a 2-slot ring in a
-    shared anonymous mmap. Slot numbers pass as one-byte tokens over two
-    pipes: ``free`` slots to the helper and ``full`` ones back. ``take``
-    replays the next full slot, and the slot the loop held goes back by
-    ``release``, so each slot is refilled while the loop steps on the other.
+    The two processes share one record, a structured array over an
+    anonymous mmap, sized by the largest batch: per slot of a 2-slot ring,
+    ``batch`` holds the number of the stepped batch in it (counted over all
+    epochs) and its row count, and ``draws`` its ``(2, 2, rows, dim)``
+    float64 ``draw_views`` draws; ``job`` holds tau, the row count and
+    ``sup_con``'s value and flag, ``job_labels`` the labeled view rows'
+    labels, and ``job_rows`` those float32 rows and their gradient.
+
+    For each batch of ``_stepped_batches`` the helper calls ``draw_views``
+    on its own ``aug`` stream into a free slot, then writes the slot's
+    ``batch`` row. Slot numbers pass as one-byte tokens over two pipes:
+    ``free`` slots to the helper and ``full`` ones back. ``take`` returns
+    the next full slot's draws, and raises unless it holds the batch the
+    loop wants; the slot the loop held goes back by ``release``, so each
+    slot is refilled while the loop steps on the other.
 
     ``offload`` is ``overall_loss``'s hook for ``sup_con``: it copies the
-    labeled view rows, their labels and tau into a job buffer beside the
-    ring, queues a job token on a ``job`` pipe whose read end both processes
-    hold, and then releases the held slot, so the helper runs the job before
-    the refill. The helper answers with ``losses.sup_con``'s result in the
-    buffer and a token on a ``done`` pipe. If the loop reads the job token
-    back first, because the helper is still refilling, the job is the loop's
-    to run. Either way it is the same function on the same float32 inputs,
-    so the bits are the same.
+    labeled view rows, their labels and tau into the record, queues a job
+    token on a ``job`` pipe whose read end both processes hold, and then
+    releases the held slot, so the helper runs the job before the refill.
+    The helper answers with ``losses.sup_con``'s result in the record and a
+    token on a ``done`` pipe. If the loop reads the job token back first,
+    because the helper is still refilling, the job is the loop's to run.
+    Either way it is the same function on the same float32 inputs, so the
+    bits are the same.
 
     The helper exits at EOF of its ``free`` or ``job`` pipe, so it ends with
-    a killed trainer; ``close`` also kills and reaps it and drops the ring
-    and the job buffer. A slot holds ``data.view_draws`` of the largest
-    batch, and the job buffer the labeled view rows of the largest batch."""
+    a killed trainer; ``close`` also kills and reaps it and drops the
+    record."""
 
     SLOTS = 2
 
     def __init__(self, data: EmbeddingDataset, shared: Hyperparams) -> None:
         rows = min(shared.batch_size, data.n)
-        draws, values = view_draws(rows, data.dim)
-        ring_size = self.SLOTS * (3 * draws + values)
-        # the job buffer, in float64 words: tau, the row count, sup_con's
-        # value and flag, 2 * rows labels, and float32 inputs and gradient
-        job_size = 4 + 2 * rows + 2 * rows * DEFAULT_OUT_DIM
-        ring = mmap.mmap(-1, 8 * (ring_size + job_size))
-        words = np.frombuffer(ring, np.float64)
-        slots = words[:ring_size].reshape(self.SLOTS, -1)
-        self.headers = slots[:, :3 * draws].view(np.int64).reshape(self.SLOTS, draws, 3)
-        self.values = slots[:, 3 * draws:]
-        self.job = words[ring_size:ring_size + 4]
-        self.job_labels = words[ring_size + 4:ring_size + 4 + 2 * rows].view(np.int64)
-        self.job_rows = (words[ring_size + 4 + 2 * rows:].view(np.float32)
-                         .reshape(2, 2 * rows, DEFAULT_OUT_DIM))
+        layout = np.dtype([("batch", np.int64, (self.SLOTS, 2)),
+                           ("draws", np.float64, (self.SLOTS, 2, 2, rows, data.dim)),
+                           ("job", np.float64, 4),
+                           ("job_labels", np.int64, 2 * rows),
+                           ("job_rows", np.float32, (2, 2 * rows, DEFAULT_OUT_DIM))])
+        self.shared = np.ndarray((), layout, mmap.mmap(-1, layout.itemsize))
+        self.taken = 0   # the stepped batches taken so far
         fds: list[int] = []
         try:
             for _ in range(4):
@@ -360,24 +317,27 @@ class _DrawAhead:
         the next batch's draws until the schedule ends, a job always first,
         until EOF shows that the trainer is gone."""
         aug_rng = derive_stream(shared.seed, "aug")
-        batches = itertools.chain.from_iterable(_stepped_batches(data, shared))
+        batches = enumerate(itertools.chain.from_iterable(_stepped_batches(data, shared)))
+        job, job_rows = self.shared["job"], self.shared["job_rows"]
         while True:
             ready = select.select([self.job_r, free_r], [], [])[0]
             if self.job_r in ready and self._claim():
-                m = int(self.job[1])
-                value, grad, flag = sup_con(self.job_rows[0, :m], self.job_labels[:m],
-                                            float(self.job[0]))
-                self.job_rows[1, :m] = grad
-                self.job[2:] = value, flag
+                m = int(job[1])
+                value, grad, flag = sup_con(job_rows[0, :m], self.shared["job_labels"][:m],
+                                            float(job[0]))
+                job_rows[1, :m] = grad
+                job[2:] = value, flag
                 os.write(done_w, b"\0")
             elif free_r in ready:
                 token = os.read(free_r, 1)
                 if not token:
                     return
-                batch = next(batches, None)
+                number, batch = next(batches, (None, None))
                 if batch is not None:
-                    draw_views(_SlotDraws(self.headers[token[0]], self.values[token[0]], aug_rng),
-                               (len(batch), data.dim), shared.drop_prob)
+                    slot = token[0]
+                    draw_views(aug_rng, self.shared["draws"][slot, :, :, :len(batch)],
+                               shared.drop_prob)
+                    self.shared["batch"][slot] = number, len(batch)
                     os.write(full_w, token)
 
     def _claim(self) -> bool:
@@ -391,19 +351,25 @@ class _DrawAhead:
             return False
         return True
 
-    def take(self) -> _SlotDraws:
-        """Release the slot taken last, if ``offload`` has not, and replay
-        the next full one."""
+    def take(self, rows: int) -> np.ndarray:
+        """Release the slot taken last, if ``offload`` has not, and return
+        the draws of the next full one, which must hold the loop's next
+        stepped batch, of ``rows`` rows."""
         self.release()
         self.held = self._read(self.full_r)
-        return _SlotDraws(self.headers[self.held], self.values[self.held])
+        wanted, held = (self.taken, rows), tuple(self.shared["batch"][self.held].tolist())
+        if held != wanted:
+            raise RuntimeError("the training loop wants batch {} of {} rows; the ring slot "
+                               "holds batch {} of {} rows".format(*wanted, *held))
+        self.taken += 1
+        return self.shared["draws"][self.held, :, :, :rows]
 
     @staticmethod
     def _read(fd: int) -> int:
         """The next token on the helper's pipe ``fd``; EOF means it died."""
         token = os.read(fd, 1)
         if not token:
-            raise RuntimeError("the draw process ended before the training loop's last batch")
+            raise RuntimeError("the helper process ended before the training loop's last batch")
         return token[0]
 
     def release(self) -> None:
@@ -417,11 +383,11 @@ class _DrawAhead:
         """Queue ``sup_con(Z_lab, view_labels, tau)`` to the helper, release
         the held slot, and return the job's collector: None if the loop
         reads the job token back first, else the helper's result, whose
-        gradient is a view of the job buffer."""
-        m = len(Z_lab)
-        self.job[:2] = tau, m
-        self.job_labels[:m] = view_labels
-        self.job_rows[0, :m] = Z_lab
+        gradient is a view of the record."""
+        m, job = len(Z_lab), self.shared["job"]
+        job[:2] = tau, m
+        self.shared["job_labels"][:m] = view_labels
+        self.shared["job_rows"][0, :m] = Z_lab
         os.write(self.job_w, b"\0")
         self.release()
 
@@ -429,18 +395,17 @@ class _DrawAhead:
             if self._claim():
                 return None
             self._read(self.done_r)
-            return float(self.job[2]), self.job_rows[1, :m], bool(self.job[3])
+            return float(job[2]), self.shared["job_rows"][1, :m], bool(job[3])
         return collect
 
     def close(self) -> None:
-        """Close the pipes, kill and reap the helper, and drop the ring and
-        the job buffer."""
+        """Close the pipes, kill and reap the helper, and drop the record."""
         for fd in (self.free_w, self.full_r, self.job_r, self.job_w, self.done_r):
             os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        # unmapped once no replay holds a view of it, so evaluation's arrays do not stack on it
-        self.headers = self.values = self.job = self.job_labels = self.job_rows = None
+        # unmapped once no view of it is held, so evaluation's arrays do not stack on it
+        self.shared = None
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -514,7 +479,7 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
         draw_ahead = _cpus() >= 2 and _threads() == 1
     draws = None
     if draw_ahead and error is None:
-        with contextlib.suppress(OSError):   # no draw process: draw in this process
+        with contextlib.suppress(OSError):   # no helper: draw in this process
             draws = _DrawAhead(data, shared)
 
     try:
@@ -533,7 +498,9 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
                 run.sums = np.zeros(len(LOSS_NAMES))
             for b, batch in enumerate(batches):
                 X = make_views(data, batch, shared.noise_sigma, shared.drop_prob,
-                               aug_rng if draws is None else draws.take()).astype(np.float32)
+                               draw_views(aug_rng, np.empty((2, 2, len(batch), data.dim)),
+                                          shared.drop_prob)
+                               if draws is None else draws.take(len(batch))).astype(np.float32)
                 labeled, labels = data.is_labeled[batch], data.labels[batch]
                 for run in live:
                     try:
@@ -625,7 +592,7 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     that share ``(rho, seed)`` train as one ``train_group``, which draws their
     batches' views once. One chunk runs in this process; more run on that
     many worker processes, one chunk each, so a chunk whose cells fail early
-    leaves its worker idle. No chunk forks a draw process. Rows keep plan
+    leaves its worker idle. No chunk forks a helper. Rows keep plan
     order either way, and every output byte is the same at any
     ``workers``."""
     out_dir = Path(plan.out_dir)

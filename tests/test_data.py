@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltgcd.config import Hyperparams, SplitSpec, round_half_up
-from ltgcd.data import (EmbeddingDataset, generate_mixture, load_embeddings, make_views,
-                        view_draws, write_dataset)
+from ltgcd.data import (EmbeddingDataset, draw_views, generate_mixture, load_embeddings,
+                        make_views, write_dataset)
 from ltgcd.errors import DataFormatError, ValidationError
 from ltgcd.rng import derive_stream
 from support import replace_member
@@ -94,18 +94,24 @@ class TestGenerateMixture:
             data.points[0, 0] = 1.0
 
 
+def views(data, idx, noise_sigma, drop_prob, rng):
+    """``make_views`` of the rows ``idx``, on the draws ``draw_views`` makes from ``rng``."""
+    draws = draw_views(rng, np.empty((2, 2, len(idx), data.dim)), drop_prob)
+    return make_views(data, idx, noise_sigma, drop_prob, draws)
+
+
 class TestMakeViews:
     def test_identity_augmentation(self):
         data, _ = small_dataset()
         idx = np.arange(10)
-        X = make_views(data, idx, noise_sigma=0.0, drop_prob=0.0,
-                       rng=derive_stream(0, "aug"))
+        X = views(data, idx, noise_sigma=0.0, drop_prob=0.0,
+                  rng=derive_stream(0, "aug"))
         assert np.array_equal(X[0::2], data.points[idx])
         assert np.array_equal(X[1::2], data.points[idx])
 
     def test_views_use_independent_draws(self):
         data, _ = small_dataset()
-        X = make_views(data, np.arange(10), 0.1, 0.0, derive_stream(0, "aug"))
+        X = views(data, np.arange(10), 0.1, 0.0, derive_stream(0, "aug"))
         assert not np.array_equal(X[0::2], X[1::2])
 
     def test_noise_magnitude_monte_carlo(self):
@@ -114,8 +120,8 @@ class TestMakeViews:
                          rho=1.0, dim=100)
         data = generate_mixture(spec, 5.0, derive_stream(4, "split"))
         idx = np.arange(100)
-        X = make_views(data, idx, noise_sigma=0.1, drop_prob=0.0,
-                       rng=derive_stream(11, "aug"))
+        X = views(data, idx, noise_sigma=0.1, drop_prob=0.0,
+                  rng=derive_stream(11, "aug"))
         sq = np.sum((X[0::2] - data.points[idx]) ** 2, axis=1)
         expected = 100 * 0.01
         assert abs(sq.mean() - expected) / expected < 0.05
@@ -125,35 +131,27 @@ class TestMakeViews:
                          rho=1.0, dim=1000)
         data = generate_mixture(spec, 5.0, derive_stream(6, "split"))
         idx = np.arange(100)
-        X = make_views(data, idx, noise_sigma=0.0, drop_prob=0.2,
-                       rng=derive_stream(12, "aug"))
+        X = views(data, idx, noise_sigma=0.0, drop_prob=0.2,
+                  rng=derive_stream(12, "aug"))
         zero_frac = (X[0::2] == 0.0).mean()
         assert 0.18 <= zero_frac <= 0.22
 
     @pytest.mark.parametrize("rows", [1, 7, 10])
     @pytest.mark.parametrize("drop_prob", [0.0, 0.3])
-    def test_view_draws_bounds_the_draws_made(self, rows, drop_prob):
-        # the training loop's draw process sizes its ring slots by view_draws
-        sizes = []
-
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, size):
-                sizes.append(size)
-                return self.rng.standard_normal(size)
-
-            def random(self, size):
-                sizes.append(size)
-                return self.rng.random(size)
-        data, _ = small_dataset()
-        make_views(data, np.arange(rows), 0.1, drop_prob, Recording(derive_stream(0, "aug")))
-        draws, values = view_draws(rows, data.dim)
-        made = sum(r * c for r, c in sizes)
-        assert len(sizes) <= draws and made <= values
-        if drop_prob:   # the bound is met exactly
-            assert (len(sizes), made) == (draws, values)
+    def test_draw_views_fills_its_array_in_stream_order(self, rows, drop_prob):
+        # the helper draws into a ring slot and the training loop into a fresh
+        # array, so both must take the stream's numbers in one fixed order
+        dim = 8
+        rng, reference = derive_stream(0, "aug"), derive_stream(0, "aug")
+        out = draw_views(rng, np.empty((2, 2, rows, dim)), drop_prob)
+        if drop_prob:
+            expected = [reference.standard_normal((rows, dim)), reference.random((rows, dim)),
+                        reference.standard_normal((rows, dim)), reference.random((rows, dim))]
+            assert out.tobytes() == np.stack(expected).tobytes()
+        else:   # no dropout draws: the noise alone, and the stream moved past it alone
+            expected = [reference.standard_normal((rows, dim)) for _ in range(2)]
+            assert out[:, 0].tobytes() == np.stack(expected).tobytes()
+        assert rng.random() == reference.random()
 
     @pytest.mark.parametrize("kwargs", [dict(noise_sigma=-0.1), dict(drop_prob=1.0),
                                         dict(drop_prob=-0.2)])
@@ -163,8 +161,7 @@ class TestMakeViews:
         data, _ = small_dataset()
         with pytest.raises(ValidationError):
             hp = Hyperparams(**kwargs)
-            make_views(data, np.arange(4), hp.noise_sigma, hp.drop_prob,
-                       derive_stream(0, "aug"))
+            views(data, np.arange(4), hp.noise_sigma, hp.drop_prob, derive_stream(0, "aug"))
 
 
 def write_npz(tmp_path, **arrays):

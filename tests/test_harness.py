@@ -25,7 +25,6 @@ from ltgcd.harness import (
     _chunks,
     _cpus,
     _DrawAhead,
-    _SlotDraws,
     _stepped_batches,
     _threads,
     sweep,
@@ -220,7 +219,7 @@ def assert_no_child_left():
 
 
 class TestDrawAhead:
-    """The draw process changes where the views' random numbers are drawn,
+    """The helper changes where the views' random numbers are drawn,
     never which: both paths give the same records, and no process outlives
     the group."""
 
@@ -264,20 +263,25 @@ class TestDrawAhead:
         train_group(small_data(), [small_hp()], draw_ahead=True)
         assert seen == [before]
 
-    def test_replay_raises_on_a_draw_it_does_not_hold(self):
-        header = np.zeros((2, 3), dtype=np.int64)
-        values = np.zeros(2 * 6)
-        rng = derive_stream(0, "test")
-        stored = _SlotDraws(header, values, rng).standard_normal((2, 3))
-        assert _SlotDraws(header, values).standard_normal((2, 3)).tobytes() == stored.tobytes()
-        with pytest.raises(RuntimeError, match=r"draw 0 as standard_normal\(3, 2\)"):
-            _SlotDraws(header, values).standard_normal((3, 2))
-        with pytest.raises(RuntimeError, match=r"draw 0 as random\(2, 3\)"):
-            _SlotDraws(header, values).random((2, 3))
-        replay = _SlotDraws(header, values)
-        replay.standard_normal((2, 3))
-        with pytest.raises(RuntimeError, match=r"draw 1 as random\(2, 3\); .* holds \(0, 0, 0\)"):
-            replay.random((2, 3))
+    @pytest.mark.parametrize("field, held", [(0, "batch 1 of 64"), (1, "batch 0 of 65")],
+                             ids=["number", "rows"])
+    def test_a_slot_that_holds_another_batch_is_a_runtime_error(self, monkeypatch, field, held):
+        # the helper alone misnumbers every slot it fills: it adds 1 to the
+        # slot's batch number or row count before it sends the full token
+        draw, write = _DrawAhead._draw, os.write
+
+        def draw_misnumbering(ring, data, shared, free_r, full_w, done_w):
+            def write_misnumbered(fd, token):
+                if fd == full_w:
+                    ring.shared["batch"][token[0], field] += 1
+                return write(fd, token)
+            monkeypatch.setattr(os, "write", write_misnumbered)   # the helper never returns
+            draw(ring, data, shared, free_r, full_w, done_w)
+        monkeypatch.setattr(_DrawAhead, "_draw", draw_misnumbering)
+        with pytest.raises(RuntimeError, match=f"wants batch 0 of 64 rows; the ring slot holds "
+                                               f"{held} rows$"):
+            train_group(small_data(), [small_hp()], draw_ahead=True)
+        assert_no_child_left()
 
     def test_a_step_that_raises_leaves_no_process(self, monkeypatch):
         def broken_loss(*args, **kwargs):
@@ -299,19 +303,19 @@ class TestDrawAhead:
 
     def test_a_draw_process_that_dies_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(_DrawAhead, "_draw", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="the draw process ended before"):
+        with pytest.raises(RuntimeError, match="the helper process ended before"):
             train_group(small_data(), [small_hp()], draw_ahead=True)
         assert_no_child_left()
 
     def test_a_draw_process_killed_mid_run_is_a_runtime_error(self, monkeypatch):
         take = _DrawAhead.take
 
-        def take_then_kill(ring):
-            draws = take(ring)
+        def take_then_kill(ring, rows):
+            draws = take(ring, rows)
             os.kill(ring.pid, signal.SIGKILL)
             return draws
         monkeypatch.setattr(_DrawAhead, "take", take_then_kill)
-        with pytest.raises(RuntimeError, match="the draw process ended before"):
+        with pytest.raises(RuntimeError, match="the helper process ended before"):
             train_group(small_data(), [small_hp()], draw_ahead=True)
         assert_no_child_left()
 
@@ -320,13 +324,13 @@ class TestDrawAhead:
         # the helper claims every job, and its sup_con ends it
         monkeypatch.setattr(_DrawAhead, "_claim", lambda ring: ring.pid == 0 and claim(ring))
         monkeypatch.setattr("ltgcd.harness.sup_con", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="the draw process ended before"):
+        with pytest.raises(RuntimeError, match="the helper process ended before"):
             train_group(small_data(), [small_hp()], draw_ahead=True)
         assert_no_child_left()
 
     def test_a_killed_trainer_takes_its_draw_process_with_it(self):
-        # the draw process inherits the write end of a pipe, so the pipe
-        # reads EOF only once both the trainer and its draw process are gone
+        # the helper inherits the write end of a pipe, so the pipe
+        # reads EOF only once both the trainer and its helper are gone
         script = textwrap.dedent("""
             import os
             from ltgcd.config import Hyperparams, SplitSpec
@@ -350,12 +354,12 @@ class TestDrawAhead:
                                    stdout=subprocess.PIPE, pass_fds=(write_end,))
         os.close(write_end)
         try:
-            assert select.select([trainer.stdout], [], [], 60)[0], "no draw process started"
+            assert select.select([trainer.stdout], [], [], 60)[0], "no helper started"
             assert int(trainer.stdout.readline()) > 0
             assert trainer.poll() is None   # still training
             trainer.kill()
             trainer.wait(timeout=10)
-            assert select.select([read_end], [], [], 5)[0], "the draw process outlived its trainer"
+            assert select.select([read_end], [], [], 5)[0], "the helper outlived its trainer"
             assert os.read(read_end, 1) == b""
         finally:
             os.close(read_end)
