@@ -33,7 +33,10 @@ to its parent:
     python3 scripts/fingerprint.py --root <parent checkout> > parent.txt
     diff parent.txt change.txt
 
-It takes about 15 seconds on one core.
+BLAS is pinned to one thread, so on 2 or more CPUs the 1-worker sweeps and
+the desk runs train beside the forked helper process, and the 2- and
+3-worker sweeps train in pool workers, which never fork it: one diff covers
+both routes. It takes about 15 seconds on one core.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def cli(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures: IO, malformed data, divergence
         print(f"ltgcd: error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:   # the training group has killed and reaped its helper
+    except KeyboardInterrupt:   # the group has reaped its helper, a sweep its workers
         print("ltgcd: interrupted", file=sys.stderr)
         return 130
 

@@ -1,17 +1,16 @@
 """Experiment runner: training runs, grid sweeps, CSV and SVG output.
 
-A run owns its model, and its seed names all of its random streams. Runs
-that share a seed and the batch and augmentation settings draw the same
-batches and views, so ``train_group`` trains them in one loop that draws each
-batch's views once; ``train_one`` is a group of one. Where a second CPU
-would otherwise idle and this process runs one thread, a forked helper
-process is the step's second core: it draws each batch's augmentation noise
-one batch ahead of the loop, into a shared ring that the loop's views are
-made from, and runs each step's supervised contrast while the loop runs
-the rest of the objective. A sweep trains each ``(rho, seed)``'s cells as
-such a group, in this process or in worker processes but never with a
-helper, and merges results in plan order, which keeps every output file
-byte-stable for a fixed plan.
+A run owns its model, and its seed names all of its random streams. Runs that
+share a seed and the batch and augmentation settings draw the same batches and
+views, so ``train_group`` trains them in one loop that draws each batch's
+views once; ``train_one`` is a group of one. Where a second CPU would
+otherwise idle, in a process of one thread that no pool started, a forked
+helper process is the step's second core: it draws each batch's augmentation
+noise one batch ahead of the loop, into a shared ring that the loop's views
+are made from, and runs each step's supervised contrast while the loop runs
+the rest of the objective. A sweep trains each ``(rho, seed)``'s cells as such
+a group, in this process or in worker processes, and merges results in plan
+order, so a fixed plan writes the same bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import contextlib
 import itertools
 import math
 import mmap
+import multiprocessing
 import os
 import select
 import signal
@@ -210,13 +210,11 @@ def _cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
 
 
 def _threads() -> int | None:
-    """The OS threads of this process, from ``/proc/self/stat``; None where
+    """The OS threads of this process, from ``/proc/self/task``; None where
     it cannot be read."""
     try:
-        with open("/proc/self/stat") as stat:
-            # the fields after the parenthesized command name start at field 3
-            return int(stat.read().rpartition(")")[2].split()[20 - 3])
-    except (OSError, ValueError, IndexError):
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
         return None
 
 
@@ -409,8 +407,7 @@ class _DrawAhead:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
-                draw_ahead: bool | None = None) -> list[RunRecord]:
+def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecord]:
     """Train one run per ``hps`` entry on one dataset, in lockstep, and
     evaluate each final snapshot; the records come back in ``hps`` order.
 
@@ -440,16 +437,14 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
     epoch 0 the norm check names a dataset row and fails every run, and an
     epoch that steps no batch names itself, so neither gets a suffix.
 
-    ``draw_ahead`` picks where the views' random draws and the steps'
-    ``sup_con`` run: all in this process (False), or on a ``_DrawAhead``
-    helper process (True), which draws one batch ahead and takes each step's
-    ``sup_con`` unless the loop takes it back first. The helper is started
-    only if the runs survive their start, and is killed and reaped on every
-    way out of the loop; if it cannot be started (a failed pipe, mmap or
-    fork), everything runs in this process. None picks the helper when this
-    process may use 2 or more CPUs and runs one OS thread: forked beside
-    BLAS worker threads, the helper's work slows the trainer's. Both give
-    the same bits; if the helper dies, the group raises ``RuntimeError``.
+    A forked ``_DrawAhead`` helper draws the views' noise one batch ahead and
+    takes each step's ``sup_con`` unless the loop takes it back first, if the
+    runs survive their start and this process may use 2 or more CPUs, runs one
+    OS thread (BLAS threads beside the helper slow the trainer) and was not
+    started by a pool, whose workers share their CPUs. Otherwise, or if it
+    cannot be started (a failed pipe, mmap or fork), all runs in this process.
+    The helper is killed and reaped on every way out of the loop. Both give the
+    same bits; if the helper dies, the group raises ``RuntimeError``.
     """
     if not hps:
         raise ValidationError("a training group needs at least one run")
@@ -475,10 +470,9 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams],
     runs = [_Run(hp, head, protos, error, data.num_classes) for hp in hps]
     aug_rng = derive_stream(shared.seed, "aug")
     points32 = data.points.astype(np.float32)
-    if draw_ahead is None:
-        draw_ahead = _cpus() >= 2 and _threads() == 1
     draws = None
-    if draw_ahead and error is None:
+    if (error is None and multiprocessing.parent_process() is None
+            and _cpus() >= 2 and _threads() == 1):
         with contextlib.suppress(OSError):   # no helper: draw in this process
             draws = _DrawAhead(data, shared)
 
@@ -539,14 +533,14 @@ def _chunks(cells: list[SweepCell], workers: int) -> list[list[SweepCell]]:
 def _run_chunk(plan: ExperimentPlan, cells: list[SweepCell]) -> list[dict]:
     """Sweep cells in ``(rho, seed)`` order: each run of cells that share
     ``(rho, seed)`` regenerates that split once and trains as one
-    ``train_group``, which draws its views in this process. A failed run
+    ``train_group``, which forks no helper in a pool worker. A failed run
     becomes a non-ok status so the sweep continues. The plan validated every
     cell, so anything raised here is a bug and propagates."""
     rows = []
     for (_, seed), group in itertools.groupby(cells, key=lambda c: (c.split.rho, c.hp.seed)):
         group = list(group)
         data = generate_mixture(group[0].split, plan.sep, derive_stream(seed, "split"))
-        records = train_group(data, [cell.hp for cell in group], draw_ahead=False)
+        records = train_group(data, [cell.hp for cell in group])
         for cell, record in zip(group, records):
             rows.append({
                 "run_id": cell.run_id,
@@ -590,11 +584,11 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     The cells, in stable ``(rho, seed)`` order, are cut into ``min(workers,
     cells)`` contiguous chunks of near-equal size, and the cells of one chunk
     that share ``(rho, seed)`` train as one ``train_group``, which draws their
-    batches' views once. One chunk runs in this process; more run on that
-    many worker processes, one chunk each, so a chunk whose cells fail early
-    leaves its worker idle. No chunk forks a helper. Rows keep plan
-    order either way, and every output byte is the same at any
-    ``workers``."""
+    batches' views once. One chunk runs in this process, which may fork a
+    helper by ``train_group``'s rule; more run on that many worker processes,
+    one chunk each, so a chunk whose cells fail early leaves its worker idle,
+    and ^C to this process kills them. Rows keep plan order either way, and
+    every output byte is the same at any ``workers``."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()
@@ -602,8 +596,14 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     if len(chunks) == 1:
         done = [_run_chunk(plan, chunks[0])]
     else:
+        others = set(multiprocessing.active_children())
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            done = list(pool.map(_run_chunk, itertools.repeat(plan), chunks))
+            try:
+                done = list(pool.map(_run_chunk, itertools.repeat(plan), chunks))
+            except KeyboardInterrupt:   # sent to this process alone, it stops the workers too
+                for worker in set(multiprocessing.active_children()) - others:
+                    worker.kill()
+                raise
     position = {cell.run_id: i for i, cell in enumerate(cells)}
     rows = sorted((row for chunk in done for row in chunk), key=lambda r: position[r["run_id"]])
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file outputs."""
 
 import base64
+import contextlib
 import csv
 import io
 import json
@@ -639,3 +640,34 @@ def test_sigint_stops_train_with_exit_130_one_line_and_no_child(tmp_path, config
     for pid in helpers:
         assert not Path(f"/proc/{pid}").exists()
     assert not out.exists()
+
+
+def test_sigint_to_a_sweeps_main_process_stops_its_workers(tmp_path, config_file):
+    # the signal goes to the main process alone, as a kill(1) of its pid does
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "out"
+    sweeper = subprocess.Popen(
+        [sys.executable, "-c", "from ltgcd.cli import main; main()", "sweep",
+         "--config", str(config_file), "--epochs", "100000", "--beta", "0,2", "--seeds", "0",
+         "--workers", "2", "--out", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    children = Path(f"/proc/{sweeper.pid}/task/{sweeper.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while len(children.read_text().split()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        workers = [int(pid) for pid in children.read_text().split()]
+        assert len(workers) == 2
+        time.sleep(0.5)   # the workers are training
+        assert sweeper.poll() is None
+        sweeper.send_signal(signal.SIGINT)
+        stdout, stderr = sweeper.communicate(timeout=30)
+    finally:   # no process of the session outlives a failure
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(sweeper.pid, signal.SIGKILL)
+        sweeper.wait(timeout=10)
+    assert (sweeper.returncode, stdout, stderr) == (130, "", "ltgcd: interrupted\n")
+    for pid in workers:
+        assert not Path(f"/proc/{pid}").exists()

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import multiprocessing
 import os
 import re
 import select
@@ -212,6 +213,16 @@ class TestTrainGroup:
             assert_same_record(record, train_one(data, hp))
 
 
+def train_on(helper, data, hps):
+    """``train_group`` in a process that looks like one with 2 CPUs and one
+    thread, which forks the helper, if ``helper``; else like one with 1 CPU,
+    which trains in one process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ltgcd.harness._cpus", lambda: 2 if helper else 1)
+        patch.setattr("ltgcd.harness._threads", lambda: 1)
+        return train_group(data, hps)
+
+
 def assert_no_child_left():
     # every process the group started has been reaped
     with pytest.raises(ChildProcessError):
@@ -231,8 +242,8 @@ class TestDrawAhead:
         assert data.n % 9 == 6
         assert len(stepped) < hp.epochs * -(-data.n // 9)
         assert 6 in {len(batch) for batch in stepped}
-        ahead = train_group(data, [hp], draw_ahead=True)
-        assert_same_record(ahead[0], train_group(data, [hp], draw_ahead=False)[0])
+        ahead = train_on(True, data, [hp])
+        assert_same_record(ahead[0], train_on(False, data, [hp])[0])
         assert ahead[0].status == "ok"
 
     @pytest.mark.parametrize("hps, status", [
@@ -243,9 +254,9 @@ class TestDrawAhead:
     ], ids=["two-runs", "all-diverge", "no-batch-steps", "no-dropout"])
     def test_both_paths_give_the_same_records(self, hps, status):
         data = small_data(seed=1)
-        ahead = train_group(data, hps, draw_ahead=True)
+        ahead = train_on(True, data, hps)
         assert_no_child_left()
-        in_process = train_group(data, hps, draw_ahead=False)
+        in_process = train_on(False, data, hps)
         assert [r.status for r in ahead] == [status] * len(hps)
         for a, b in zip(ahead, in_process):
             assert_same_record(a, b)
@@ -260,7 +271,7 @@ class TestDrawAhead:
             return evaluate(*args)
         seen, before = [], shared_maps()
         monkeypatch.setattr("ltgcd.harness.evaluate", evaluate_counting_maps)
-        train_group(small_data(), [small_hp()], draw_ahead=True)
+        train_on(True, small_data(), [small_hp()])
         assert seen == [before]
 
     @pytest.mark.parametrize("field, held", [(0, "batch 1 of 64"), (1, "batch 0 of 65")],
@@ -280,7 +291,7 @@ class TestDrawAhead:
         monkeypatch.setattr(_DrawAhead, "_draw", draw_misnumbering)
         with pytest.raises(RuntimeError, match=f"wants batch 0 of 64 rows; the ring slot holds "
                                                f"{held} rows$"):
-            train_group(small_data(), [small_hp()], draw_ahead=True)
+            train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
     def test_a_step_that_raises_leaves_no_process(self, monkeypatch):
@@ -288,7 +299,7 @@ class TestDrawAhead:
             raise ValidationError("broken invariant")
         monkeypatch.setattr("ltgcd.harness.overall_loss", broken_loss)
         with pytest.raises(ValidationError, match="broken invariant"):
-            train_group(small_data(), [small_hp()], draw_ahead=True)
+            train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
@@ -297,14 +308,14 @@ class TestDrawAhead:
         data, hp = small_data(), small_hp()
         open_fds = sorted(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fork", no_fork)
-        (record,) = train_group(data, [hp], draw_ahead=True)
+        (record,) = train_on(True, data, [hp])
         assert sorted(os.listdir("/proc/self/fd")) == open_fds   # both pipes closed
-        assert_same_record(record, train_group(data, [hp], draw_ahead=False)[0])
+        assert_same_record(record, train_on(False, data, [hp])[0])
 
     def test_a_draw_process_that_dies_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(_DrawAhead, "_draw", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="the helper process ended before"):
-            train_group(small_data(), [small_hp()], draw_ahead=True)
+            train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
     def test_a_draw_process_killed_mid_run_is_a_runtime_error(self, monkeypatch):
@@ -316,7 +327,7 @@ class TestDrawAhead:
             return draws
         monkeypatch.setattr(_DrawAhead, "take", take_then_kill)
         with pytest.raises(RuntimeError, match="the helper process ended before"):
-            train_group(small_data(), [small_hp()], draw_ahead=True)
+            train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
     def test_a_helper_that_dies_mid_job_is_a_runtime_error(self, monkeypatch):
@@ -325,7 +336,7 @@ class TestDrawAhead:
         monkeypatch.setattr(_DrawAhead, "_claim", lambda ring: ring.pid == 0 and claim(ring))
         monkeypatch.setattr("ltgcd.harness.sup_con", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="the helper process ended before"):
-            train_group(small_data(), [small_hp()], draw_ahead=True)
+            train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
     def test_a_killed_trainer_takes_its_draw_process_with_it(self):
@@ -333,9 +344,9 @@ class TestDrawAhead:
         # reads EOF only once both the trainer and its helper are gone
         script = textwrap.dedent("""
             import os
+            from ltgcd import harness
             from ltgcd.config import Hyperparams, SplitSpec
             from ltgcd.data import generate_mixture
-            from ltgcd.harness import train_group
             from ltgcd.rng import derive_stream
             spec = SplitSpec(num_classes=6, num_known=3, samples_per_known=60, rho=3.0, dim=16)
             data = generate_mixture(spec, 5.0, derive_stream(0, "split"))
@@ -346,7 +357,8 @@ class TestDrawAhead:
                     print(pid, flush=True)
                 return pid
             os.fork = announce
-            train_group(data, [Hyperparams(epochs=100000, batch_size=64)], draw_ahead=True)
+            harness._cpus, harness._threads = lambda: 2, lambda: 1
+            harness.train_group(data, [Hyperparams(epochs=100000, batch_size=64)])
         """)
         read_end, write_end = os.pipe()
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -422,23 +434,25 @@ def test_draw_ahead_agrees(monkeypatch):
             monkeypatch.setattr(_DrawAhead, "_claim", lambda ring, in_helper=route == "helper":
                                 claim(ring) if (ring.pid == 0) == in_helper else False)
         routes.clear()
-        ahead = train_group(data, hps, draw_ahead=True)
+        ahead = train_on(True, data, hps)
         assert_no_child_left()
         monkeypatch.setattr(_DrawAhead, "_claim", claim)
-        in_process = train_group(data, hps, draw_ahead=False)
+        in_process = train_on(False, data, hps)
         assert route == "either" or set(routes) <= {route}, (case, routes)
         for a, b in zip(ahead, in_process):
             assert_same_record(a, b)
 
 
 class TestHelperChoice:
-    """With ``draw_ahead`` None, the helper is forked only by a process that
-    may use 2 CPUs and runs one OS thread."""
+    """The helper is forked only by a process that may use 2 CPUs, runs one
+    OS thread and was not started by a pool."""
 
-    @pytest.mark.parametrize("cpus, threads, forks", [
-        (2, 1, True), (1, 1, False), (2, 2, False), (2, None, False),
-    ])
-    def test_the_helper_needs_two_cpus_and_one_thread(self, monkeypatch, cpus, threads, forks):
+    @pytest.mark.parametrize("cpus, threads, parent, forks", [
+        (2, 1, None, True), (1, 1, None, False), (2, 2, None, False), (2, None, None, False),
+        (2, 1, "a pool", False),
+    ], ids=["2-1-True", "1-1-False", "2-2-False", "2-None-False", "pool-worker"])
+    def test_the_helper_needs_two_cpus_and_one_thread(self, monkeypatch, cpus, threads, parent,
+                                                      forks):
         forked = []
         fork = os.fork
 
@@ -447,17 +461,40 @@ class TestHelperChoice:
             return fork()
         monkeypatch.setattr("ltgcd.harness._cpus", lambda: cpus)
         monkeypatch.setattr("ltgcd.harness._threads", lambda: threads)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
         monkeypatch.setattr(os, "fork", noting_fork)
         data, hp = small_data(), small_hp(epochs=1)
-        assert_same_record(train_group(data, [hp])[0], train_group(data, [hp], False)[0])
+        assert_same_record(train_group(data, [hp])[0], train_on(False, data, [hp])[0])
         assert forked == [True] * forks
+
+    def test_a_sweep_forks_the_helper_only_in_its_own_process(self, tmp_path, monkeypatch):
+        # the pool forks its workers, so they inherit every patch made here
+        log = tmp_path / "helpers"
+
+        class NotingHelper(_DrawAhead):
+            def __init__(self, *args):
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+                super().__init__(*args)
+        monkeypatch.setattr("ltgcd.harness._DrawAhead", NotingHelper)
+        monkeypatch.setattr("ltgcd.harness._threads", lambda: 1)
+        results = set()
+        for cpus, workers, helpers in [(2, 1, 2), (2, 2, 0), (1, 1, 0)]:
+            monkeypatch.setattr("ltgcd.harness._cpus", lambda cpus=cpus: cpus)
+            log.write_text("")
+            out = sweep(small_plan(tmp_path / f"{cpus}-{workers}", workers=workers))
+            assert_no_child_left()
+            # one helper per (rho, seed) group of the plan's two
+            assert log.read_text().split() == [str(os.getpid())] * helpers, (cpus, workers)
+            results.add(out["results"].read_bytes())
+        assert len(results) == 1
 
     def test_threads_reads_this_process(self, monkeypatch):
         assert _threads() == len(os.listdir("/proc/self/task"))
 
         def unreadable(*args, **kwargs):
             raise PermissionError("no /proc")
-        monkeypatch.setattr("ltgcd.harness.open", unreadable, raising=False)
+        monkeypatch.setattr(os, "listdir", unreadable)
         assert _threads() is None
 
     @pytest.mark.parametrize("files, cap", [
