@@ -33,19 +33,26 @@ to its parent:
     python3 scripts/fingerprint.py --root <parent checkout> > parent.txt
     diff parent.txt change.txt
 
-BLAS is pinned to one thread, so on 2 or more CPUs the 1-worker sweeps and
-the desk runs train beside the forked helper process, and the 2- and
-3-worker sweeps train in pool workers, which never fork it: one diff covers
-both routes. It takes about 15 seconds on one core.
+BLAS runs one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``. Pinned, on 2 or more CPUs the
+1-worker sweeps and the desk runs train beside the forked helper process,
+and the 2- and 3-worker sweeps train in pool workers, which never fork it:
+one diff covers both routes. It takes about 15 seconds on one core. To check
+the arithmetic of a default ``ltgcd train`` too, whose BLAS runs a thread per
+CPU and so trains in one process, make the two listings again unpinned, on a
+2-CPU host with:
+
+    OPENBLAS_NUM_THREADS=2 python3 scripts/fingerprint.py
 """
 
 from __future__ import annotations
 
 import os
 
-# Pinned before numpy loads, so both checkouts run their BLAS the same way.
+# Pinned before numpy loads, unless the caller pins otherwise, so both
+# checkouts run their BLAS the same way.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 os.environ["COLUMNS"] = "80"
 
 import argparse  # noqa: E402

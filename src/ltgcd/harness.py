@@ -242,8 +242,8 @@ class _DrawAhead:
     ``batch`` holds the number of the stepped batch in it (counted over all
     epochs) and its row count, and ``draws`` its ``(2, 2, rows, dim)``
     float64 ``draw_views`` draws; ``job`` holds tau, the row count and
-    ``sup_con``'s value and flag, ``job_labels`` the labeled view rows'
-    labels, and ``job_rows`` those float32 rows and their gradient.
+    ``sup_con``'s value, ``job_labels`` the labeled view rows' labels, and
+    ``job_rows`` those float32 rows and their gradient.
 
     For each batch of ``_stepped_batches`` the helper calls ``draw_views``
     on its own ``aug`` stream into a free slot, then writes the slot's
@@ -264,8 +264,8 @@ class _DrawAhead:
     bits are the same.
 
     The helper exits at EOF of its ``free`` or ``job`` pipe, so it ends with
-    a killed trainer; ``close`` also kills and reaps it and drops the
-    record."""
+    a killed trainer; ``close``, also run if the start fails after the fork,
+    kills and reaps it and drops the record."""
 
     SLOTS = 2
 
@@ -273,16 +273,20 @@ class _DrawAhead:
         rows = min(shared.batch_size, data.n)
         layout = np.dtype([("batch", np.int64, (self.SLOTS, 2)),
                            ("draws", np.float64, (self.SLOTS, 2, 2, rows, data.dim)),
-                           ("job", np.float64, 4),
+                           ("job", np.float64, 3),
                            ("job_labels", np.int64, 2 * rows),
                            ("job_rows", np.float32, (2, 2 * rows, DEFAULT_OUT_DIM))])
         self.shared = np.ndarray((), layout, mmap.mmap(-1, layout.itemsize))
         self.taken = 0   # the stepped batches taken so far
+        self.held = None
         fds: list[int] = []
         try:
             for _ in range(4):
                 fds += os.pipe()
             os.set_blocking(fds[4], False)   # either process may read a job token
+            # the free slots are queued before the fork, so a helper that dies
+            # at once is met by take, never by a write here
+            os.write(fds[1], bytes(range(self.SLOTS)))
             self.pid = os.fork()
         except OSError:   # no process or descriptor to spare: the caller draws in-process
             for fd in fds:
@@ -304,10 +308,15 @@ class _DrawAhead:
                 code = 1
             finally:
                 os._exit(code)
-        for fd in (free_r, full_w, done_w):
-            os.close(fd)
-        os.write(self.free_w, bytes(range(self.SLOTS)))
-        self.held = None
+        try:
+            for fd in (free_r, full_w, done_w):
+                os.close(fd)
+        except BaseException:   # a ^C here: no helper outlives its start
+            for fd in (free_r, full_w, done_w):   # one thread: no closed number is reused yet
+                with contextlib.suppress(OSError):
+                    os.close(fd)
+            self.close()
+            raise
 
     def _draw(self, data: EmbeddingDataset, shared: Hyperparams, free_r: int,
               full_w: int, done_w: int) -> None:
@@ -321,10 +330,8 @@ class _DrawAhead:
             ready = select.select([self.job_r, free_r], [], [])[0]
             if self.job_r in ready and self._claim():
                 m = int(job[1])
-                value, grad, flag = sup_con(job_rows[0, :m], self.shared["job_labels"][:m],
-                                            float(job[0]))
-                job_rows[1, :m] = grad
-                job[2:] = value, flag
+                job[2], job_rows[1, :m] = sup_con(job_rows[0, :m],
+                                                  self.shared["job_labels"][:m], float(job[0]))
                 os.write(done_w, b"\0")
             elif free_r in ready:
                 token = os.read(free_r, 1)
@@ -393,7 +400,7 @@ class _DrawAhead:
             if self._claim():
                 return None
             self._read(self.done_r)
-            return float(job[2]), self.shared["job_rows"][1, :m], bool(job[3])
+            return float(job[2]), self.shared["job_rows"][1, :m]
         return collect
 
     def close(self) -> None:
@@ -471,12 +478,11 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
     aug_rng = derive_stream(shared.seed, "aug")
     points32 = data.points.astype(np.float32)
     draws = None
-    if (error is None and multiprocessing.parent_process() is None
-            and _cpus() >= 2 and _threads() == 1):
-        with contextlib.suppress(OSError):   # no helper: draw in this process
-            draws = _DrawAhead(data, shared)
-
     try:
+        if (error is None and multiprocessing.parent_process() is None
+                and _cpus() >= 2 and _threads() == 1):
+            with contextlib.suppress(OSError):   # no helper: draw in this process
+                draws = _DrawAhead(data, shared)
         for epoch, batches in enumerate(_stepped_batches(data, shared)):
             live = [run for run in runs if run.error is None]
             if not live:

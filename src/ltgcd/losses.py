@@ -33,7 +33,7 @@ class Losses:
 @dataclass(frozen=True)
 class LossBreakdown(Losses):
     grad_Z: np.ndarray        # (2B, p)
-    sup_warning: bool = False
+    sup_warning = False       # read only by perfbench's losses.sup_warning.count
 
 
 def combine_overall(
@@ -48,22 +48,20 @@ def _view_rows(instance_idx: np.ndarray) -> np.ndarray:
     return (2 * instance_idx[:, None] + [0, 1]).ravel()
 
 
-def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.ndarray, bool]:
+def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Contrastive loss over the rows of ``Z`` with the given positives.
 
     ``pos`` holds the positive pairs as sorted flat indices ``anchor * m + col``
-    into the m x m similarity matrix, never on its diagonal. Each anchor's
-    denominator is every other row. Anchors with no positive are dropped from
-    the outer mean; if none has one the value is 0 and the flag is set.
-    Returns the mean anchor loss, dL/dZ and that flag. The similarities and
-    the gradient are computed in the dtype of ``Z``.
+    into the m x m similarity matrix, never on its diagonal. Every row is an
+    anchor and must have at least one positive; a row without one raises
+    ``ValidationError``. Each anchor's denominator is every other row.
+    Returns the mean anchor loss and dL/dZ, computed in the dtype of ``Z``.
     """
-    if len(pos) == 0:
-        return 0.0, np.zeros_like(Z), True
     m = Z.shape[0]
     anchors = pos // m
     pos_counts = np.bincount(anchors, minlength=m)
-    n_anchors = int(np.count_nonzero(pos_counts))
+    if not pos_counts.all():
+        raise ValidationError(f"row {int(np.argmin(pos_counts))} of the contrast has no positive")
 
     # row-shifted similarities with a -inf diagonal, which exponentiates to
     # 0; the copy makes the Gram matrix a plain GEMM, which OpenBLAS runs
@@ -81,17 +79,15 @@ def _contrast(Z: np.ndarray, pos: np.ndarray, tau: float) -> tuple[float, np.nda
     # each positive weighs 1 / (its anchor's positives) in the anchor's mean
     weights = 1.0 / pos_counts[anchors]
     neg_log_probs = np.log(row_sums)[anchors] - S_pos
-    value = float(weights @ neg_log_probs) / n_anchors
+    value = float(weights @ neg_log_probs) / m
 
-    # dL/dZ = (G + G^T) Z / (tau n_anchors), G the softmax minus the weights
+    # dL/dZ = (G + G^T) Z / (tau m), G the softmax minus the weights
     G /= row_sums[:, None]
     G.ravel()[pos] -= weights
-    if n_anchors < m:
-        G[pos_counts == 0] = 0.0
     grad = G @ Z
     grad += G.T @ Z
-    grad /= tau * n_anchors
-    return value, grad, False
+    grad /= tau * m
+    return value, grad
 
 
 def info_nce(Z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -105,17 +101,17 @@ def info_nce(Z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     if m < 4 or m % 2 != 0:
         raise ValidationError("info_nce needs at least 2 two-view instances")
     rows = np.arange(m)
-    value, grad, _ = _contrast(Z, rows * m + (rows ^ 1), tau)  # sibling under interleaving
-    return value, grad
+    return _contrast(Z, rows * m + (rows ^ 1), tau)  # sibling under interleaving
 
 
-def sup_con(Z: np.ndarray, view_labels: np.ndarray, tau: float) -> tuple[float, np.ndarray, bool]:
+def sup_con(Z: np.ndarray, view_labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Label-supervised contrast over labeled view rows.
 
     Positives of an anchor are all other rows sharing its label (sibling view
-    included); the denominator is every other row. Anchors with no positive
-    are dropped from the outer mean; if none has a positive the value is 0
-    and the warning flag is set.
+    included); the denominator is every other row. Every row must share its
+    label with another row, which two views per labeled instance always give;
+    a row that does not raises ``ValidationError``. Returns the mean anchor
+    loss and dL/dZ.
     """
     m = Z.shape[0]
     if m < 2:
@@ -200,11 +196,9 @@ def overall_loss(
     A = inner - Q * inner.sum(axis=1, keepdims=True)
     grad_Z[unlab_rows] = g_ins + (A @ protos.M) / hp.tau_p
 
-    sup_warning = False
     l_sup = 0.0
     if sup_args is not None:
-        offloaded = collect() if collect is not None else None
-        l_sup, g_sup, sup_warning = offloaded or sup_con(*sup_args)
+        l_sup, g_sup = (collect and collect()) or sup_con(*sup_args)
         grad_Z[lab_rows] = hp.lambda_ * g_sup
 
     l_overall = combine_overall(l_ins, l_sup, h_prior, h_uniform, hp)
@@ -215,5 +209,4 @@ def overall_loss(
         h_uniform=h_uniform,
         l_overall=l_overall,
         grad_Z=grad_Z,
-        sup_warning=sup_warning,
     )

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, rel_error(fd, g_ins))
 
         # supervised contrast
-        _, g_sup, _ = sup_con(Z[lab_rows], view_labels, hp.tau)
+        _, g_sup = sup_con(Z[lab_rows], view_labels, hp.tau)
         fd = fd_sweep(lambda z: sup_con(z, view_labels, hp.tau)[0],
                       np.array(Z[lab_rows]))
         worst = max(worst, rel_error(fd, g_sup))

@@ -1,5 +1,6 @@
 """Training runs, sweep artifacts, and end-to-end determinism."""
 
+import contextlib
 import csv
 import errno
 import multiprocessing
@@ -301,6 +302,38 @@ class TestDrawAhead:
         with pytest.raises(ValidationError, match="broken invariant"):
             train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
+
+    def test_an_interrupt_as_the_helper_starts_leaves_no_process(self, monkeypatch):
+        # a ^C lands on the trainer's first close after the fork, in place
+        # of that close, before the helper's constructor returns
+        trainer, fork, close = os.getpid(), os.fork, os.close
+        helpers, interrupted = [], []
+
+        def noting_fork():
+            pid = fork()
+            if pid:
+                helpers.append(pid)
+            return pid
+
+        def close_interrupted_once(fd):
+            if os.getpid() == trainer and helpers and not interrupted:
+                interrupted.append(fd)
+                raise KeyboardInterrupt
+            return close(fd)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", noting_fork)
+        monkeypatch.setattr(os, "close", close_interrupted_once)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                train_on(True, small_data(), [small_hp()])
+            assert len(helpers) == 1 and interrupted
+            assert_no_child_left()
+            assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        finally:   # a helper left running is killed here, not when pytest exits
+            for pid in helpers:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
     def test_a_failed_fork_draws_in_process(self, monkeypatch):
         def no_fork():

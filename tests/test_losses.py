@@ -39,14 +39,12 @@ def brute_force_sup_con(Z, labels, tau):
     per_anchor = []
     for i in range(m):
         positives = [q for q in range(m) if q != i and labels[q] == labels[i]]
-        if not positives:
-            continue
         den = sum(math.exp(float(Z[i] @ Z[k]) / tau) for k in range(m) if k != i)
         term = sum(
             -math.log(math.exp(float(Z[i] @ Z[q]) / tau) / den) for q in positives
         ) / len(positives)
         per_anchor.append(term)
-    return sum(per_anchor) / len(per_anchor) if per_anchor else 0.0
+    return sum(per_anchor) / m
 
 
 class TestInfoNce:
@@ -107,8 +105,7 @@ class TestSharedContrastCore:
             Z = unit_rows(rng, 2 * B, 8)
             tau = float(rng.uniform(0.05, 1.0))
             v_ins, g_ins = info_nce(Z, tau)
-            v_sup, g_sup, warned = sup_con(Z, np.repeat(np.arange(B), 2), tau)
-            assert not warned
+            v_sup, g_sup = sup_con(Z, np.repeat(np.arange(B), 2), tau)
             assert v_ins == v_sup
             assert g_ins.tobytes() == g_sup.tobytes()
 
@@ -132,51 +129,43 @@ class TestSupCon:
         u = np.array([1.0, 0.0])
         Z = np.tile(u, (4, 1))
         labels = np.array([0, 0, 0, 0])
-        value, _, warned = sup_con(Z, labels, tau=1.0)
-        assert not warned
+        value, _ = sup_con(Z, labels, tau=1.0)
         assert value == pytest.approx(math.log(3.0), abs=1e-12)
         assert value == pytest.approx(1.0986, abs=1e-4)
-
-    def test_no_positives_returns_zero_with_warning(self):
-        # single views with all-distinct labels
-        Z = unit_rows(derive_stream(7, "test"), 3, 4)
-        value, grad, warned = sup_con(Z, np.array([0, 1, 2]), tau=1.0)
-        assert warned
-        assert value == 0.0
-        assert np.all(grad == 0.0)
 
     def test_matches_brute_force_on_random_batches(self):
         for trial in range(5):
             rng = derive_stream(500 + trial, "test")
             Z = unit_rows(rng, 10, 6)
-            labels = rng.integers(0, 3, size=10)
-            value, _, _ = sup_con(Z, labels, tau=0.4)
+            labels = np.repeat(rng.integers(0, 3, size=5), 2)   # sibling pairs
+            value, _ = sup_con(Z, labels, tau=0.4)
             assert value == pytest.approx(brute_force_sup_con(Z, labels, 0.4), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         for trial in range(10):
             rng = derive_stream(600 + trial, "test")
             Z = unit_rows(rng, 8, 5)
-            labels = rng.integers(0, 3, size=8)
-            _, grad, _ = sup_con(Z, labels, tau=0.5)
+            labels = np.repeat(rng.integers(0, 3, size=4), 2)   # sibling pairs
+            _, grad = sup_con(Z, labels, tau=0.5)
             fd = finite_diff(lambda z: sup_con(z, labels, tau=0.5)[0], Z, h=1e-5)
             assert rel_error(grad, fd) <= 1e-4
 
-    def test_anchor_without_positive_is_excluded_not_averaged(self):
-        rng = derive_stream(8, "test")
-        Z = unit_rows(rng, 5, 4)
-        labels = np.array([0, 0, 1, 1, 2])   # label-2 anchor has no positive
-        value, _, warned = sup_con(Z, labels, tau=0.7)
-        assert not warned
-        assert value == pytest.approx(brute_force_sup_con(Z, labels, 0.7), abs=1e-10)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("labels, row", [([0, 0, 1, 1, 2], 4), ([0, 1, 2], 0),
+                                             ([3, 1, 3, 2, 2], 1)],
+                             ids=["last-row", "all-distinct", "inner-row"])
+    def test_a_row_without_a_positive_is_rejected(self, dtype, labels, row):
+        Z = unit_rows(derive_stream(8, "test"), len(labels), 4).astype(dtype)
+        with pytest.raises(ValidationError, match=f"^row {row} of the contrast has no positive$"):
+            sup_con(Z, np.array(labels), tau=0.7)
 
     def test_rotation_invariance(self):
         rng = derive_stream(9, "test")
         Z = unit_rows(rng, 8, 6)
         labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
         Q = random_orthogonal(rng, 6)
-        v1, _, _ = sup_con(Z, labels, tau=0.2)
-        v2, _, _ = sup_con(Z @ Q, labels, tau=0.2)
+        v1, _ = sup_con(Z, labels, tau=0.2)
+        v2, _ = sup_con(Z @ Q, labels, tau=0.2)
         assert abs(v1 - v2) <= 1e-9
 
 
@@ -187,10 +176,9 @@ class TestFloat32:
     def _close_to_float64(loss, Z32, tau):
         """The float32 call's value and gradient against the float64 call on
         the same (rounded) inputs."""
-        v32, g32, *flag32 = loss(Z32, tau)
-        v64, g64, *flag64 = loss(Z32.astype(np.float64), tau)
+        v32, g32 = loss(Z32, tau)
+        v64, g64 = loss(Z32.astype(np.float64), tau)
         assert g32.dtype == np.float32 and g64.dtype == np.float64
-        assert flag32 == flag64
         assert abs(v32 - v64) <= 1e-5 * abs(v64)
         assert rel_error(g32, g64) <= 1e-5
 
@@ -203,14 +191,6 @@ class TestFloat32:
         Z = unit_rows(rng, 214, 32).astype(np.float32)
         view_labels = np.repeat(rng.integers(0, 10, size=107), 2)
         self._close_to_float64(lambda z, tau: sup_con(z, view_labels, tau), Z, 0.1)
-
-    def test_no_positive_returns_zero_with_warning(self):
-        # the float64 case is TestSupCon's
-        Z = unit_rows(derive_stream(33, "test"), 4, 5).astype(np.float32)
-        value, grad, warned = sup_con(Z, np.arange(4), tau=0.1)
-        assert warned
-        assert value == 0.0
-        assert grad.dtype == np.float32 and np.all(grad == 0.0)
 
     def test_overall_loss_on_float32_batch_matches_float64(self):
         (Z, *batch), protos, prior = _random_batch(derive_stream(34, "test"), B=64, p=32, C=6)
@@ -373,15 +353,16 @@ class TestOverallLoss:
 
     def test_labeled_views_always_have_a_positive(self):
         # the labeled views come in sibling pairs and a sibling is a positive,
-        # so sup_warning stays unset even when every instance has its own class
+        # so even when every instance has its own class no row of the
+        # supervised contrast lacks one; _contrast would raise if it did
         rng = derive_stream(21, "test")
         for _ in range(50):
             B = int(rng.integers(3, 12))
             labeled_mask = rng.permutation(np.arange(B) < rng.integers(1, B - 1))
-            lb = overall_loss(unit_rows(rng, 2 * B, 8), labeled_mask, rng.permutation(B),
-                              Prototypes(M=unit_rows(rng, 4, 8)), random_simplex(rng, 4),
-                              Hyperparams())
-            assert labeled_mask.any() and not lb.sup_warning
+            overall_loss(unit_rows(rng, 2 * B, 8), labeled_mask, rng.permutation(B),
+                         Prototypes(M=unit_rows(rng, 4, 8)), random_simplex(rng, 4),
+                         Hyperparams())
+            assert labeled_mask.any()
 
     def test_all_unlabeled_batch_has_zero_supervised_term(self):
         rng = derive_stream(16, "test")
