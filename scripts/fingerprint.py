@@ -38,9 +38,9 @@ BLAS runs one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 1-worker sweeps and the desk runs train beside the forked helper process,
 and the 2- and 3-worker sweeps train in pool workers, which never fork it:
 one diff covers both routes. It takes about 15 seconds on one core. To check
-the arithmetic of a default ``ltgcd train`` too, whose BLAS runs a thread per
-CPU and so trains in one process, make the two listings again unpinned, on a
-2-CPU host with:
+the arithmetic of training in one process on more BLAS threads too, as
+``ltgcd train`` does when the caller sets that count, make the two listings
+again unpinned, on a 2-CPU host with:
 
     OPENBLAS_NUM_THREADS=2 python3 scripts/fingerprint.py
 """

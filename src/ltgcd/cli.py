@@ -129,12 +129,13 @@ def _cmd_train(args) -> int:
     except ValidationError as exc:   # only a loaded dataset breaks train_one's rules
         raise ValidationError(f"{args.dataset}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's model and metrics would pass for this run's if this
+    # run, or a write below, fails
+    for stale in ("checkpoint.npz", "metrics.csv"):
+        (args.out / stale).unlink(missing_ok=True)
     (args.out / "run_config.json").write_text(json.dumps(record.config, indent=2) + "\n")
     write_train_log(args.out / "train_log.csv", record)
     if record.status != "ok":
-        # an earlier run's model and metrics would pass for this run's
-        for stale in ("checkpoint.npz", "metrics.csv"):
-            (args.out / stale).unlink(missing_ok=True)
         print(f"training failed: {record.error}", file=sys.stderr)
         return 2
     save_checkpoint(args.out / "checkpoint.npz", record.head, record.protos)

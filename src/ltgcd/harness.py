@@ -7,10 +7,10 @@ views once; ``train_one`` is a group of one. Where a second CPU would
 otherwise idle, in a process of one thread that no pool started, a forked
 helper process is the step's second core: it draws each batch's augmentation
 noise one batch ahead of the loop, into a shared ring that the loop's views
-are made from, and runs each step's supervised contrast while the loop runs
-the rest of the objective. A sweep trains each ``(rho, seed)``'s cells as such
-a group, in this process or in worker processes, and merges results in plan
-order, so a fixed plan writes the same bytes.
+are made from, and, when it is idle, runs a step's supervised contrast while
+the loop runs the rest of the objective. A sweep trains each ``(rho, seed)``'s
+cells as such a group, in this process or in worker processes, and merges
+results in plan order, so a fixed plan writes the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import signal
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -234,8 +235,7 @@ def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
 class _DrawAhead:
     """A forked helper process, the training step's second core: it draws
     each stepped batch's augmentation noise one batch ahead of the training
-    loop, and runs the steps' supervised contrast while the loop runs the
-    rest of the objective.
+    loop, and runs a step's supervised contrast when it is idle.
 
     The two processes share one record, a structured array over an
     anonymous mmap, sized by the largest batch: per slot of a 2-slot ring,
@@ -245,29 +245,30 @@ class _DrawAhead:
     ``sup_con``'s value, ``job_labels`` the labeled view rows' labels, and
     ``job_rows`` those float32 rows and their gradient.
 
-    For each batch of ``_stepped_batches`` the helper calls ``draw_views``
-    on its own ``aug`` stream into a free slot, then writes the slot's
-    ``batch`` row. Slot numbers pass as one-byte tokens over two pipes:
-    ``free`` slots to the helper and ``full`` ones back. ``take`` returns
-    the next full slot's draws, and raises unless it holds the batch the
-    loop wants; the slot the loop held goes back by ``release``, so each
-    slot is refilled while the loop steps on the other.
+    The helper runs one-byte commands in the order they come on its ``cmd``
+    pipe. A slot number is a free slot: it calls ``draw_views`` on its own
+    ``aug`` stream into it for the next batch of ``_stepped_batches``,
+    writes the slot's ``batch`` row and sends the slot number back on a
+    ``full`` pipe. ``take`` returns the next full slot's draws, and raises
+    unless it holds the batch the loop wants; the slot the loop held goes
+    back by ``release``, so each slot is refilled while the loop steps on
+    the other.
 
-    ``offload`` is ``overall_loss``'s hook for ``sup_con``: it copies the
-    labeled view rows, their labels and tau into the record, queues a job
-    token on a ``job`` pipe whose read end both processes hold, and then
-    releases the held slot, so the helper runs the job before the refill.
-    The helper answers with ``losses.sup_con``'s result in the record and a
-    token on a ``done`` pipe. If the loop reads the job token back first,
-    because the helper is still refilling, the job is the loop's to run.
-    Either way it is the same function on the same float32 inputs, so the
-    bits are the same.
+    ``offload`` is ``overall_loss``'s hook for ``sup_con``. If the helper is
+    idle, the next batch's ``full`` token already waiting, it copies the
+    labeled view rows, their labels and tau into the record and sends
+    ``JOB`` before it releases the held slot, so the job runs before the
+    refill; the helper answers with the result in the record and a token on
+    a ``done`` pipe. Otherwise the loop runs the job. Either way it is the
+    same function on the same float32 inputs, so the bits are the same.
 
-    The helper exits at EOF of its ``free`` or ``job`` pipe, so it ends with
-    a killed trainer; ``close``, also run if the start fails after the fork,
-    kills and reaps it and drops the record."""
+    The helper exits at EOF of ``cmd``, so it ends with a killed trainer;
+    its death reads as EOF of ``full`` or ``done``, a ``RuntimeError``.
+    ``close``, also run if the start fails after the fork, kills and reaps
+    it and drops the record."""
 
     SLOTS = 2
+    JOB = bytes([SLOTS])   # the one command byte that is no slot number
 
     def __init__(self, data: EmbeddingDataset, shared: Hyperparams) -> None:
         rows = min(shared.batch_size, data.n)
@@ -281,9 +282,8 @@ class _DrawAhead:
         self.held = None
         fds: list[int] = []
         try:
-            for _ in range(4):
+            for _ in range(3):
                 fds += os.pipe()
-            os.set_blocking(fds[4], False)   # either process may read a job token
             # the free slots are queued before the fork, so a helper that dies
             # at once is met by take, never by a write here
             os.write(fds[1], bytes(range(self.SLOTS)))
@@ -292,14 +292,14 @@ class _DrawAhead:
             for fd in fds:
                 os.close(fd)
             raise
-        free_r, self.free_w, self.full_r, full_w, self.job_r, self.job_w, self.done_r, done_w = fds
+        cmd_r, self.cmd_w, self.full_r, full_w, self.done_r, done_w = fds
         if self.pid == 0:   # the helper, which never returns into its caller
             code = 0
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # ^C is for the trainer to answer
-                for fd in (self.free_w, self.full_r, self.job_w, self.done_r):
+                for fd in (self.cmd_w, self.full_r, self.done_r):
                     os.close(fd)
-                self._draw(data, shared, free_r, full_w, done_w)
+                self._draw(data, shared, cmd_r, full_w, done_w)
             except BrokenPipeError:   # the trainer is gone
                 pass
             except BaseException:
@@ -309,52 +309,37 @@ class _DrawAhead:
             finally:
                 os._exit(code)
         try:
-            for fd in (free_r, full_w, done_w):
+            for fd in (cmd_r, full_w, done_w):
                 os.close(fd)
         except BaseException:   # a ^C here: no helper outlives its start
-            for fd in (free_r, full_w, done_w):   # one thread: no closed number is reused yet
+            for fd in (cmd_r, full_w, done_w):   # one thread: no closed number is reused yet
                 with contextlib.suppress(OSError):
                     os.close(fd)
             self.close()
             raise
 
-    def _draw(self, data: EmbeddingDataset, shared: Hyperparams, free_r: int,
+    def _draw(self, data: EmbeddingDataset, shared: Hyperparams, cmd_r: int,
               full_w: int, done_w: int) -> None:
-        """The helper: run each job it claims, and fill each free slot with
-        the next batch's draws until the schedule ends, a job always first,
-        until EOF shows that the trainer is gone."""
+        """The helper: run each command in the order it comes, a job or the
+        fill of a free slot with the next batch's draws (none once the
+        schedule ends), until EOF shows that the trainer is gone."""
         aug_rng = derive_stream(shared.seed, "aug")
         batches = enumerate(itertools.chain.from_iterable(_stepped_batches(data, shared)))
         job, job_rows = self.shared["job"], self.shared["job_rows"]
-        while True:
-            ready = select.select([self.job_r, free_r], [], [])[0]
-            if self.job_r in ready and self._claim():
+        while token := os.read(cmd_r, 1):
+            if token == self.JOB:
                 m = int(job[1])
                 job[2], job_rows[1, :m] = sup_con(job_rows[0, :m],
                                                   self.shared["job_labels"][:m], float(job[0]))
-                os.write(done_w, b"\0")
-            elif free_r in ready:
-                token = os.read(free_r, 1)
-                if not token:
-                    return
-                number, batch = next(batches, (None, None))
-                if batch is not None:
-                    slot = token[0]
-                    draw_views(aug_rng, self.shared["draws"][slot, :, :, :len(batch)],
-                               shared.drop_prob)
-                    self.shared["batch"][slot] = number, len(batch)
-                    os.write(full_w, token)
-
-    def _claim(self) -> bool:
-        """Read the queued job token: True if this process got it, False if
-        the other one did. In the helper, EOF (a gone trainer) raises
-        ``BrokenPipeError``."""
-        try:
-            if not os.read(self.job_r, 1):
-                raise BrokenPipeError("the job pipe has no writer")
-        except BlockingIOError:
-            return False
-        return True
+                os.write(done_w, token)
+                continue
+            number, batch = next(batches, (None, None))
+            if batch is not None:
+                slot = token[0]
+                draw_views(aug_rng, self.shared["draws"][slot, :, :, :len(batch)],
+                           shared.drop_prob)
+                self.shared["batch"][slot] = number, len(batch)
+                os.write(full_w, token)
 
     def take(self, rows: int) -> np.ndarray:
         """Release the slot taken last, if ``offload`` has not, and return
@@ -380,32 +365,40 @@ class _DrawAhead:
     def release(self) -> None:
         """Hand the held slot, if any, back to the helper for a refill."""
         if self.held is not None:
-            with contextlib.suppress(BrokenPipeError):   # a dead helper is named by take
-                os.write(self.free_w, bytes([self.held]))
+            with contextlib.suppress(BrokenPipeError):   # the next read names a dead helper
+                os.write(self.cmd_w, bytes([self.held]))
             self.held = None
 
+    def _idle(self) -> bool:
+        """Whether the next batch's ``full`` token (or EOF) already waits."""
+        waiting = select.poll()
+        waiting.register(self.full_r, select.POLLIN)
+        return bool(waiting.poll(0))
+
     def offload(self, Z_lab: np.ndarray, view_labels: np.ndarray, tau: float):
-        """Queue ``sup_con(Z_lab, view_labels, tau)`` to the helper, release
-        the held slot, and return the job's collector: None if the loop
-        reads the job token back first, else the helper's result, whose
-        gradient is a view of the record."""
+        """Send ``sup_con(Z_lab, view_labels, tau)`` to the helper if it is
+        idle, release the held slot, and return the job's collector, which
+        gives the helper's result, its gradient a view of the record; None,
+        the job being the loop's, if the helper is busy."""
+        if not self._idle():
+            self.release()
+            return None
         m, job = len(Z_lab), self.shared["job"]
         job[:2] = tau, m
         self.shared["job_labels"][:m] = view_labels
         self.shared["job_rows"][0, :m] = Z_lab
-        os.write(self.job_w, b"\0")
+        with contextlib.suppress(BrokenPipeError):   # the next read names a dead helper
+            os.write(self.cmd_w, self.JOB)
         self.release()
 
         def collect():
-            if self._claim():
-                return None
             self._read(self.done_r)
             return float(job[2]), self.shared["job_rows"][1, :m]
         return collect
 
     def close(self) -> None:
         """Close the pipes, kill and reap the helper, and drop the record."""
-        for fd in (self.free_w, self.full_r, self.job_r, self.job_w, self.done_r):
+        for fd in (self.cmd_w, self.full_r, self.done_r):
             os.close(fd)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
@@ -445,7 +438,7 @@ def train_group(data: EmbeddingDataset, hps: list[Hyperparams]) -> list[RunRecor
     epoch that steps no batch names itself, so neither gets a suffix.
 
     A forked ``_DrawAhead`` helper draws the views' noise one batch ahead and
-    takes each step's ``sup_con`` unless the loop takes it back first, if the
+    runs a step's ``sup_con`` when it is idle at the step's start, if the
     runs survive their start and this process may use 2 or more CPUs, runs one
     OS thread (BLAS threads beside the helper slow the trainer) and was not
     started by a pool, whose workers share their CPUs. Otherwise, or if it
@@ -593,8 +586,9 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     batches' views once. One chunk runs in this process, which may fork a
     helper by ``train_group``'s rule; more run on that many worker processes,
     one chunk each, so a chunk whose cells fail early leaves its worker idle,
-    and ^C to this process kills them. Rows keep plan order either way, and
-    every output byte is the same at any ``workers``."""
+    and ^C to this process kills them; a worker's death raises naming the
+    runs that did not finish. Rows keep plan order either way, and every
+    output byte is the same at any ``workers``."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()
@@ -604,12 +598,17 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     else:
         others = set(multiprocessing.active_children())
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            try:
-                done = list(pool.map(_run_chunk, itertools.repeat(plan), chunks))
+            futures = [pool.submit(_run_chunk, plan, chunk) for chunk in chunks]
+            try:   # exception() waits for its future
+                lost = [cell.run_id for chunk, future in zip(chunks, futures)
+                        if isinstance(future.exception(), BrokenProcessPool) for cell in chunk]
             except KeyboardInterrupt:   # sent to this process alone, it stops the workers too
                 for worker in set(multiprocessing.active_children()) - others:
                     worker.kill()
                 raise
+        if lost:
+            raise RuntimeError(f"a sweep worker died; runs {', '.join(lost)} did not finish")
+        done = [future.result() for future in futures]
     position = {cell.run_id: i for i, cell in enumerate(cells)}
     rows = sorted((row for chunk in done for row in chunk), key=lambda r: position[r["run_id"]])
 

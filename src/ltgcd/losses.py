@@ -159,8 +159,8 @@ def overall_loss(
     The supervised contrast comes last. ``offload``, if given, is called
     with ``sup_con``'s arguments before the instance contrast starts, so
     another process can run it meanwhile; it returns a callable that gives
-    that process's ``sup_con`` result, or None if the job is this process's
-    to run after all.
+    that process's ``sup_con`` result, or None if that process is busy and
+    the job is this one's.
     """
     if Z.shape[0] != 2 * labeled_mask.shape[0]:
         raise ValidationError("Z must hold two views per instance")
@@ -198,7 +198,7 @@ def overall_loss(
 
     l_sup = 0.0
     if sup_args is not None:
-        l_sup, g_sup = (collect and collect()) or sup_con(*sup_args)
+        l_sup, g_sup = collect() if collect else sup_con(*sup_args)
         grad_Z[lab_rows] = hp.lambda_ * g_sup
 
     l_overall = combine_overall(l_ins, l_sup, h_prior, h_uniform, hp)

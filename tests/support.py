@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import os
 import zipfile
 
 import numpy as np
+
+from ltgcd.harness import _run_chunk
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -60,3 +63,12 @@ def replace_member(npz: bytes, name: str, data: bytes) -> bytes:
         for member, member_data in members.items():
             archive.writestr(member, member_data)
     return out.getvalue()
+
+
+def run_chunk_or_exit(plan, cells):
+    """``_run_chunk``, except that the process exits at once on the chunk
+    that holds run r0001. A process pool pickles it by name, so patched in
+    for ``_run_chunk``, it runs in workers forked after the patch."""
+    if "r0001" in [cell.run_id for cell in cells]:
+        os._exit(1)
+    return _run_chunk(plan, cells)

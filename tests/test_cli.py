@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from ltgcd.cli import cli
 from ltgcd.data import EmbeddingDataset, write_dataset
 from ltgcd.model import Prototypes, init_head, save_checkpoint
 from ltgcd.rng import derive_stream
-from support import replace_member
+from support import replace_member, run_chunk_or_exit
 
 
 CONFIG = """
@@ -150,6 +151,24 @@ class TestTrainCommand:
         assert code == 2
         assert "training failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json", "train_log.csv"]
+
+    def test_a_failed_write_deletes_an_earlier_runs_model_and_metrics(
+        self, tmp_path, config_file
+    ):
+        # the child alone may write no file past 16 bytes, so its first
+        # write, run_config.json, fails
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(config_file), "--seed", "0", "--out", str(out)]) == 0
+        assert (out / "checkpoint.npz").exists() and (out / "metrics.csv").exists()
+        run = subprocess.run(
+            [sys.executable, "-c", "from ltgcd.cli import main; main()", "train",
+             "--config", str(config_file), "--seed", "0", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True,
+            text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16)))
+        assert (run.returncode, run.stderr) == (2, "ltgcd: error: [Errno 27] File too large\n")
+        assert not (out / "checkpoint.npz").exists() and not (out / "metrics.csv").exists()
 
     def test_single_class_manifest_is_validation_error(self, tmp_path, config_file, capsys):
         rng = derive_stream(0, "test")
@@ -671,3 +690,59 @@ def test_sigint_to_a_sweeps_main_process_stops_its_workers(tmp_path, config_file
     assert (sweeper.returncode, stdout, stderr) == (130, "", "ltgcd: interrupted\n")
     for pid in workers:
         assert not Path(f"/proc/{pid}").exists()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# runs the ltgcd command's entry and prints, as training starts, the OS
+# threads of its process and the three BLAS variables
+NOTE_THREADS_AT_TRAIN = """
+import sys
+from ltgcd.__main__ import main
+
+def note_train(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "train_group":
+        sys.setprofile(None)
+        print(frame.f_globals["_threads"](), *(frame.f_globals["os"].environ[name]
+              for name in {names!r}), flush=True)
+sys.setprofile(note_train)
+main()
+"""
+
+
+@pytest.mark.parametrize("caller, pinned", [({}, ["1", "1", "1"]),
+                                            ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["unset", "caller-sets-openblas"])
+def test_the_command_pins_blas_unless_the_caller_sets_it(tmp_path, config_file, caller, pinned):
+    root = Path(__file__).resolve().parents[1]
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
+    env.update(caller, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", NOTE_THREADS_AT_TRAIN.format(names=BLAS_VARIABLES), "train",
+         "--config", str(config_file), "--epochs", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    threads, *values = run.stdout.splitlines()[0].split()
+    assert values == pinned
+    if not caller:   # one thread, so on 2 CPUs train forks its helper
+        assert threads == "1"
+
+
+def test_python_m_ltgcd_runs_the_command(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "ltgcd", "train", "--epochs", "0",
+                          "--out", str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (1, "ltgcd: invalid input: epochs must be >= 1, got 0\n")
+
+
+def test_a_sweep_whose_worker_dies_exits_2_naming_the_lost_runs(tmp_path, config_file, capsys,
+                                                                 monkeypatch):
+    # chunks [r0000, r0002] and [r0001, r0003]; the second one's worker exits
+    monkeypatch.setattr("ltgcd.harness._run_chunk", run_chunk_or_exit)
+    code = cli(["sweep", "--config", str(config_file), "--beta", "0,2", "--seeds", "0,1",
+                "--workers", "2", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert re.fullmatch(r"ltgcd: error: a sweep worker died; runs "
+                        r"(r0000, r0002, )?r0001, r0003 did not finish\n",
+                        capsys.readouterr().err)

@@ -22,6 +22,7 @@ from ltgcd.data import EmbeddingDataset, generate_mixture
 from ltgcd.errors import ValidationError
 from ltgcd.evaluation import evaluate
 from ltgcd.harness import (
+    DEFAULT_OUT_DIM,
     GROUP_SETTINGS,
     ExperimentPlan,
     _chunks,
@@ -34,8 +35,11 @@ from ltgcd.harness import (
     train_one,
     write_train_log,
 )
+from ltgcd.losses import overall_loss, sup_con
+from ltgcd.model import Prototypes
 from ltgcd.rng import derive_stream
 from ltgcd.svg import _SERIES_COLORS as SERIES_COLORS
+from support import run_chunk_or_exit, unit_rows
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -363,10 +367,51 @@ class TestDrawAhead:
             train_on(True, small_data(), [small_hp()])
         assert_no_child_left()
 
+    def test_a_job_sent_to_a_dead_helper_is_a_runtime_error(self, monkeypatch):
+        # the helper is killed once the first batch is taken, and the step
+        # starts once it has exited (it is left for close to reap), so the
+        # job's write meets a pipe with no reader
+        take = _DrawAhead.take
+
+        def take_then_kill(ring, rows):
+            draws = take(ring, rows)
+            os.kill(ring.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, ring.pid, os.WEXITED | os.WNOWAIT)
+            return draws
+        monkeypatch.setattr(_DrawAhead, "take", take_then_kill)
+        monkeypatch.setattr(_DrawAhead, "_idle", lambda ring: True)
+        with pytest.raises(RuntimeError, match="the helper process ended before"):
+            train_on(True, small_data(), [small_hp()])
+        assert_no_child_left()
+
+    def test_a_busy_helper_leaves_the_job_to_the_loop(self, monkeypatch):
+        # a helper that fills no slot never sends a full token, so it is
+        # never idle: offload returns None and overall_loss runs sup_con (a
+        # job would end this helper, so the collector would raise)
+        def draw_nothing(ring, data, shared, cmd_r, full_w, done_w):
+            while os.read(cmd_r, 1) not in (ring.JOB, b""):
+                pass
+        sup_calls, collects = [], []
+        monkeypatch.setattr(_DrawAhead, "_draw", draw_nothing)
+        monkeypatch.setattr("ltgcd.losses.sup_con",
+                            lambda *args: sup_calls.append(args) or sup_con(*args))
+        rng = derive_stream(0, "busy-helper")
+        Z = unit_rows(rng, 16, DEFAULT_OUT_DIM).astype(np.float32)
+        protos = Prototypes(unit_rows(rng, 3, DEFAULT_OUT_DIM))
+        labeled, labels = np.arange(8) < 4, np.arange(8) % 3
+        batch = (Z, labeled, labels, protos, np.full(3, 1 / 3), small_hp())
+        ring = _DrawAhead(small_data(), small_hp())
+        try:
+            busy = overall_loss(*batch, lambda *args: collects.append(ring.offload(*args)))
+        finally:
+            ring.close()
+        assert collects == [None] and len(sup_calls) == 1
+        alone = overall_loss(*batch)
+        assert (busy.l_overall, busy.grad_Z.tobytes()) == (alone.l_overall, alone.grad_Z.tobytes())
+
     def test_a_helper_that_dies_mid_job_is_a_runtime_error(self, monkeypatch):
-        claim = _DrawAhead._claim
-        # the helper claims every job, and its sup_con ends it
-        monkeypatch.setattr(_DrawAhead, "_claim", lambda ring: ring.pid == 0 and claim(ring))
+        # the helper is sent every job, and its sup_con ends it
+        monkeypatch.setattr(_DrawAhead, "_idle", lambda ring: True)
         monkeypatch.setattr("ltgcd.harness.sup_con", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="the helper process ended before"):
             train_on(True, small_data(), [small_hp()])
@@ -445,31 +490,26 @@ def agreement_case(rng):
 
 
 def test_draw_ahead_agrees(monkeypatch):
-    # each case forces where the steps' sup_con runs: the helper claims every
-    # job, the training loop takes every job back, or the two race
-    claim, offload = _DrawAhead._claim, _DrawAhead.offload
+    # each case forces where the steps' sup_con runs: the helper is always
+    # idle, never idle, or idle as it happens
+    idle, offload = _DrawAhead._idle, _DrawAhead.offload
     routes = []
 
     def offload_noting_route(ring, *args):
         collect = offload(ring, *args)
-
-        def collect_noting_route():
-            result = collect()
-            routes.append("loop" if result is None else "helper")
-            return result
-        return collect_noting_route
+        routes.append("loop" if collect is None else "helper")
+        return collect
     monkeypatch.setattr(_DrawAhead, "offload", offload_noting_route)
     rng = derive_stream(0, "draw-ahead-agrees")
     for case in range(36):
         data, hps = agreement_case(rng)
         route = ["helper", "loop", "either"][case % 3]
         if route != "either":
-            monkeypatch.setattr(_DrawAhead, "_claim", lambda ring, in_helper=route == "helper":
-                                claim(ring) if (ring.pid == 0) == in_helper else False)
+            monkeypatch.setattr(_DrawAhead, "_idle", lambda ring, busy=route == "loop": not busy)
         routes.clear()
         ahead = train_on(True, data, hps)
         assert_no_child_left()
-        monkeypatch.setattr(_DrawAhead, "_claim", claim)
+        monkeypatch.setattr(_DrawAhead, "_idle", idle)
         in_process = train_on(False, data, hps)
         assert route == "either" or set(routes) <= {route}, (case, routes)
         for a, b in zip(ahead, in_process):
@@ -655,6 +695,18 @@ class TestSweep:
         seq = sweep(small_plan(tmp_path / "seq"))
         par = sweep(small_plan(tmp_path / "par", workers=2))
         assert seq["results"].read_bytes() == par["results"].read_bytes()
+
+    def test_a_worker_that_dies_names_the_runs_that_did_not_finish(self, tmp_path,
+                                                                   monkeypatch):
+        # chunks [r0000, r0002] and [r0001, r0003]; the second one's worker exits
+        monkeypatch.setattr("ltgcd.harness._run_chunk", run_chunk_or_exit)
+        with pytest.raises(RuntimeError, match="^a sweep worker died; runs (.*) did "
+                                               "not finish$") as info:
+            sweep(small_plan(tmp_path, workers=2))
+        lost = re.search("runs (.*) did", str(info.value))[1].split(", ")
+        # the pool stops the other worker, unless its chunk finished first
+        assert lost in (["r0001", "r0003"], ["r0000", "r0002", "r0001", "r0003"])
+        assert_no_child_left()
 
     def test_plan_order_is_rho_alpha_beta_seed(self, tmp_path):
         plan = small_plan(tmp_path, rhos=(1.0, 3.0), betas=(0.0,), seeds=(0, 1))

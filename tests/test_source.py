@@ -3,7 +3,8 @@ every function, class, method and property it defines is read somewhere, one
 function loads npz files, one starts a process pool and one forks the draw
 process, one training loop draws the views and ``train_one`` wraps it, one
 class declares the loss terms, a dataset holds its known/unknown split only
-in its arrays, and importing the CLI loads no scipy module."""
+in its arrays, importing the CLI loads no scipy module, and the command's
+entry sets the BLAS thread variables before numpy loads."""
 
 import ast
 import os
@@ -182,3 +183,32 @@ def test_cli_import_loads_no_scipy():
     ).stdout.split()
     assert "ltgcd.evaluation" in modules
     assert [m for m in modules if m.startswith("scipy")] == []
+
+
+def test_the_command_entry_sets_blas_threads_before_numpy_loads():
+    # importing the entry loads no numpy and sets nothing; its main sets the
+    # three variables before the CLI's imports load numpy
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = (
+        "import os, sys\n"
+        "import ltgcd.__main__ as entry\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'), '|',\n"
+        f"      *(os.environ.get(name, '-') for name in {names!r}))\n"
+        "class NoteNumpy:\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy':\n"
+        f"            print(*(os.environ.get(name, '-') for name in {names!r}))\n"
+        "sys.meta_path.insert(0, NoteNumpy())\n"
+        "try:\n"
+        "    entry.main()\n"
+        "except SystemExit:\n"
+        "    pass\n"
+    )
+    env = {name: value for name, value in os.environ.items() if name not in names}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    imported, at_numpy = subprocess.run(
+        [sys.executable, "-c", script],   # no subcommand: a usage error after the imports
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert imported.split() == ["|", "-", "-", "-"]
+    assert at_numpy.split() == ["1", "1", "1"]
