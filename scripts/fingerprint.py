@@ -37,10 +37,11 @@ BLAS runs one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``. Pinned, on 2 or more CPUs the
 1-worker sweeps and the desk runs train beside the forked helper process,
 and the 2- and 3-worker sweeps train in pool workers, which never fork it:
-one diff covers both routes. It takes about 15 seconds on one core. To check
-the arithmetic of training in one process on more BLAS threads too, as
-``ltgcd train`` does when the caller sets that count, make the two listings
-again unpinned, on a 2-CPU host with:
+one diff covers both routes. Each plan names its worker count, so the
+routes do not follow the host's CPU count. It takes about 15 seconds on one
+core. To check the arithmetic of training in one process on more BLAS
+threads too, as ``ltgcd train`` does when the caller sets that count, make
+the two listings again unpinned, on a 2-CPU host with:
 
     OPENBLAS_NUM_THREADS=2 python3 scripts/fingerprint.py
 """
@@ -68,16 +69,16 @@ EMBED_SEEDS = tuple(range(8))
 # (name, split overrides, hyperparameter overrides, plan axes and workers)
 PLANS = (
     ("criterion8", {}, {},
-     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1), "workers": 1}),
     ("grid", {}, {},
-     {"rhos": (2.0, 3.0), "alphas": (0.0, 1.0), "betas": (0.0, 2.0), "seeds": (0,)}),
+     {"rhos": (2.0, 3.0), "alphas": (0.0, 1.0), "betas": (0.0, 2.0), "seeds": (0,), "workers": 1}),
     ("absent_known", {"samples_per_known": 2, "labeled_fraction": 0.9, "rho": 1.0}, {},
-     {"rhos": (1.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
+     {"rhos": (1.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1), "workers": 1}),
     # batch 1 never holds the 2 unlabeled rows a step needs
     ("all_failed", {}, {"batch_size": 1},
-     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0,)}),
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0,), "workers": 1}),
     ("diverged", {}, {"lr0": 1e100},
-     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1)}),
+     {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 2.0), "seeds": (0, 1), "workers": 1}),
     # 6 cells on 2 and on 3 workers: chunks that hold whole seeds and that split one
     ("chunked_w2", {}, {},
      {"rhos": (3.0,), "alphas": (1.0,), "betas": (0.0, 1.0, 2.0), "seeds": (0, 1), "workers": 2}),

@@ -2,9 +2,11 @@
 
 Trains the four trend cells of the acceptance suite, (alpha, beta) = (0, 0),
 (0, 2), (0, 5) and (1, 2), on the desk split over seeds 0-9 through
-``harness.sweep`` with worker processes. It prints each cell's mean metrics
-and, for each margin that criteria 5-7 gate, the per-seed paired differences
-with their mean, sd, minimum and sign count. Run from the repository root:
+``harness.sweep``, on one worker process per CPU it may use per thread (2
+on 2 CPUs, since BLAS is pinned to one thread; ``taskset`` lowers it). It
+prints each cell's mean metrics and, for each margin that criteria 5-7 gate,
+the per-seed paired differences with their mean, sd, minimum and sign
+count. Run from the repository root:
 
     python3 scripts/seed_report.py --out seed_report.json
 
@@ -57,20 +59,20 @@ MARGINS = {
 }
 
 
-def run_cells(workers: int, work_dir: Path) -> list[dict]:
-    """Every run of the four cells as a ``results.csv`` row of floats."""
+def run_cells(work_dir: Path) -> tuple[list[dict], int]:
+    """Every run of the four cells as a ``results.csv`` row of floats, and
+    the plans' worker count."""
     rows = []
     for i, (alphas, betas) in enumerate(GRIDS):
         plan = ExperimentPlan(hp=HP, split=SPLIT, rhos=(SPLIT.rho,), alphas=alphas,
-                              betas=betas, seeds=SEEDS, out_dir=work_dir / f"grid{i}",
-                              workers=workers)
+                              betas=betas, seeds=SEEDS, out_dir=work_dir / f"grid{i}")
         artifacts = sweep(plan)
         if "failures" in artifacts:
             raise SystemExit(f"seed_report: runs failed, see {artifacts['failures']}")
         with open(artifacts["results"], newline="") as fh:
             rows += [{k: float(v) for k, v in row.items() if k != "run_id"}
                      for row in csv.DictReader(fh)]
-    return rows
+    return rows, plan.workers
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -102,18 +104,17 @@ def summarize(rows: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out", type=Path, help="write the table as JSON here")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as work:
-        rows = run_cells(args.workers, Path(work))
-    report = {**summarize(rows), "workers": args.workers,
+        rows, workers = run_cells(Path(work))
+    report = {**summarize(rows), "workers": workers,
               "elapsed_s": round(time.monotonic() - t0, 1)}
 
     print(f"{len(rows)} runs over seeds {report['seeds'][0]}-{report['seeds'][-1]} "
-          f"in {report['elapsed_s']} s with {args.workers} workers")
+          f"in {report['elapsed_s']} s with {workers} workers")
     print("cell            " + "".join(f"{m:>8}" for m in METRICS))
     for cell, means in report["cells"].items():
         print(f"{cell:<16}" + "".join(f"{means[m]:8.3f}" for m in METRICS))

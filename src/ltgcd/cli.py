@@ -84,10 +84,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_eval.add_argument("--dataset", required=True)
     p_sweep.add_argument("--seeds", type=_list_of(int), default=(0, 1, 2),
                          help="comma-separated seeds (default 0,1,2)")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes (default 1): the cells, ordered by rho and "
-                              "seed, are cut into that many chunks, and each (rho, seed)'s "
-                              "cells in a chunk train in one loop")
 
     return parser, sub.choices
 
@@ -171,7 +167,6 @@ def _cmd_sweep(args) -> int:
         seeds=args.seeds,
         out_dir=args.out,   # sweep creates it, once the plan is valid
         sep=args.sep,
-        workers=args.workers,
     )
     artifacts = sweep(plan)
     for name, path in artifacts.items():

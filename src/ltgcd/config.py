@@ -46,15 +46,16 @@ SETTING_RULES = {
 }
 
 
-def check_setting(name: str, value) -> None:
+def check_setting(name: str, value, where: str = "") -> None:
     """Raise ``ValidationError`` unless ``value`` is finite (if a float) and
-    in the range ``SETTING_RULES`` gives ``name``; the message names the key."""
+    in the range ``SETTING_RULES`` gives ``name``; the message names the key,
+    then ends with ``where``."""
     key = file_key(name)
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite, got {value}")
+        raise ValidationError(f"{key} must be finite, got {value}{where}")
     text, ok = SETTING_RULES[name]
     if not ok(value):
-        raise ValidationError(f"{key} must be {text}, got {value}")
+        raise ValidationError(f"{key} must be {text}, got {value}{where}")
 
 
 def _check_fields(settings) -> None:

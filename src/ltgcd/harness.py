@@ -27,7 +27,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,6 +96,39 @@ class SweepCell(NamedTuple):
     split: SplitSpec
 
 
+def _cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
+    """The whole CPUs this process may use: its affinity count, capped by
+    the CPU quota of the cgroup mounted at ``cgroup`` (v2 ``cpu.max``, else
+    v1 ``cpu/cpu.cfs_quota_us`` over ``cpu/cpu.cfs_period_us``; "max" or -1
+    is no quota), and at least 1. 1 where the OS cannot say, which keeps
+    training in one process."""
+    count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = " ".join((cgroup / name).read_text() for name in names).split()
+            if quota not in ("max", "-1"):
+                count = min(count, max(1, int(quota) // int(period)))
+            break
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return count
+
+
+def _threads() -> int | None:
+    """The OS threads of this process, from ``/proc/self/task``; None where
+    it cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def _cpus_per_thread() -> int:
+    """The CPUs this process may use per OS thread it runs; 1 where its threads are unknown."""
+    threads = _threads()
+    return 1 if threads is None else max(1, _cpus() // threads)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     hp: Hyperparams
@@ -106,7 +139,7 @@ class ExperimentPlan:
     seeds: tuple
     out_dir: Path
     sep: float = DEFAULT_SEP
-    workers: int = 1
+    workers: int = field(default_factory=_cpus_per_thread)
 
     def __post_init__(self) -> None:
         for name in ("rhos", "alphas", "betas", "seeds"):
@@ -115,6 +148,8 @@ class ExperimentPlan:
                 raise ValidationError(f"plan field {name} must be a non-empty list")
             if len(set(values)) != len(values):
                 raise ValidationError(f"plan field {name} repeats a value: {list(values)}")
+            for value in values:   # the message names the plan field, not just the setting
+                check_setting(name[:-1], value, f" (plan field {name})")
         check_setting("workers", self.workers)
         check_setting("sep", self.sep)
         self.jobs()   # builds, and so validates, every cell before any run
@@ -190,33 +225,6 @@ class _Run:
         metrics = evaluate(self.head, data, self.hp.seed) if self.error is None else None
         return RunRecord(config=config_echo, epoch_logs=self.logs, metrics=metrics,
                          error=self.error, head=self.head, protos=self.protos)
-
-
-def _cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
-    """The whole CPUs this process may use: its affinity count, capped by
-    the CPU quota of the cgroup mounted at ``cgroup`` (v2 ``cpu.max``, else
-    v1 ``cpu/cpu.cfs_quota_us`` over ``cpu/cpu.cfs_period_us``; "max" or -1
-    is no quota), and at least 1. 1 where the OS cannot say, which keeps
-    training in one process."""
-    count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
-        try:
-            quota, period = " ".join((cgroup / name).read_text() for name in names).split()
-            if quota not in ("max", "-1"):
-                count = min(count, max(1, int(quota) // int(period)))
-            break
-        except (OSError, ValueError, ZeroDivisionError):
-            continue
-    return count
-
-
-def _threads() -> int | None:
-    """The OS threads of this process, from ``/proc/self/task``; None where
-    it cannot be read."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return None
 
 
 def _stepped_batches(data: EmbeddingDataset, shared: Hyperparams):
@@ -540,19 +548,16 @@ def _run_chunk(plan: ExperimentPlan, cells: list[SweepCell]) -> list[dict]:
         group = list(group)
         data = generate_mixture(group[0].split, plan.sep, derive_stream(seed, "split"))
         records = train_group(data, [cell.hp for cell in group])
-        for cell, record in zip(group, records):
-            rows.append({
-                "run_id": cell.run_id,
-                "seed": cell.hp.seed,
-                "rho": cell.split.rho,
-                "alpha": cell.hp.alpha,
-                "beta": cell.hp.beta,
-                "lambda": cell.hp.lambda_,
-                "status": record.status,
-                "error": record.error,
-                **(record.metrics.accuracies() if record.metrics is not None else {}),
-            })
+        rows += [_row(cell, record.error, record.metrics) for cell, record in zip(group, records)]
     return rows
+
+
+def _row(cell: SweepCell, error: str | None, metrics: MetricsReport | None = None) -> dict:
+    """A cell's sweep row: its settings, status and error, and any metrics."""
+    return {"run_id": cell.run_id, "seed": cell.hp.seed, "rho": cell.split.rho,
+            "alpha": cell.hp.alpha, "beta": cell.hp.beta, "lambda": cell.hp.lambda_,
+            "status": "ok" if error is None else "failed", "error": error,
+            **(metrics.accuracies() if metrics is not None else {})}
 
 
 def metrics_row(
@@ -583,12 +588,15 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
     The cells, in stable ``(rho, seed)`` order, are cut into ``min(workers,
     cells)`` contiguous chunks of near-equal size, and the cells of one chunk
     that share ``(rho, seed)`` train as one ``train_group``, which draws their
-    batches' views once. One chunk runs in this process, which may fork a
-    helper by ``train_group``'s rule; more run on that many worker processes,
-    one chunk each, so a chunk whose cells fail early leaves its worker idle,
-    and ^C to this process kills them; a worker's death raises naming the
-    runs that did not finish. Rows keep plan order either way, and every
-    output byte is the same at any ``workers``."""
+    batches' views once. ``workers`` defaults to the CPUs this process may
+    use per OS thread it runs: on 2 CPUs, 2 in a process of one thread, but 1
+    on 2 BLAS threads, whose workers would each start 2 more. One chunk runs
+    in this process, which may fork a helper by ``train_group``'s rule; more
+    run on that many worker processes, one chunk each, so a chunk whose cells
+    fail early leaves its worker idle, and ^C to this process kills them. A
+    worker's death breaks the pool: each run of a chunk that had not come
+    back fails. Rows keep plan order, and every output byte is the same at
+    any ``workers``."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = plan.jobs()
@@ -600,31 +608,25 @@ def sweep(plan: ExperimentPlan) -> dict[str, Path]:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_run_chunk, plan, chunk) for chunk in chunks]
             try:   # exception() waits for its future
-                lost = [cell.run_id for chunk, future in zip(chunks, futures)
-                        if isinstance(future.exception(), BrokenProcessPool) for cell in chunk]
+                died = [isinstance(future.exception(), BrokenProcessPool) for future in futures]
             except KeyboardInterrupt:   # sent to this process alone, it stops the workers too
                 for worker in set(multiprocessing.active_children()) - others:
                     worker.kill()
                 raise
-        if lost:
-            raise RuntimeError(f"a sweep worker died; runs {', '.join(lost)} did not finish")
-        done = [future.result() for future in futures]
+        done = [[_row(cell, "a sweep worker process died before the run finished")
+                 for cell in chunk] if lost else future.result()
+                for chunk, future, lost in zip(chunks, futures, died)]
     position = {cell.run_id: i for i, cell in enumerate(cells)}
     rows = sorted((row for chunk in done for row in chunk), key=lambda r: position[r["run_id"]])
 
-    artifacts: dict[str, Path] = {}
     ok_rows = [r for r in rows if r["status"] == "ok"]
     failed = [r for r in rows if r["status"] != "ok"]
 
-    artifacts["results"] = write_csv(
-        out_dir / "results.csv", RESULTS_HEADER,
-        [[r[k] for k in RESULTS_HEADER] for r in ok_rows],
-    )
+    artifacts = {"results": write_csv(out_dir / "results.csv", RESULTS_HEADER,
+                                      [[r[k] for k in RESULTS_HEADER] for r in ok_rows])}
     if failed:
-        artifacts["failures"] = write_csv(
-            out_dir / "failures.csv", FAILURES_HEADER,
-            [[r[k] for k in FAILURES_HEADER] for r in failed],
-        )
+        artifacts["failures"] = write_csv(out_dir / "failures.csv", FAILURES_HEADER,
+                                          [[r[k] for k in FAILURES_HEADER] for r in failed])
     else:
         (out_dir / "failures.csv").unlink(missing_ok=True)
 

@@ -196,15 +196,15 @@ def update_prototypes(
     that class (prototype left unchanged when no such rows exist).
     """
     # an unlabeled row counts only toward a class with no labeled rows
-    unlabeled_group = np.where(np.isin(assignments, labels[is_labeled]), -1, assignments)
-    groups = np.where(is_labeled, labels, unlabeled_group)
+    known = np.bincount(labels[is_labeled], minlength=protos.num_classes) > 0
+    groups = np.where(is_labeled, labels, np.where(known[assignments], -1, assignments))
     targets, counts = normalized_group_means(features, groups, protos.num_classes, protos.M)
+    filled = np.flatnonzero(counts)
+    blend = ema * protos.M[filled] + (1.0 - ema) * targets[filled]
+    norm = np.sqrt([b @ b for b in blend])   # the dot product of np.linalg.norm
+    ok = norm >= NORM_FLOOR
     new_M = np.array(protos.M, copy=True)
-    for c in np.flatnonzero(counts):
-        blend = ema * protos.M[c] + (1.0 - ema) * targets[c]
-        norm = np.linalg.norm(blend)
-        if norm >= NORM_FLOOR:
-            new_M[c] = blend / norm
+    new_M[filled[ok]] = blend[ok] / norm[ok, None]
     return Prototypes(M=new_M)
 
 

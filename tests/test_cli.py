@@ -513,7 +513,8 @@ class TestSweepCommand:
         ("--drop-prob=1", "drop_prob must be in [0, 1), got 1.0"),
         ("--beta=0,0", "plan field betas repeats a value"),
         ("--seeds=1,1", "plan field seeds repeats a value"),
-        ("--workers=0", "workers must be >= 1"),
+        # a grid value's message names its plan field too: --seeds sets seeds, not seed
+        ("--seeds=0,-1", "seed must be a 64-bit unsigned integer, got -1 (plan field seeds)"),
     ])
     def test_invalid_plan_value_exits_1_before_any_run(
         self, tmp_path, config_file, capsys, flag, shown
@@ -530,6 +531,14 @@ class TestSweepCommand:
                     "--out", str(tmp_path / "s")])
         assert code == 1
         assert "usage" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "s").exists()
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, config_file, capsys):
+        # the plan sizes its own pool from the CPUs it may use per thread
+        code = cli(["sweep", "--config", str(config_file), "--workers", "2",
+                    "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "error: unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_failed_runs_exit_2_and_name_failures_csv(self, tmp_path, config_file, capsys):
@@ -662,14 +671,16 @@ def test_sigint_stops_train_with_exit_130_one_line_and_no_child(tmp_path, config
 
 
 def test_sigint_to_a_sweeps_main_process_stops_its_workers(tmp_path, config_file):
-    # the signal goes to the main process alone, as a kill(1) of its pid does
+    # the signal goes to the main process alone, as a kill(1) of its pid does; 2 CPUs
+    # for 1 thread make the plan's 2 workers
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = tmp_path / "out"
     sweeper = subprocess.Popen(
-        [sys.executable, "-c", "from ltgcd.cli import main; main()", "sweep",
+        [sys.executable, "-c", "import ltgcd.harness as h; h._cpus = lambda: 2; "
+         "h._threads = lambda: 1; from ltgcd.cli import main; main()", "sweep",
          "--config", str(config_file), "--epochs", "100000", "--beta", "0,2", "--seeds", "0",
-         "--workers", "2", "--out", str(out)],
+         "--out", str(out)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
     children = Path(f"/proc/{sweeper.pid}/task/{sweeper.pid}/children")
@@ -738,11 +749,20 @@ def test_python_m_ltgcd_runs_the_command(tmp_path):
 
 def test_a_sweep_whose_worker_dies_exits_2_naming_the_lost_runs(tmp_path, config_file, capsys,
                                                                  monkeypatch):
-    # chunks [r0000, r0002] and [r0001, r0003]; the second one's worker exits
+    # 2 CPUs for 1 thread: chunks [r0000, r0002] and [r0001, r0003] on 2 workers, and the
+    # second one's worker exits
+    monkeypatch.setattr("ltgcd.harness._cpus", lambda: 2)
+    monkeypatch.setattr("ltgcd.harness._threads", lambda: 1)
     monkeypatch.setattr("ltgcd.harness._run_chunk", run_chunk_or_exit)
+    out = tmp_path / "out"
     code = cli(["sweep", "--config", str(config_file), "--beta", "0,2", "--seeds", "0,1",
-                "--workers", "2", "--out", str(tmp_path / "out")])
+                "--out", str(out)])
     assert code == 2
-    assert re.fullmatch(r"ltgcd: error: a sweep worker died; runs "
-                        r"(r0000, r0002, )?r0001, r0003 did not finish\n",
-                        capsys.readouterr().err)
+    assert capsys.readouterr().err == f"ltgcd: error: runs failed, see {out / 'failures.csv'}\n"
+    failures = read_csv(out / "failures.csv")
+    # the pool stops the other worker, unless its chunk came back first
+    assert [row[0] for row in failures[1:]] in (["r0001", "r0003"],
+                                                 ["r0000", "r0001", "r0002", "r0003"])
+    assert {tuple(row[5:]) for row in failures[1:]} == {
+        ("failed", "a sweep worker process died before the run finished")}
+    assert len(read_csv(out / "results.csv")) == 1 + 4 - len(failures[1:])

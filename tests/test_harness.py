@@ -692,7 +692,7 @@ class TestSweep:
         assert len(results) == 1   # header only
 
     def test_worker_pool_matches_sequential(self, tmp_path):
-        seq = sweep(small_plan(tmp_path / "seq"))
+        seq = sweep(small_plan(tmp_path / "seq", workers=1))
         par = sweep(small_plan(tmp_path / "par", workers=2))
         assert seq["results"].read_bytes() == par["results"].read_bytes()
 
@@ -700,13 +700,36 @@ class TestSweep:
                                                                    monkeypatch):
         # chunks [r0000, r0002] and [r0001, r0003]; the second one's worker exits
         monkeypatch.setattr("ltgcd.harness._run_chunk", run_chunk_or_exit)
-        with pytest.raises(RuntimeError, match="^a sweep worker died; runs (.*) did "
-                                               "not finish$") as info:
-            sweep(small_plan(tmp_path, workers=2))
-        lost = re.search("runs (.*) did", str(info.value))[1].split(", ")
-        # the pool stops the other worker, unless its chunk finished first
-        assert lost in (["r0001", "r0003"], ["r0000", "r0002", "r0001", "r0003"])
+        artifacts = sweep(small_plan(tmp_path, workers=2))
         assert_no_child_left()
+        failures = read_csv(artifacts["failures"])
+        lost = [row[0] for row in failures[1:]]
+        # the pool stops the other worker, unless its chunk came back first
+        assert lost in (["r0001", "r0003"], ["r0000", "r0001", "r0002", "r0003"])
+        assert {tuple(row[5:]) for row in failures[1:]} == {
+            ("failed", "a sweep worker process died before the run finished")}
+        # the runs that came back are written as any sweep writes them
+        results = read_csv(artifacts["results"])
+        assert [row[0] for row in results[1:]] == [run for run in ["r0000", "r0002"]
+                                                   if run not in lost]
+        assert ("svg_beta" in artifacts) and ("summary" in artifacts)
+
+    @pytest.mark.parametrize("cpus, threads, workers", [
+        (2, 1, 2), (2, 2, 1), (1, 1, 1), (2, None, 1), (8, 3, 2), (1, 2, 1),
+    ], ids=["2-1", "2-2", "1-1", "2-None", "8-3", "1-2"])
+    def test_workers_default_to_the_cpus_per_thread(self, tmp_path, monkeypatch, cpus,
+                                                    threads, workers):
+        monkeypatch.setattr("ltgcd.harness._cpus", lambda: cpus)
+        monkeypatch.setattr("ltgcd.harness._threads", lambda: threads)
+        assert small_plan(tmp_path).workers == workers
+
+    def test_explicit_workers_observe_nothing(self, tmp_path, monkeypatch):
+        def unobserved():
+            raise AssertionError("observed")
+        monkeypatch.setattr("ltgcd.harness._cpus", unobserved)
+        monkeypatch.setattr("ltgcd.harness._threads", unobserved)
+        assert small_plan(tmp_path, workers=3).workers == 3
+        assert replace(small_plan(tmp_path, workers=1), seeds=(0,)).workers == 1
 
     def test_plan_order_is_rho_alpha_beta_seed(self, tmp_path):
         plan = small_plan(tmp_path, rhos=(1.0, 3.0), betas=(0.0,), seeds=(0, 1))

@@ -167,7 +167,7 @@ TRAIN_FLAGS = ("--seed", "--sep", "--epochs", "--batch", "--noise-sigma", "--dro
                "--alpha", "--beta")
 # sweep takes --seeds in place of --seed
 VALUE_FLAGS = {"gen": ("--seed", "--sep", "--rho"), "train": TRAIN_FLAGS,
-               "sweep": (*TRAIN_FLAGS[1:], "--seeds", "--workers")}
+               "sweep": (*TRAIN_FLAGS[1:], "--seeds")}
 FLAG_CASES = 27
 USAGE_ERROR = re.compile(r"usage: ltgcd \w+ .*\nltgcd \w+: error: [^\n]*\n", re.DOTALL)
 
@@ -204,13 +204,14 @@ def cli_cases(tmp_path):
     output directory."""
     data, ckpt, edge_files = cli_edge_files(tmp_path)
     config = ("--config", str(tmp_path / "tiny.ini"))
-    # --seeds 0 is one sweep cell, so no edit starts a worker pool
+    # --seeds 0 is one sweep cell; an edit that drops it sweeps seeds 0-2 on the
+    # workers the plan observes, a pool where this process runs one thread on 2 CPUs
     bases = {
         "gen": [config, ("--out", "OUT")],
         "train": [config, ("--seed", "0"), ("--out", "OUT")],
         "train --dataset": [config, ("--dataset", str(data)), ("--out", "OUT")],
         "eval": [config, ("--checkpoint", str(ckpt)), ("--dataset", str(data))],
-        "sweep": [config, ("--seeds", "0"), ("--workers", "1"), ("--out", "OUT")],
+        "sweep": [config, ("--seeds", "0"), ("--out", "OUT")],
     }
     cases = [(name, [*(pair if pair[0] != flag else (flag, str(edge)) for pair in base)],
               flag, (str(edge), defect))
